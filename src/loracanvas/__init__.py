@@ -49,13 +49,9 @@ from .guidance import (
     GuidanceConfig,
     LossBreakdown,
     TraceRow,
-    concept_enhancement_loss,
-    fill_loss,
     guided_update,
     inbox_mass_fraction,
-    region_loss,
     step_size,
-    total_loss,
 )
 from .pipeline import (
     LatentState,
@@ -97,11 +93,9 @@ __all__ = [
     "best_crop",
     "build_context",
     "compose_hidden",
-    "concept_enhancement_loss",
     "ddim_step",
     "decode_preview",
     "denoiser_forward",
-    "fill_loss",
     "finite_difference_gradient",
     "gaussian_weight",
     "gen_prompt_embedding",
@@ -117,7 +111,6 @@ __all__ = [
     "prepare",
     "rasterize_mask",
     "region_cross_attention",
-    "region_loss",
     "reinitialize",
     "sample",
     "softmax_rows",
@@ -125,7 +118,6 @@ __all__ = [
     "step_size",
     "synth_bundle",
     "topk_mean",
-    "total_loss",
     "transplant",
     "write_bundle",
     "__version__",

@@ -136,10 +136,10 @@ class RegionGeometry:
 
     @classmethod
     def build(cls, layout: LayoutCondition, height: int, width: int) -> "RegionGeometry":
-        masks = {r.concept_id: rasterize_mask(r.box, height, width)
-                 for r in layout.regions}
         gaussians = {r.concept_id: gaussian_weight(r.box, height, width)
                      for r in layout.regions}
+        # every in-box weight is at least exp(-1), so the support is the mask
+        masks = {cid: (g > 0).astype(np.float64) for cid, g in gaussians.items()}
         allowed = None
         if masks:
             stack = np.stack([m.reshape(-1) for m in masks.values()]) > 0

@@ -182,12 +182,6 @@ def div_scalar(a: Tensor, scalar) -> Tensor:
     return _result(a.data / s, "div_scalar", (a,), lambda g: (g / s,))
 
 
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    y = np.tanh(a.data)
-    return _result(y, "tanh", (a,), lambda g: (g * (1.0 - y * y),))
-
-
 # -- linear algebra --------------------------------------------------------
 
 
@@ -224,18 +218,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-stochastic softmax, computed with max subtraction."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("softmax_rows expects a 2-D tensor")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _result(y, "softmax_rows", (x,), vjp)
+    return _softmax_rows(x, None, "softmax_rows")
 
 
 def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
@@ -244,24 +227,29 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     Equivalent to adding -inf to forbidden logits before a plain softmax,
     fused into one kernel so no public tensor ever holds an infinity.
     """
+    return _softmax_rows(x, allowed, "masked_softmax_rows")
+
+
+def _softmax_rows(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
-        raise ShapeError("masked_softmax_rows expects a 2-D tensor")
-    allowed = np.asarray(allowed, dtype=bool)
-    if allowed.shape != x.shape:
-        raise ShapeError(f"mask shape {allowed.shape} does not match {x.shape}")
-    if not allowed.any(axis=1).all():
-        raise ArgumentError("a row has no permitted keys")
-    neg_inf = np.where(allowed, x.data, -np.inf)
-    shifted = neg_inf - neg_inf.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+        raise ShapeError(f"{op} expects a 2-D tensor")
+    logits = x.data
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != x.shape:
+            raise ShapeError(f"mask shape {allowed.shape} does not match {x.shape}")
+        if not allowed.any(axis=1).all():
+            raise ArgumentError("a row has no permitted keys")
+        logits = np.where(allowed, logits, -np.inf)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
 
     def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
         return (y * (g - dot),)
 
-    return _result(y, "masked_softmax_rows", (x,), vjp)
+    return _result(y, op, (x,), vjp)
 
 
 def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -426,13 +414,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 # -- reductions ---------------------------------------------------------------
-
-
-def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    shape = x.shape
-    return _result(np.asarray(x.data.sum()), "sum_all", (x,),
-                   lambda g: (np.full(shape, float(g)),))
 
 
 def mean_all(x: Tensor) -> Tensor:

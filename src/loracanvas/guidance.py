@@ -80,15 +80,6 @@ def _check_resolution(record: AttnRecord, geometry: RegionGeometry) -> None:
             f"loss resolution {record.loss_resolution}")
 
 
-def _layer_mean(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    if len(terms) > 1:
-        acc = acc / float(len(terms))
-    return acc
-
-
 def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
                               s_ratio: float) -> dict[str, Tensor]:
     """Per-concept enhancement terms, averaged over contributing layers."""
@@ -100,20 +91,13 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
         if support == 0:
             raise EmptyMaskError(f"empty mask for concept {cid!r}")
         top_s = math.ceil(s_ratio * support)
-        weight = Tensor(mask * geometry.gaussians[cid])
+        weight = Tensor(geometry.gaussians[cid])
         layer_terms = [
             1.0 - ad.topk_mean(ad.mul(layer.cross_maps[cid], weight), top_s)
             for layer in record.loss_layers()
         ]
-        out[cid] = _layer_mean(layer_terms)
+        out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
     return out
-
-
-def concept_enhancement_loss(record: AttnRecord, geometry: RegionGeometry,
-                             s_ratio: float) -> Tensor:
-    """Sum over concepts of 1 minus the top-S Gaussian-weighted response."""
-    terms = concept_enhancement_terms(record, geometry, s_ratio)
-    return _sum_terms(terms.values())
 
 
 def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> dict[str, Tensor]:
@@ -133,13 +117,8 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> dict[str, Tensor
             over_cols = ad.take(ad.axis_max_project(amap, "cols"), box_rows)
             restricted = ad.concat([over_rows, over_cols])
             layer_terms.append(ad.mean_all(1.0 - restricted))
-        out[cid] = _layer_mean(layer_terms)
+        out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
     return out
-
-
-def fill_loss(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
-    """L1 distance of in-box axis max-projections from full coverage."""
-    return _sum_terms(fill_terms(record, geometry).values())
 
 
 def region_terms(record: AttnRecord, geometry: RegionGeometry,
@@ -158,14 +137,8 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry,
             sub = ad.take2d(layer.self_map, inside, outside)
             top_p = math.ceil(p_ratio * sub.size)
             layer_terms.append(ad.topk_mean(sub, top_p))
-        out[cid] = _layer_mean(layer_terms)
+        out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
     return out
-
-
-def region_loss(record: AttnRecord, geometry: RegionGeometry,
-                p_ratio: float) -> Tensor:
-    """Mean of the top-P self-attention entries leaking out of each region."""
-    return _sum_terms(region_terms(record, geometry, p_ratio).values())
 
 
 def _sum_terms(terms) -> Tensor:
@@ -175,19 +148,9 @@ def _sum_terms(terms) -> Tensor:
     return acc if acc is not None else Tensor(0.0)
 
 
-def total_loss(l_ce: float, l_fill: float, l_region: float,
-               config: GuidanceConfig,
-               per_concept: dict[str, dict[str, float]] | None = None) -> LossBreakdown:
-    """Combine component losses with the configured weights."""
-    total = l_ce + config.alpha * l_fill + config.beta * l_region
-    return LossBreakdown(l_ce=float(l_ce), l_fill=float(l_fill),
-                         l_region=float(l_region), total=float(total),
-                         per_concept=per_concept or {})
-
-
 def composite_loss(record: AttnRecord, geometry: RegionGeometry,
                    config: GuidanceConfig) -> tuple[Tensor, LossBreakdown]:
-    """Traced total loss plus its float breakdown."""
+    """Traced L = L_ce + alpha * L_fill + beta * L_region plus its float breakdown."""
     ce = concept_enhancement_terms(record, geometry, config.s_ratio)
     fill = fill_terms(record, geometry)
     region = region_terms(record, geometry, config.p_ratio)
@@ -200,8 +163,9 @@ def composite_loss(record: AttnRecord, geometry: RegionGeometry,
               "region": float(region[cid])}
         for cid in geometry.concept_ids
     }
-    breakdown = total_loss(float(l_ce), float(l_fill), float(l_region), config,
-                           per_concept)
+    breakdown = LossBreakdown(l_ce=float(l_ce), l_fill=float(l_fill),
+                              l_region=float(l_region), total=float(total),
+                              per_concept=per_concept)
     return total, breakdown
 
 
@@ -289,6 +253,5 @@ def guided_update(
 def inbox_mass_fraction(record: AttnRecord, geometry: RegionGeometry,
                         concept_id: str) -> float:
     """Share of a concept's attention mass falling inside its box."""
-    maps = [layer.cross_maps[concept_id].data for layer in record.loss_layers()]
-    averaged = np.mean(maps, axis=0)
+    averaged = record.averaged_cross_map(concept_id)
     return float((averaged * geometry.masks[concept_id]).sum() / averaged.sum())

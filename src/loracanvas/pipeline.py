@@ -7,7 +7,6 @@ therefore byte-identical artifacts (trace.csv, latent dump, preview).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +30,9 @@ from .reinit import initial_latent, reinitialize
 
 TRACE_COLUMNS = ("timestep", "iteration", "l_ce", "l_fill", "l_region",
                  "total", "phi_t", "accepted")
+# alpha_bar at t = 0 and t = T
+ALPHA_BAR_CLEAN = 0.999
+ALPHA_BAR_NOISY = 0.01
 
 
 @dataclass(frozen=True)
@@ -47,15 +49,12 @@ class SamplerSchedule:
     alpha_bar: np.ndarray  # length steps + 1
 
     @classmethod
-    def linear(cls, steps: int = 25, alpha_bar_clean: float = 0.999,
-               alpha_bar_noisy: float = 0.01) -> "SamplerSchedule":
+    def linear(cls, steps: int = 25) -> "SamplerSchedule":
         if steps < 1:
             raise ArgumentError("schedule needs at least one step")
-        if not (0.0 < alpha_bar_noisy < alpha_bar_clean < 1.0):
-            raise ArgumentError("schedule endpoints must satisfy 0 < noisy < clean < 1")
         t = np.arange(steps + 1) / steps
         return cls(steps=steps,
-                   alpha_bar=alpha_bar_clean + (alpha_bar_noisy - alpha_bar_clean) * t)
+                   alpha_bar=ALPHA_BAR_CLEAN + (ALPHA_BAR_NOISY - ALPHA_BAR_CLEAN) * t)
 
     def __post_init__(self):
         if len(self.alpha_bar) != self.steps + 1:
@@ -175,25 +174,13 @@ class RunConfig:
             raise ConfigurationError(f"invalid run config: {exc}") from exc
         if config.steps < 1:
             raise ConfigurationError("steps must be positive")
+        for i, (box, _) in enumerate(config.regions):
+            if len(box) != 4:
+                raise ConfigurationError(
+                    f"region {i}: box needs 4 numbers [x0, y0, x1, y1], got {len(box)}")
         if len(set(p for _, p in config.regions)) != len(config.regions):
             raise ConfigurationError("regions must reference distinct bundles")
         return config
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "latent": {"channels": self.channels, "height": self.height,
-                       "width": self.width},
-            "model": {"d_model": self.d_model, "heads": self.n_heads},
-            "guidance": dataclasses.asdict(self.guidance),
-            "global_prompt_embed": str(self.global_prompt_embed),
-            "regions": [{"box": list(box), "bundle": str(p)}
-                        for box, p in self.regions],
-            "output_dir": str(self.output_dir),
-            "dump_attention": self.dump_attention,
-            "reinit": self.reinit,
-        }
 
 
 def prepare(config: RunConfig) -> tuple[DenoiserContext, SamplerSchedule]:

@@ -17,10 +17,12 @@ import pytest
 
 from loracanvas import tensorio
 from loracanvas.assets import load_bundle, synth_bundle, write_bundle, gen_prompt_embedding
+from loracanvas.attention import (
+    AttnRecord, LayerRecord, LayoutCondition, RegionGeometry, RegionSpec)
 from loracanvas.autodiff import Tensor
 from loracanvas.cli import make_toy_assets, run_gradcheck
 from loracanvas.denoiser import denoiser_forward
-from loracanvas.guidance import AdaptiveStopper, GuidanceConfig, step_size, total_loss
+from loracanvas.guidance import AdaptiveStopper, GuidanceConfig, composite_loss, step_size
 from loracanvas.pipeline import RunConfig, prepare, sample
 from loracanvas.reinit import best_crop, reinitialize
 
@@ -163,10 +165,19 @@ def test_criterion_6_standardization(reference_config):
 
 
 def test_criterion_7_loss_arithmetic():
-    breakdown = total_loss(1.0, 1.0, 1.0, GuidanceConfig(alpha=0.25, beta=0.8))
+    # one concept whose terms are exactly 1: an all-zero cross map (no in-box
+    # response, no coverage) and an all-ones self map (full leakage)
+    layout = LayoutCondition(regions=(RegionSpec((0.0, 0.0, 0.5, 0.5), "a"),),
+                             global_prompt_embed=np.zeros((2, 4)))
+    geometry = RegionGeometry.build(layout, 4, 4)
+    layer = LayerRecord(resolution=(4, 4), cross_maps={"a": Tensor(np.zeros((4, 4)))},
+                        self_map=Tensor(np.ones((16, 16))))
+    _, breakdown = composite_loss(AttnRecord(layers=[layer]), geometry,
+                                  GuidanceConfig(alpha=0.25, beta=0.8))
+    components = (breakdown.l_ce, breakdown.l_fill, breakdown.l_region)
     err = abs(breakdown.total - 2.05)
-    _verdict(7, err <= 1e-12,
-             f"components (1,1,1) with alpha=0.25, beta=0.8: total "
+    _verdict(7, components == (1.0, 1.0, 1.0) and err <= 1e-12,
+             f"components {components} with alpha=0.25, beta=0.8: total "
              f"{breakdown.total!r}, |total - 2.05| = {err:.2e} <= 1e-12")
 
 

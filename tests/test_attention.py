@@ -279,20 +279,13 @@ def test_region_cross_attention_neutral_single_full_region():
 
 def test_region_cross_attention_uniform_rows_outside_mask():
     z, layout, bundles, weights, n_heads, geometry = _small_setup(1)
-    _, _ = region_cross_attention(Tensor(z), layout, bundles, weights,
-                                  n_heads, geometry)
+    _, cross = region_cross_attention(Tensor(z), layout, bundles, weights,
+                                      n_heads, geometry)
     # zeroed query rows give uniform token attention in the branch map
-    bundle = bundles["c0"]
-    mask = geometry.flat_mask("c0")
-    q = z @ weights.wq.T * mask[:, None]
-    wk = weights.wk + bundle.deltas["cross.W_K"].merged()
-    _, amap = attention_oracle(q, bundle.prompt_embed @ wk.T,
-                               bundle.prompt_embed @ (weights.wv
-                                                      + bundle.deltas["cross.W_V"].merged()).T,
-                               weights.wo, n_heads)
-    outside = mask == 0
-    tokens = bundle.prompt_embed.shape[0]
-    assert np.allclose(amap[outside], 1.0 / tokens, atol=1e-12)
+    outside = geometry.masks["c0"] == 0
+    tokens = bundles["c0"].prompt_embed.shape[0]
+    assert outside.any()
+    assert np.max(np.abs(cross["c0"].data[outside] - 1.0 / tokens)) <= 1e-12
 
 
 def test_region_cross_attention_missing_bundle():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ def test_compose_missing_config_errors(tmp_path, capsys):
     rc = compose_main(["--config", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_compose_short_box_errors(asset_dir, tmp_path, capsys):
+    raw = json.loads((asset_dir / "config.json").read_text())
+    raw["regions"][0]["box"] = [0.1, 0.2, 0.5]
+    config = tmp_path / "short_box.json"
+    config.write_text(json.dumps(raw))
+    rc = compose_main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "region 0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gradcheck_main_passes_on_shipped_config(asset_dir, capsys):

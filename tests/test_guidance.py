@@ -19,14 +19,13 @@ from loracanvas.guidance import (
     AdaptiveStopper,
     GuidanceConfig,
     composite_loss,
-    concept_enhancement_loss,
-    fill_loss,
+    concept_enhancement_terms,
+    fill_terms,
     guided_update,
     in_guidance_window,
     inbox_mass_fraction,
-    region_loss,
+    region_terms,
     step_size,
-    total_loss,
 )
 
 H = W = 4
@@ -55,6 +54,22 @@ def uniform_self_map() -> np.ndarray:
     return np.full((N, N), 1.0 / N)
 
 
+def leak_free_self_map(geo: RegionGeometry) -> np.ndarray:
+    """Self map whose concept rows attend only inside their own box."""
+    self_map = np.zeros((N, N))
+    for cid in geo.concept_ids:
+        inside = np.flatnonzero(geo.flat_mask(cid))
+        self_map[np.ix_(inside, inside)] = 1.0 / inside.size
+    rest = np.flatnonzero(sum(geo.flat_mask(c) for c in geo.concept_ids) == 0)
+    self_map[np.ix_(rest, rest)] = 1.0 / rest.size
+    return self_map
+
+
+def summed(terms: dict[str, Tensor]) -> float:
+    """Sum over concepts, as composite_loss adds them."""
+    return sum(float(t) for t in terms.values())
+
+
 # ------------------------------------------------------------------ CE loss
 
 
@@ -63,15 +78,15 @@ def test_ce_loss_saturates_at_full_in_box_response():
     cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
     record = record_from_maps(cross, uniform_self_map())
     # s_ratio small enough that S = 1 for the 2x2 boxes
-    loss = concept_enhancement_loss(record, geo, s_ratio=1e-9)
-    assert float(loss) == 0.0
+    loss = summed(concept_enhancement_terms(record, geo, s_ratio=1e-9))
+    assert loss == 0.0
 
 
 def test_ce_loss_vanishing_attention_counts_concepts():
     geo = geometry_two_concepts()
     cross = {cid: np.zeros((H, W)) for cid in geo.concept_ids}
     record = record_from_maps(cross, uniform_self_map())
-    assert float(concept_enhancement_loss(record, geo, s_ratio=0.5)) == 2.0
+    assert summed(concept_enhancement_terms(record, geo, s_ratio=0.5)) == 2.0
 
 
 def test_ce_loss_matches_manual_sort_mask_multiply():
@@ -83,7 +98,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
     amap = rng.uniform(0.0, 1.0, size=(H, W))
     record = record_from_maps({"a": amap}, uniform_self_map())
     # |M| = 4, s_ratio 0.5 -> S = 2
-    loss = float(concept_enhancement_loss(record, geo, s_ratio=0.5))
+    loss = summed(concept_enhancement_terms(record, geo, s_ratio=0.5))
     weighted = amap * geo.masks["a"] * geo.gaussians["a"]
     top2 = np.sort(weighted.reshape(-1))[::-1][:2]
     assert abs(loss - (1.0 - top2.mean())) < 1e-12
@@ -96,14 +111,14 @@ def test_fill_loss_zero_when_box_fully_covered():
     geo = geometry_two_concepts()
     cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
     record = record_from_maps(cross, uniform_self_map())
-    assert float(fill_loss(record, geo)) == 0.0
+    assert summed(fill_terms(record, geo)) == 0.0
 
 
 def test_fill_loss_one_per_concept_when_empty():
     geo = geometry_two_concepts()
     cross = {cid: np.zeros((H, W)) for cid in geo.concept_ids}
     record = record_from_maps(cross, uniform_self_map())
-    assert float(fill_loss(record, geo)) == 2.0
+    assert summed(fill_terms(record, geo)) == 2.0
 
 
 def test_fill_loss_single_lit_row_hand_value():
@@ -119,7 +134,7 @@ def test_fill_loss_single_lit_row_hand_value():
                                             Tensor(np.full((64, 64), 1.0 / 64)))])
     # row projection covers all 3 box columns; column projection covers 1 of 2
     # box rows: sum(1 - entries) = 1 over K = 5
-    assert abs(float(fill_loss(record, geo)) - 0.2) < 1e-12
+    assert abs(summed(fill_terms(record, geo)) - 0.2) < 1e-12
 
 
 # ------------------------------------------------------------------ region loss
@@ -127,15 +142,9 @@ def test_fill_loss_single_lit_row_hand_value():
 
 def test_region_loss_zero_without_leakage():
     geo = geometry_two_concepts()
-    self_map = np.zeros((N, N))
-    for cid in geo.concept_ids:
-        inside = np.flatnonzero(geo.flat_mask(cid))
-        self_map[np.ix_(inside, inside)] = 1.0 / inside.size
-    rest = np.flatnonzero(sum(geo.flat_mask(c) for c in geo.concept_ids) == 0)
-    self_map[np.ix_(rest, rest)] = 1.0 / rest.size
     cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
-    record = record_from_maps(cross, self_map)
-    assert float(region_loss(record, geo, p_ratio=0.2)) == 0.0
+    record = record_from_maps(cross, leak_free_self_map(geo))
+    assert summed(region_terms(record, geo, p_ratio=0.2)) == 0.0
 
 
 def test_region_loss_uniform_map_value():
@@ -143,7 +152,7 @@ def test_region_loss_uniform_map_value():
     cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
     record = record_from_maps(cross, uniform_self_map())
     # every sliced entry equals 1/N, so each concept contributes exactly 1/N
-    assert abs(float(region_loss(record, geo, p_ratio=0.3)) - 2.0 / N) < 1e-15
+    assert abs(summed(region_terms(record, geo, p_ratio=0.3)) - 2.0 / N) < 1e-15
 
 
 def test_region_loss_matches_slice_sort_oracle():
@@ -161,29 +170,42 @@ def test_region_loss_matches_slice_sort_oracle():
         sub = self_map[np.ix_(inside, outside)].reshape(-1)
         k = math.ceil(p_ratio * sub.size)
         expected += np.sort(sub)[::-1][:k].mean()
-    assert abs(float(region_loss(record, geo, p_ratio)) - expected) < 1e-12
+    assert abs(summed(region_terms(record, geo, p_ratio)) - expected) < 1e-12
 
 
 # ------------------------------------------------------------------ total
 
 
 def test_total_loss_zero_components():
-    bd = total_loss(0.0, 0.0, 0.0, GuidanceConfig())
-    assert bd.total == 0.0
+    # saturated in-box maps (S = 1), full coverage and no leakage
+    geo = geometry_two_concepts()
+    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    record = record_from_maps(cross, leak_free_self_map(geo))
+    _, bd = composite_loss(record, geo, GuidanceConfig(s_ratio=1e-9))
+    assert (bd.l_ce, bd.l_fill, bd.l_region, bd.total) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_total_loss_supplement_coefficients():
-    bd = total_loss(1.0, 1.0, 1.0, GuidanceConfig(alpha=0.25, beta=0.8))
+    # one concept whose three terms are exactly 1
+    layout = LayoutCondition(regions=(RegionSpec((0.0, 0.0, 0.5, 0.5), "a"),),
+                             global_prompt_embed=np.zeros((2, 4)))
+    geo = RegionGeometry.build(layout, H, W)
+    record = record_from_maps({"a": np.zeros((H, W))}, np.ones((N, N)))
+    total, bd = composite_loss(record, geo, GuidanceConfig(alpha=0.25, beta=0.8))
+    assert (bd.l_ce, bd.l_fill, bd.l_region) == (1.0, 1.0, 1.0)
     assert abs(bd.total - 2.05) < 1e-12
+    assert float(total) == bd.total
 
 
 def test_total_loss_linearity_random_components():
+    geo = geometry_two_concepts()
     rng = np.random.default_rng(2)
     cfg = GuidanceConfig(alpha=0.4, beta=1.5)
     for _ in range(20):
-        ce, fi, re = rng.uniform(0, 3, size=3)
-        bd = total_loss(ce, fi, re, cfg)
-        assert bd.total == ce + 0.4 * fi + 1.5 * re
+        cross = {cid: rng.uniform(0, 3, (H, W)) for cid in geo.concept_ids}
+        record = record_from_maps(cross, rng.uniform(0, 1, (N, N)))
+        _, bd = composite_loss(record, geo, cfg)
+        assert bd.total == bd.l_ce + 0.4 * bd.l_fill + 1.5 * bd.l_region
 
 
 def test_breakdown_decomposition_invariant():

@@ -157,6 +157,15 @@ def test_config_bad_json(tmp_path):
         RunConfig.from_json(p)
 
 
+@pytest.mark.parametrize("box", [[0.1, 0.2, 0.5], [0.1, 0.2, 0.5, 0.9, 1.0]])
+def test_config_box_needs_four_numbers(tmp_path, box):
+    raw = {"seed": 1, "global_prompt_embed": "e.lcb",
+           "regions": [{"box": [0, 0, 0.5, 1], "bundle": "a.lcb"},
+                       {"box": box, "bundle": "b.lcb"}]}
+    with pytest.raises(ConfigurationError, match="region 1"):
+        RunConfig.from_dict(raw, tmp_path)
+
+
 def test_config_duplicate_bundles(tmp_path):
     raw = {"seed": 1, "global_prompt_embed": "e.lcb",
            "regions": [{"box": [0, 0, 0.5, 1], "bundle": "b.lcb"},
