@@ -28,6 +28,7 @@ from .attention import (
     RegionGeometry,
     RegionSpec,
     compose_hidden,
+    cross_branch_kv,
     gaussian_weight,
     masked_self_attention,
     rasterize_mask,
@@ -93,6 +94,7 @@ __all__ = [
     "best_crop",
     "build_context",
     "compose_hidden",
+    "cross_branch_kv",
     "ddim_step",
     "decode_preview",
     "denoiser_forward",

@@ -12,7 +12,6 @@ loss, not a hard mask).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .autodiff import Tensor
 from .errors import ArgumentError, ConfigurationError, EmptyMaskError, ShapeError
 
 Box = tuple[float, float, float, float]
+KV = tuple[Tensor, Tensor]  # one attention branch's keys and values
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,12 @@ class RegionGeometry:
 
     @classmethod
     def build(cls, layout: LayoutCondition, height: int, width: int) -> "RegionGeometry":
-        gaussians = {r.concept_id: gaussian_weight(r.box, height, width)
-                     for r in layout.regions}
+        gaussians = {}
+        for i, r in enumerate(layout.regions):
+            try:
+                gaussians[r.concept_id] = gaussian_weight(r.box, height, width)
+            except EmptyMaskError as exc:
+                raise EmptyMaskError(f"region {i} (concept {r.concept_id!r}): {exc}") from exc
         # every in-box weight is at least exp(-1), so the support is the mask
         masks = {cid: (g > 0).astype(np.float64) for cid, g in gaussians.items()}
         allowed = None
@@ -157,30 +161,9 @@ class RegionGeometry:
 def _multihead(q: Tensor, k: Tensor, v: Tensor, n_heads: int, wo: np.ndarray,
                allowed: np.ndarray | None) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention; returns hidden and heads-averaged map."""
-    d = q.shape[1]
-    if d % n_heads:
-        raise ShapeError(f"width {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-    scale = math.sqrt(dh)
-    outs, maps = [], []
-    for h in range(n_heads):
-        qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
-        kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
-        vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
-        logits = ad.matmul(qh, ad.transpose2d(kh)) / scale
-        if allowed is None:
-            attn = ad.softmax_rows(logits)
-        else:
-            attn = ad.masked_softmax_rows(logits, allowed)
-        maps.append(attn)
-        outs.append(ad.matmul(attn, vh))
-    hidden = ad.matmul(ad.concat(outs, axis=1), ad.transpose2d(Tensor(wo)))
-    avg = maps[0]
-    for m in maps[1:]:
-        avg = avg + m
-    if n_heads > 1:
-        avg = avg / float(n_heads)
-    return hidden, avg
+    probs = ad.attention_probs(q, k, n_heads, allowed)
+    hidden = ad.matmul(ad.apply_heads(probs, v), ad.transpose2d(Tensor(wo)))
+    return hidden, ad.mean_heads(probs)
 
 
 def compose_hidden(h0: Tensor, regional: list[tuple[np.ndarray, Tensor]]) -> Tensor:
@@ -207,6 +190,31 @@ def compose_hidden(h0: Tensor, regional: list[tuple[np.ndarray, Tensor]]) -> Ten
     return out
 
 
+def cross_branch_kv(layout: LayoutCondition, bundles: dict[str, ConceptBundle],
+                    weights: AttentionWeights) -> tuple[KV, ...]:
+    """Keys and values of every cross-attention branch, global branch first.
+
+    Entry 0 projects the global prompt through the base weights; entry n
+    projects region n-1's prompt through the base weights merged with the
+    concept's deltas. They depend on no latent, so a run computes them once.
+    """
+    prompt = Tensor(layout.global_prompt_embed)
+    kv = [(apply_projection(prompt, weights.wk), apply_projection(prompt, weights.wv))]
+    for region in layout.regions:
+        bundle = _bundle_for(region, bundles)
+        prompt = Tensor(bundle.prompt_embed)
+        kv.append((apply_projection(prompt, weights.wk, bundle.deltas.get("cross.W_K")),
+                   apply_projection(prompt, weights.wv, bundle.deltas.get("cross.W_V"))))
+    return tuple(kv)
+
+
+def _bundle_for(region: RegionSpec, bundles: dict[str, ConceptBundle]) -> ConceptBundle:
+    bundle = bundles.get(region.concept_id)
+    if bundle is None:
+        raise ConfigurationError(f"no bundle for concept {region.concept_id!r}")
+    return bundle
+
+
 def region_cross_attention(
     z_flat: Tensor,
     layout: LayoutCondition,
@@ -214,33 +222,33 @@ def region_cross_attention(
     weights: AttentionWeights,
     n_heads: int,
     geometry: RegionGeometry,
+    kv: tuple[KV, ...],
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Cross-attention with one LoRA-injected branch per concept region.
 
     The n=0 branch attends the global prompt with base weights and an
     all-ones mask; branch n masks its queries with the concept's region
-    and projects keys/values through the concept's deltas. Returns the
-    composed hidden state and the recorded concept-token maps.
+    and attends keys/values projected through the concept's deltas.
+    ``kv`` holds every branch's keys and values (``cross_branch_kv``).
+    Returns the composed hidden state and the recorded concept-token maps.
     """
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
         raise ShapeError(f"hidden rows {z_flat.shape[0]} != {h}x{w}")
+    if len(kv) != len(layout.regions) + 1:
+        raise ArgumentError(
+            f"{len(layout.regions)} regions need {len(layout.regions) + 1} K/V pairs, "
+            f"got {len(kv)}")
     q_full = apply_projection(z_flat, weights.wq)
-    k0 = apply_projection(Tensor(layout.global_prompt_embed), weights.wk)
-    v0 = apply_projection(Tensor(layout.global_prompt_embed), weights.wv)
+    k0, v0 = kv[0]
     h0, _ = _multihead(q_full, k0, v0, n_heads, weights.wo, allowed=None)
 
     regional: list[tuple[np.ndarray, Tensor]] = []
     cross_maps: dict[str, Tensor] = {}
-    for region in layout.regions:
-        bundle = bundles.get(region.concept_id)
-        if bundle is None:
-            raise ConfigurationError(f"no bundle for concept {region.concept_id!r}")
+    for region, (kn, vn) in zip(layout.regions, kv[1:]):
+        bundle = _bundle_for(region, bundles)
         mask = geometry.flat_mask(region.concept_id)
         qn = ad.mul(q_full, Tensor(mask[:, None]))
-        prompt = Tensor(bundle.prompt_embed)
-        kn = apply_projection(prompt, weights.wk, bundle.deltas.get("cross.W_K"))
-        vn = apply_projection(prompt, weights.wv, bundle.deltas.get("cross.W_V"))
         hn, attn = _multihead(qn, kn, vn, n_heads, weights.wo, allowed=None)
         concept_col = ad.column(attn, bundle.token_index)
         cross_maps[region.concept_id] = ad.reshape(concept_col, (h, w))

@@ -2,7 +2,8 @@
 
 Every kernel needed to differentiate the attention constraint losses with
 respect to a latent is implemented here: matrix products, row softmax
-(plain and key-masked), top-k means, axis max-projections, row layer
+(plain and key-masked), batched multi-head attention (probabilities, head
+outputs, head mean), top-k means, axis max-projections, row layer
 normalization, 2x2 average pooling, nearest-neighbour upsampling, gathers
 and concatenation. Each traced tensor doubles as its own tape node: it
 remembers the kernel that produced it (``op``), its ``parents`` and a
@@ -17,6 +18,7 @@ single guidance iteration.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,7 +220,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-stochastic softmax, computed with max subtraction."""
-    return _softmax_rows(x, None, "softmax_rows")
+    return _softmax_2d(x, None, "softmax_rows")
 
 
 def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
@@ -227,29 +229,131 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     Equivalent to adding -inf to forbidden logits before a plain softmax,
     fused into one kernel so no public tensor ever holds an infinity.
     """
-    return _softmax_rows(x, allowed, "masked_softmax_rows")
+    return _softmax_2d(x, allowed, "masked_softmax_rows")
 
 
-def _softmax_rows(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
+def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D tensor")
-    logits = x.data
+    y, vjp = _softmax_rows(x.data, allowed)
+    return _result(y, op, (x,), lambda g: (vjp(g),))
+
+
+def _softmax_rows(logits: np.ndarray, allowed: np.ndarray | None):
+    """Softmax over the last axis and its VJP.
+
+    ``allowed`` is a key mask over the last two axes, shared by any
+    leading ones; forbidden entries come out exactly 0.
+    """
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != x.shape:
-            raise ShapeError(f"mask shape {allowed.shape} does not match {x.shape}")
+        if allowed.shape != logits.shape[-2:]:
+            raise ShapeError(
+                f"mask shape {allowed.shape} does not match {logits.shape[-2:]}")
         if not allowed.any(axis=1).all():
             raise ArgumentError("a row has no permitted keys")
         logits = np.where(allowed, logits, -np.inf)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return y * (g - dot)
 
-    return _result(y, op, (x,), vjp)
+    return y, vjp
+
+
+# -- multi-head attention -----------------------------------------------------
+#
+# Head h owns feature columns [h*d_h, (h+1)*d_h). Each head's operands are
+# laid out exactly as a 2-D kernel chain (slice, transpose, matmul) would
+# lay them out, so the batched products round the same way.
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, d) -> contiguous (heads, rows, d_h)."""
+    rows, d = x.shape
+    return np.ascontiguousarray(x.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2))
+
+
+def _join_heads(x: np.ndarray) -> np.ndarray:
+    """(heads, rows, d_h) -> (rows, heads * d_h)."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def _check_heads(d: int, n_heads: int) -> None:
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"width {d} not divisible by {n_heads} heads")
+
+
+def attention_probs(q: Tensor, k: Tensor, n_heads: int,
+                    allowed: np.ndarray | None = None) -> Tensor:
+    """Per-head softmax(q_h @ k_h^T / sqrt(d_h)) as one (heads, n, m) tensor.
+
+    ``allowed`` is an optional (n, m) key mask shared by every head, with
+    the semantics of ``masked_softmax_rows``.
+    """
+    q, k = _as_tensor(q), _as_tensor(k)
+    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention_probs: cannot attend {q.shape} to {k.shape}")
+    n_heads = int(n_heads)
+    _check_heads(q.shape[1], n_heads)
+    m, d = k.shape
+    scale = math.sqrt(d // n_heads)
+    qh = _split_heads(q.data, n_heads)
+    kt = np.ascontiguousarray(k.data.reshape(m, n_heads, d // n_heads).transpose(1, 2, 0))
+    y, softmax_vjp = _softmax_rows(np.matmul(qh, kt) / scale, allowed)
+
+    def vjp(g):
+        gl = softmax_vjp(g) / scale
+        gq = np.matmul(gl, kt.transpose(0, 2, 1))
+        gk = np.matmul(qh.transpose(0, 2, 1), gl)
+        return (_join_heads(gq), gk.transpose(2, 0, 1).reshape(m, d))
+
+    return _result(y, "attention_probs", (q, k), vjp)
+
+
+def apply_heads(p: Tensor, v: Tensor) -> Tensor:
+    """Each head's p_h @ v_h, joined into one (n, d) tensor.
+
+    ``p`` is (heads, n, m) attention, ``v`` the (m, d) values.
+    """
+    p, v = _as_tensor(p), _as_tensor(v)
+    if p.data.ndim != 3 or v.data.ndim != 2 or p.shape[2] != v.shape[0]:
+        raise ShapeError(f"apply_heads: cannot apply {p.shape} to {v.shape}")
+    n_heads, n, _ = p.shape
+    d = v.shape[1]
+    _check_heads(d, n_heads)
+    vh = _split_heads(v.data, n_heads)
+
+    def vjp(g):
+        gh = g.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
+        return (np.matmul(gh, vh.transpose(0, 2, 1)),
+                _join_heads(np.matmul(p.data.transpose(0, 2, 1), gh)))
+
+    return _result(_join_heads(np.matmul(p.data, vh)), "apply_heads", (p, v), vjp)
+
+
+def mean_heads(p: Tensor) -> Tensor:
+    """Average a (heads, n, m) tensor over heads, summing heads in order."""
+    p = _as_tensor(p)
+    if p.data.ndim != 3:
+        raise ShapeError("mean_heads expects a (heads, n, m) tensor")
+    n_heads = p.shape[0]
+    data = p.data[0]
+    for h in range(1, n_heads):
+        data = data + p.data[h]
+    if n_heads > 1:
+        data = data / float(n_heads)
+    shape = p.shape
+
+    def vjp(g):
+        if n_heads > 1:
+            g = g / float(n_heads)
+        return (np.broadcast_to(g, shape),)
+
+    return _result(data, "mean_heads", (p,), vjp)
 
 
 def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -283,8 +387,14 @@ def topk_mean(x: Tensor, k: int) -> Tensor:
     if k < 1 or k > x.size:
         raise ArgumentError(f"k={k} outside [1, {x.size}]")
     flat = x.data.reshape(-1)
-    # stable sort on negated values keeps equal entries in index order
-    idx = np.argsort(-flat, kind="stable")[:k]
+    # the k-th largest value; everything above it wins, and its ties fill
+    # the remaining places in index order
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    above = np.flatnonzero(flat > kth)
+    tied = np.flatnonzero(flat == kth)[:k - above.size]
+    idx = np.concatenate([above, tied])
+    # sum in the order of a stable descending sort: by value, then by index
+    idx = idx[np.lexsort((idx, -flat[idx]))]
     data = np.asarray(flat[idx].mean())
     shape = x.shape
 

@@ -11,21 +11,24 @@ head predicting the noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import autodiff as ad
 from .assets import BaseWeights, ConceptBundle, ModelDims
 from .attention import (
+    KV,
     AttnRecord,
     LayerRecord,
     LayoutCondition,
     RegionGeometry,
+    cross_branch_kv,
     masked_self_attention,
     region_cross_attention,
 )
 from .autodiff import Tensor
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EmptyMaskError
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,17 @@ class DenoiserContext:
     def loss_geometry(self) -> RegionGeometry:
         d = self.dims
         return self.geometries[(d.height, d.width)]
+
+    @cached_property
+    def cross_kv(self) -> tuple[tuple[KV, ...], ...]:
+        """Per block, the keys and values of every cross-attention branch.
+
+        Computed on first use, so ``build_context`` stays cheap, and kept by
+        this instance: a context made with ``dataclasses.replace`` computes
+        its own.
+        """
+        return tuple(cross_branch_kv(self.layout, self.bundles, block.cross_attn)
+                     for block in self.weights.blocks)
 
 
 def build_context(weights: BaseWeights, layout: LayoutCondition,
@@ -69,7 +83,10 @@ def build_context(weights: BaseWeights, layout: LayoutCondition,
             f"global prompt d_text {layout.global_prompt_embed.shape[1]} "
             f"does not match model d_text {dims.d_text}")
     resolutions = ((dims.height, dims.width), (dims.height // 2, dims.width // 2))
-    geometries = {res: RegionGeometry.build(layout, *res) for res in resolutions}
+    try:
+        geometries = {res: RegionGeometry.build(layout, *res) for res in resolutions}
+    except EmptyMaskError as exc:
+        raise ConfigurationError(str(exc)) from exc
     return DenoiserContext(weights=weights, layout=layout, bundles=bundles,
                            geometries=geometries)
 
@@ -95,7 +112,7 @@ def _composer_block(x: Tensor, ctx: DenoiserContext, block_index: int,
     x = x + sa_out
     ca_out, cross_maps = region_cross_attention(
         ad.layernorm_rows(x), ctx.layout, ctx.bundles, block.cross_attn,
-        heads, geometry)
+        heads, geometry, ctx.cross_kv[block_index])
     x = x + ca_out
     record = LayerRecord(resolution=(geometry.height, geometry.width),
                          cross_maps=cross_maps, self_map=self_map)

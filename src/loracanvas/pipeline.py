@@ -204,6 +204,14 @@ def prepare(config: RunConfig) -> tuple[DenoiserContext, SamplerSchedule]:
         regions.append(RegionSpec(box=box, concept_id=bundle.concept_id))
     layout = LayoutCondition(regions=tuple(regions), global_prompt_embed=global_embed)
     ctx = build_context(weights, layout, bundles)
+    if config.reinit or config.guidance.guidance_fraction > 0.0:
+        # the region loss measures leakage out of each box
+        for i, region in enumerate(layout.regions):
+            if ctx.loss_geometry.masks[region.concept_id].all():
+                raise ConfigurationError(
+                    f"region {i} (concept {region.concept_id!r}): box {region.box} covers "
+                    f"the whole {config.height}x{config.width} latent, which leaves the "
+                    f"region loss nothing outside it; guidance and re-init need a smaller box")
     return ctx, SamplerSchedule.linear(steps=config.steps)
 
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import build_test_context
+from loracanvas import attention as attention_module
 from loracanvas.assets import (
     AttentionWeights,
     ConceptBundle,
@@ -17,6 +21,7 @@ from loracanvas.attention import (
     RegionGeometry,
     RegionSpec,
     compose_hidden,
+    cross_branch_kv,
     gaussian_weight,
     masked_self_attention,
     rasterize_mask,
@@ -24,6 +29,9 @@ from loracanvas.attention import (
 )
 from loracanvas.autodiff import Tensor
 from loracanvas.errors import ArgumentError, ConfigurationError, EmptyMaskError
+
+# every oracle check runs at each head count: one head, two, and d_h = 1
+HEAD_COUNTS = (1, 2, 4)
 
 
 # ------------------------------------------------------------------ oracles
@@ -228,9 +236,9 @@ def test_compose_background_keeps_h0_exactly():
 # ------------------------------------------------------------------ cross attention
 
 
-def _small_setup(n_regions, scale=1.0, seed=31):
+def _small_setup(n_regions, scale=1.0, seed=31, n_heads=2):
     rng = np.random.default_rng(seed)
-    tokens, d_text, d_model, n_heads = 3, 6, 4, 2
+    tokens, d_text, d_model = 3, 6, 4
     dims = ModelDims(channels=2, height=4, width=4, d_model=d_model,
                      n_heads=n_heads, d_text=d_text)
     weights = generate_base_weights(7, dims).blocks[0].cross_attn
@@ -246,22 +254,28 @@ def _small_setup(n_regions, scale=1.0, seed=31):
     return z, layout, bundles, weights, n_heads, geometry
 
 
+def _cross(z, layout, bundles, weights, n_heads, geometry):
+    kv = cross_branch_kv(layout, bundles, weights)
+    return region_cross_attention(Tensor(z), layout, bundles, weights, n_heads,
+                                  geometry, kv)
+
+
 def test_region_cross_attention_matches_scripted_oracle():
-    z, layout, bundles, weights, n_heads, geometry = _small_setup(2)
-    hidden, cross = region_cross_attention(Tensor(z), layout, bundles, weights,
-                                           n_heads, geometry)
-    expected_hidden, expected_cross = region_cross_oracle(
-        z, layout, bundles, weights, n_heads, 4, 4)
-    assert np.max(np.abs(hidden.data - expected_hidden)) < 1e-12
-    for cid, amap in cross.items():
-        assert np.max(np.abs(amap.data - expected_cross[cid])) < 1e-12
-        assert amap.data.min() >= 0.0 and amap.data.max() <= 1.0
+    for heads in HEAD_COUNTS:
+        z, layout, bundles, weights, n_heads, geometry = _small_setup(2, n_heads=heads)
+        hidden, cross = _cross(z, layout, bundles, weights, n_heads, geometry)
+        expected_hidden, expected_cross = region_cross_oracle(
+            z, layout, bundles, weights, n_heads, 4, 4)
+        assert np.max(np.abs(hidden.data - expected_hidden)) < 1e-12
+        for cid, amap in cross.items():
+            assert np.max(np.abs(amap.data - expected_cross[cid])) < 1e-12
+            assert amap.data.min() >= 0.0 and amap.data.max() <= 1.0
 
 
 def test_region_cross_attention_neutral_single_full_region():
     z, layout, bundles, weights, n_heads, _ = _small_setup(0)
-    vanilla, _ = region_cross_attention(Tensor(z), layout, {}, weights,
-                                        n_heads, RegionGeometry.build(layout, 4, 4))
+    vanilla, _ = _cross(z, layout, {}, weights, n_heads,
+                        RegionGeometry.build(layout, 4, 4))
     rng = np.random.default_rng(2)
     full = RegionSpec((0.0, 0.0, 1.0, 1.0), "solo")
     neutral_layout = LayoutCondition(regions=(full,),
@@ -271,16 +285,14 @@ def test_region_cross_attention_neutral_single_full_region():
     bundle = ConceptBundle(concept_id="solo",
                            prompt_embed=layout.global_prompt_embed,
                            token_index=1, deltas=bundle.deltas)
-    composed, _ = region_cross_attention(
-        Tensor(z), neutral_layout, {"solo": bundle}, weights, n_heads,
-        RegionGeometry.build(neutral_layout, 4, 4))
+    composed, _ = _cross(z, neutral_layout, {"solo": bundle}, weights, n_heads,
+                         RegionGeometry.build(neutral_layout, 4, 4))
     assert np.array_equal(composed.data, vanilla.data)
 
 
 def test_region_cross_attention_uniform_rows_outside_mask():
     z, layout, bundles, weights, n_heads, geometry = _small_setup(1)
-    _, cross = region_cross_attention(Tensor(z), layout, bundles, weights,
-                                      n_heads, geometry)
+    _, cross = _cross(z, layout, bundles, weights, n_heads, geometry)
     # zeroed query rows give uniform token attention in the branch map
     outside = geometry.masks["c0"] == 0
     tokens = bundles["c0"].prompt_embed.shape[0]
@@ -289,24 +301,72 @@ def test_region_cross_attention_uniform_rows_outside_mask():
 
 
 def test_region_cross_attention_missing_bundle():
-    z, layout, _, weights, n_heads, geometry = _small_setup(2)
+    z, layout, bundles, weights, n_heads, geometry = _small_setup(2)
     with pytest.raises(ConfigurationError):
-        region_cross_attention(Tensor(z), layout, {}, weights, n_heads, geometry)
+        cross_branch_kv(layout, {}, weights)
+    kv = cross_branch_kv(layout, bundles, weights)
+    with pytest.raises(ConfigurationError):
+        region_cross_attention(Tensor(z), layout, {}, weights, n_heads, geometry, kv)
+
+
+def test_region_cross_attention_needs_one_kv_pair_per_branch():
+    z, layout, bundles, weights, n_heads, geometry = _small_setup(2)
+    kv = cross_branch_kv(layout, bundles, weights)
+    with pytest.raises(ArgumentError):
+        region_cross_attention(Tensor(z), layout, bundles, weights, n_heads,
+                               geometry, kv[:2])
+
+
+def _kv_bytes(kv):
+    return [(k.data.tobytes(), v.data.tobytes()) for k, v in kv]
+
+
+def test_context_kv_cache_belongs_to_the_instance():
+    ctx = build_test_context()
+    assert ctx.cross_kv is ctx.cross_kv
+    for block, kv in zip(ctx.weights.blocks, ctx.cross_kv):
+        assert _kv_bytes(kv) == _kv_bytes(
+            cross_branch_kv(ctx.layout, ctx.bundles, block.cross_attn))
+    other = generate_base_weights(7, ctx.dims)
+    replaced = dataclasses.replace(ctx, weights=other)
+    assert len(replaced.cross_kv) == len(other.blocks)
+    for block, kv, old in zip(other.blocks, replaced.cross_kv, ctx.cross_kv):
+        assert _kv_bytes(kv) == _kv_bytes(
+            cross_branch_kv(ctx.layout, ctx.bundles, block.cross_attn))
+        assert _kv_bytes(kv) != _kv_bytes(old)
+
+
+def test_build_context_computes_no_kv(monkeypatch):
+    calls = []
+    real = attention_module.apply_projection
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attention_module, "apply_projection", counting)
+    ctx = build_test_context()
+    assert calls == []
+    assert len(ctx.cross_kv) == len(ctx.weights.blocks)
+    # blocks x (K, V) x (global branch + 2 concepts), all on first use
+    assert len(calls) == len(ctx.weights.blocks) * 2 * 3
 
 
 # ------------------------------------------------------------------ self attention
 
 
 def test_masked_self_attention_no_regions_is_vanilla():
-    z, layout, _, _, n_heads, _ = _small_setup(0)
-    dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
-    weights = generate_base_weights(7, dims).blocks[0].self_attn
+    z, layout, _, _, _, _ = _small_setup(0)
     geometry = RegionGeometry.build(layout, 4, 4)
-    hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
-    q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
-    expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads)
-    assert np.array_equal(hidden.data, expected)
-    assert np.array_equal(self_map.data, expected_map)
+    for n_heads in HEAD_COUNTS:
+        dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=n_heads,
+                         d_text=6)
+        weights = generate_base_weights(7, dims).blocks[0].self_attn
+        hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
+        q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
+        expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads)
+        assert np.array_equal(hidden.data, expected)
+        assert np.array_equal(self_map.data, expected_map)
 
 
 def test_masked_self_attention_blocks_cross_region_pairs():
@@ -334,12 +394,14 @@ def test_masked_self_attention_rows_stochastic_over_seeds():
 
 
 def test_masked_self_attention_matches_neginf_oracle():
-    z, layout, _, _, n_heads, geometry = _small_setup(2, seed=55)
-    dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
-    weights = generate_base_weights(9, dims).blocks[1].self_attn
-    hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
-    q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
-    expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads,
-                                              allowed=geometry.allowed_self)
-    assert np.max(np.abs(hidden.data - expected)) < 1e-12
-    assert np.max(np.abs(self_map.data - expected_map)) < 1e-12
+    z, layout, _, _, _, geometry = _small_setup(2, seed=55)
+    for n_heads in HEAD_COUNTS:
+        dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=n_heads,
+                         d_text=6)
+        weights = generate_base_weights(9, dims).blocks[1].self_attn
+        hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
+        q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
+        expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads,
+                                                  allowed=geometry.allowed_self)
+        assert np.max(np.abs(hidden.data - expected)) < 1e-12
+        assert np.max(np.abs(self_map.data - expected_map)) < 1e-12

@@ -15,6 +15,12 @@ from loracanvas.denoiser import (
     sinusoidal_embedding,
 )
 from loracanvas.errors import ConfigurationError
+from loracanvas.guidance import GuidanceConfig, composite_loss
+
+# traced nodes of one forward plus composite_loss on the conftest stack,
+# counted from the loss root as perfbench counts them (latent leaf included);
+# splitting attention back into per-head kernels (204 nodes) fails this
+FORWARD_PLUS_LOSS_NODES = 127
 
 
 def test_sinusoidal_embedding_shape_and_determinism():
@@ -96,3 +102,17 @@ def test_build_context_requires_all_bundles():
     missing = {k: v for k, v in ctx.bundles.items() if k != "concept_b"}
     with pytest.raises(ConfigurationError):
         build_context(ctx.weights, ctx.layout, missing)
+
+
+def test_tape_size_of_forward_plus_loss():
+    ctx = build_test_context()
+    z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)), requires_grad=True)
+    _, record = denoiser_forward(z, 5, ctx)
+    total, _ = composite_loss(record, ctx.loss_geometry, GuidanceConfig())
+    seen, stack = set(), [total]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(p for p in node.parents if p.requires_grad)
+    assert len(seen) == FORWARD_PLUS_LOSS_NODES

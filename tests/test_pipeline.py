@@ -16,6 +16,7 @@ from loracanvas.pipeline import (
     SamplerSchedule,
     ddim_step,
     decode_preview,
+    prepare,
     sample,
     write_pgm,
 )
@@ -172,6 +173,33 @@ def test_config_duplicate_bundles(tmp_path):
                        {"box": [0.5, 0, 1, 1], "bundle": "b.lcb"}]}
     with pytest.raises(ConfigurationError):
         RunConfig.from_dict(raw, tmp_path)
+
+
+# one box empty at the pooled 8x8 grid, one covering the whole latent
+BAD_BOXES = [([0.5, 0.5, 0.55, 0.55], "covers no pixel at 8x8"),
+             ([0.0, 0.0, 1.0, 1.0], "covers the whole 16x16 latent")]
+
+
+def reference_with_box(asset_dir, box, **overrides):
+    raw = json.loads((asset_dir / "config.json").read_text())
+    raw["regions"][1]["box"] = box
+    return RunConfig.from_dict({**raw, **overrides}, asset_dir)
+
+
+@pytest.mark.parametrize("box, reason", BAD_BOXES)
+def test_prepare_names_region_of_bad_box(asset_dir, box, reason):
+    config = reference_with_box(asset_dir, box)
+    with pytest.raises(ConfigurationError) as info:
+        prepare(config)
+    message = str(info.value)
+    assert "region 1 (concept 'concept_b')" in message and reason in message
+
+
+def test_prepare_accepts_whole_latent_box_without_guidance(asset_dir):
+    config = reference_with_box(asset_dir, [0.0, 0.0, 1.0, 1.0], reinit=False,
+                                guidance={"guidance_fraction": 0.0})
+    ctx, _ = prepare(config)
+    assert ctx.loss_geometry.masks["concept_b"].all()
 
 
 # ------------------------------------------------------------------ sampling

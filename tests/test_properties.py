@@ -5,6 +5,8 @@ Hypothesis runs derandomized, so every run checks the same examples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from loracanvas.attention import (
     RegionSpec,
     rasterize_mask,
 )
-from loracanvas.autodiff import Tensor, grad
+from loracanvas.autodiff import Tensor, finite_difference_gradient, grad
 from loracanvas.errors import EmptyMaskError
 from loracanvas.guidance import GuidanceConfig, composite_loss
 
@@ -52,6 +54,125 @@ def test_masked_softmax_all_true_is_softmax_bit_for_bit(case):
         grads.append(grad(ad.mean_all(y * Tensor(cotangent)), xt).data.tobytes())
     assert outputs[0] == outputs[1]
     assert grads[0] == grads[1]
+
+
+# ------------------------------------------------------------------ attention
+
+small = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def attention_cases(draw):
+    """q, k, v, heads, an optional key mask (every row keeps a key) and cotangents."""
+    n_heads = draw(st.sampled_from((1, 2, 4)))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    d = n_heads * draw(st.integers(1, 3))
+    q, k, v = (draw(arrays(np.float64, shape, elements=small))
+               for shape in ((n, d), (m, d), (m, d)))
+    allowed = None
+    if draw(st.booleans()):
+        allowed = draw(arrays(np.bool_, (n, m)))
+        allowed[np.arange(n), draw(arrays(np.int64, n, elements=st.integers(0, m - 1)))] = True
+    cot_hidden = draw(arrays(np.float64, (n, d), elements=small))
+    cot_map = draw(arrays(np.float64, (n, m), elements=small))
+    return q, k, v, n_heads, allowed, cot_hidden, cot_map
+
+
+def per_head_chain(q, k, v, n_heads, allowed):
+    """Attention as one 2-D kernel chain per head, joined and averaged."""
+    dh = q.shape[1] // n_heads
+    scale = math.sqrt(dh)
+    outs, maps = [], []
+    for h in range(n_heads):
+        qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
+        kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
+        vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
+        logits = ad.matmul(qh, ad.transpose2d(kh)) / scale
+        if allowed is None:
+            attn = ad.softmax_rows(logits)
+        else:
+            attn = ad.masked_softmax_rows(logits, allowed)
+        maps.append(attn)
+        outs.append(ad.matmul(attn, vh))
+    avg = maps[0]
+    for amap in maps[1:]:
+        avg = avg + amap
+    if n_heads > 1:
+        avg = avg / float(n_heads)
+    return maps, ad.concat(outs, axis=1), avg
+
+
+def batched_kernels(q, k, v, n_heads, allowed):
+    probs = ad.attention_probs(q, k, n_heads, allowed)
+    return probs, ad.apply_heads(probs, v), ad.mean_heads(probs)
+
+
+def attention_loss(impl, q, k, v, n_heads, allowed, cot_hidden, cot_map):
+    _, hidden, avg = impl(q, k, v, n_heads, allowed)
+    return (ad.mean_all(hidden * Tensor(cot_hidden))
+            + ad.mean_all(avg * Tensor(cot_map)))
+
+
+@PROPERTY
+@given(attention_cases())
+def test_batched_attention_kernels_equal_per_head_chain_bit_for_bit(case):
+    q, k, v, n_heads, allowed, cot_hidden, cot_map = case
+    maps, hidden, avg = per_head_chain(Tensor(q), Tensor(k), Tensor(v), n_heads, allowed)
+    probs, hidden_b, avg_b = batched_kernels(Tensor(q), Tensor(k), Tensor(v), n_heads, allowed)
+    assert probs.shape == (n_heads,) + maps[0].shape
+    for h, amap in enumerate(maps):
+        assert probs.data[h].tobytes() == amap.data.tobytes()
+    assert hidden_b.data.tobytes() == hidden.data.tobytes()
+    assert avg_b.data.tobytes() == avg.data.tobytes()
+
+    for wrt in range(3):
+        grads = []
+        for impl in (per_head_chain, batched_kernels):
+            inputs = [Tensor(x, requires_grad=(i == wrt)) for i, x in enumerate((q, k, v))]
+            loss = attention_loss(impl, *inputs, n_heads, allowed, cot_hidden, cot_map)
+            grads.append(grad(loss, inputs[wrt]).data)
+        assert grads[1].tobytes() == grads[0].tobytes()
+
+        def loss_of(x, wrt=wrt):
+            inputs = [Tensor(a) for a in (q, k, v)]
+            inputs[wrt] = x
+            return attention_loss(batched_kernels, *inputs, n_heads, allowed,
+                                  cot_hidden, cot_map)
+
+        # relative to the gradient's size, absolute where it is below 1
+        numeric = finite_difference_gradient(loss_of, Tensor((q, k, v)[wrt])).data
+        assert np.abs(grads[1] - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
+
+
+# ------------------------------------------------------------------ top-k
+
+tie_heavy = st.one_of(st.integers(-3, 3).map(float), st.sampled_from((0.0, -0.0)), finite)
+
+
+@st.composite
+def topk_cases(draw):
+    shape = draw(st.sampled_from(((1,), (7,), (40,), (3, 4), (6, 9))))
+    x = draw(arrays(np.float64, shape, elements=tie_heavy))
+    size = int(np.prod(shape))
+    k = draw(st.one_of(st.just(1), st.just(size), st.integers(1, size)))
+    return x, k
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(topk_cases())
+@example((np.array([0.0, -0.0, 0.0, -0.0, -0.0]), 3))
+@example((np.array([[-0.0, -0.0], [-0.0, -0.0]]), 4))
+@example((np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0]), 4))
+def test_topk_mean_equals_stable_argsort_bit_for_bit(case):
+    x, k = case
+    flat = x.reshape(-1)
+    idx = np.argsort(-flat, kind="stable")[:k]
+    expected_grad = np.zeros(flat.size)
+    expected_grad[idx] = 1.0 / k
+    xt = Tensor(x, requires_grad=True)
+    value = ad.topk_mean(xt, k)
+    assert value.data.tobytes() == np.asarray(flat[idx].mean()).tobytes()
+    assert grad(value, xt).data.tobytes() == expected_grad.reshape(x.shape).tobytes()
 
 
 # ------------------------------------------------------------------ geometry
