@@ -133,8 +133,8 @@ def write_bundle(path: str | Path, bundle: ConceptBundle) -> Path:
     return path
 
 
-def load_bundle(path: str | Path, concept_id: str | None = None) -> ConceptBundle:
-    """Load and validate a bundle; the concept id defaults to the file stem."""
+def load_bundle(path: str | Path) -> ConceptBundle:
+    """Load and validate a bundle; the concept id is the file stem."""
     path = Path(path)
     tensors = tensorio.read_container(path)
     for required in ("prompt_embed", "token_index", "scale",
@@ -154,7 +154,7 @@ def load_bundle(path: str | Path, concept_id: str | None = None) -> ConceptBundl
         for name in _DELTA_NAMES
     }
     return ConceptBundle(
-        concept_id=concept_id or path.stem,
+        concept_id=path.stem,
         prompt_embed=tensors["prompt_embed"],
         token_index=int(token_index),
         deltas=deltas,
@@ -254,7 +254,7 @@ class BaseWeights:
     blocks: tuple[BlockWeights, ...]
 
 
-def generate_base_weights(seed: int, dims: ModelDims, n_blocks: int = 3) -> BaseWeights:
+def generate_base_weights(seed: int, dims: ModelDims) -> BaseWeights:
     """Named, versioned weight generator; draw order is part of the contract."""
     rng = np.random.default_rng([GENERATOR_VERSION, _WEIGHTS_STREAM, seed])
     d = dims.d_model
@@ -268,7 +268,7 @@ def generate_base_weights(seed: int, dims: ModelDims, n_blocks: int = 3) -> Base
 
     w_in = draw(d, dims.channels)
     blocks = []
-    for _ in range(n_blocks):
+    for _ in range(3):  # the denoiser's two full-resolution blocks and one pooled
         self_attn = AttentionWeights(
             wq=draw(d, d), wk=draw(d, d), wv=draw(d, d), wo=draw(d, d))
         cross_attn = AttentionWeights(

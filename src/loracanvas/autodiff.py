@@ -344,26 +344,23 @@ def mean_heads(p: Tensor) -> Tensor:
     data = p.data[0]
     for h in range(1, n_heads):
         data = data + p.data[h]
-    if n_heads > 1:
-        data = data / float(n_heads)
+    data = data / float(n_heads)
     shape = p.shape
 
     def vjp(g):
-        if n_heads > 1:
-            g = g / float(n_heads)
-        return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(g / float(n_heads), shape),)
 
     return _result(data, "mean_heads", (p,), vjp)
 
 
-def layernorm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm_rows(x: Tensor) -> Tensor:
     """Per-row standardization (no learned affine)."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("layernorm_rows expects a 2-D tensor")
     mu = x.data.mean(axis=1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = (x.data - mu) * inv
 
     def vjp(g):
@@ -417,58 +414,31 @@ def axis_max_project(x: Tensor, axis: str) -> Tensor:
         raise ShapeError("axis_max_project expects a 2-D tensor")
     if axis not in ("rows", "cols"):
         raise ArgumentError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    ax = 0 if axis == "rows" else 1
-    data = x.data.max(axis=ax)
-    arg = x.data.argmax(axis=ax)
-    shape = x.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        if ax == 0:
-            out[arg, np.arange(shape[1])] = g
-        else:
-            out[np.arange(shape[0]), arg] = g
-        return (out,)
-
-    return _result(data, "axis_max_project", (x,), vjp)
+    if axis == "rows":
+        index = (x.data.argmax(axis=0), np.arange(x.shape[1]))
+    else:
+        index = (np.arange(x.shape[0]), x.data.argmax(axis=1))
+    return _select(x, index, "axis_max_project")
 
 
 def take(x: Tensor, indices) -> Tensor:
-    """Gather entries of a 1-D tensor."""
+    """Gather entries of a 1-D tensor at distinct indices."""
     x = _as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeError("take expects a 1-D tensor")
-    idx = np.asarray(indices, dtype=np.intp)
-    data = x.data[idx]
-    n = x.size
-
-    def vjp(g):
-        out = np.zeros(n)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _result(data, "take", (x,), vjp)
+    return _select(x, _distinct_indices(indices, x.size, "take"), "take")
 
 
 def take2d(x: Tensor, rows, cols) -> Tensor:
-    """Gather the submatrix at the given row and column index lists."""
+    """Gather the submatrix at distinct row and column index lists."""
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("take2d expects a 2-D tensor")
-    ri = np.asarray(rows, dtype=np.intp)
-    ci = np.asarray(cols, dtype=np.intp)
+    ri = _distinct_indices(rows, x.shape[0], "take2d row")
+    ci = _distinct_indices(cols, x.shape[1], "take2d column")
     if ri.size == 0 or ci.size == 0:
         raise ArgumentError("take2d needs non-empty index lists")
-    grid = np.ix_(ri, ci)
-    data = x.data[grid]
-    shape = x.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, grid, g)
-        return (out,)
-
-    return _result(data, "take2d", (x,), vjp)
+    return _select(x, np.ix_(ri, ci), "take2d")
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -477,15 +447,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError("slice_cols expects a 2-D tensor")
     if not (0 <= start < stop <= x.shape[1]):
         raise ArgumentError(f"column range [{start}, {stop}) invalid for {x.shape}")
-    data = x.data[:, start:stop]
-    shape = x.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[:, start:stop] = g
-        return (out,)
-
-    return _result(data, "slice_cols", (x,), vjp)
+    return _select(x, (slice(None), slice(start, stop)), "slice_cols")
 
 
 def column(x: Tensor, j: int) -> Tensor:
@@ -495,15 +457,38 @@ def column(x: Tensor, j: int) -> Tensor:
         raise ShapeError("column expects a 2-D tensor")
     if not (0 <= j < x.shape[1]):
         raise ArgumentError(f"column {j} out of range for {x.shape}")
-    data = x.data[:, j]
+    return _select(x, (slice(None), j), "column")
+
+
+def _distinct_indices(indices, n: int, what: str) -> np.ndarray:
+    """Index list into an axis of length n, each entry in range and unique."""
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        return idx.astype(np.intp)
+    if idx.dtype.kind not in "iu":
+        raise ArgumentError(f"{what} indices must be integers, got {idx.dtype}")
+    ordered = np.sort(idx, axis=None)
+    if ordered[0] < 0 or ordered[-1] >= n:
+        raise ArgumentError(f"{what} index out of range [0, {n})")
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ArgumentError(f"{what} indices repeat")
+    return idx.astype(np.intp, copy=False)
+
+
+def _select(x: Tensor, index, op: str) -> Tensor:
+    """Gather ``x.data[index]``; the VJP writes ``g`` back by assignment.
+
+    Assignment is the exact adjoint because every wrapper's index picks
+    each entry of ``x`` at most once.
+    """
     shape = x.shape
 
     def vjp(g):
         out = np.zeros(shape)
-        out[:, j] = g
+        out[index] = g
         return (out,)
 
-    return _result(data, "column", (x,), vjp)
+    return _result(x.data[index], op, (x,), vjp)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -254,15 +254,18 @@ def sample(config: RunConfig) -> SampleResult:
         record = None
         for t in range(total, 0, -1):
             if guiding and in_guidance_window(t, total, guidance_cfg.guidance_fraction):
-                # mass is measured on the state entering the timestep, so the
-                # history shows what the accumulated guidance achieved
-                _, entering = denoiser_forward(Tensor(z), t, ctx)
-                mass_history.append((t, {
-                    cid: inbox_mass_fraction(entering, geometry, cid)
-                    for cid in geometry.concept_ids}))
+                # mass is measured on the state entering the timestep, which
+                # guidance's first iteration forwards, so the history shows
+                # what the accumulated guidance achieved
+                masses: dict[str, float] = {}
+                mass_history.append((t, masses))
 
-                def forward(zt: Tensor, _t=t):
-                    return denoiser_forward(zt, _t, ctx)[1]
+                def forward(zt: Tensor, _t=t, _masses=masses):
+                    attn = denoiser_forward(zt, _t, ctx)[1]
+                    if not _masses:
+                        _masses.update((cid, inbox_mass_fraction(attn, geometry, cid))
+                                       for cid in geometry.concept_ids)
+                    return attn
 
                 z, rows = guided_update(z, forward, geometry, guidance_cfg, t, total)
                 trace.extend(rows)

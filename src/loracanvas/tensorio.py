@@ -15,6 +15,7 @@ write -> load -> write cycle reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -59,6 +60,8 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         name, offset = _read_name(raw, offset, path)
+        if name in out:
+            raise DataError(f"{path}: tensor {name!r} appears twice")
         if offset + 1 > len(raw):
             raise DataError(f"{path}: truncated header for tensor {name!r}")
         ndim = raw[offset]
@@ -67,13 +70,16 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: truncated dims for tensor {name!r}")
         dims = struct.unpack_from(f"<{ndim}I", raw, offset)
         offset += 4 * ndim
-        numel = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+        numel = math.prod(dims)
         nbytes = 4 * numel
         if offset + nbytes > len(raw):
             raise DataError(f"{path}: truncated payload for tensor {name!r}")
         payload = np.frombuffer(raw, dtype="<f4", count=numel, offset=offset)
         offset += nbytes
-        arr = payload.astype(np.float64).reshape(dims)
+        try:
+            arr = payload.astype(np.float64).reshape(dims)
+        except ValueError as exc:
+            raise DataError(f"{path}: cannot shape tensor {name!r} as {dims}: {exc}") from exc
         if not np.all(np.isfinite(arr)):
             raise DataError(f"{path}: non-finite values in tensor {name!r}")
         out[name] = arr
@@ -89,5 +95,8 @@ def _read_name(raw: bytes, offset: int, path) -> tuple[str, int]:
     offset += 2
     if offset + name_len > len(raw):
         raise DataError(f"{path}: truncated tensor name")
-    name = raw[offset:offset + name_len].decode("utf-8")
+    try:
+        name = raw[offset:offset + name_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: tensor name is not valid UTF-8: {exc}") from exc
     return name, offset + name_len

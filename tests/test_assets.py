@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,6 @@ def test_container_bad_magic(tmp_path):
 
 def test_container_bad_version(tmp_path):
     p = tmp_path / "bad.lcb"
-    import struct
-
     p.write_bytes(b"LCB1" + struct.pack("<II", 9, 0))
     with pytest.raises(FormatError):
         tensorio.read_container(p)
@@ -71,8 +71,6 @@ def test_container_truncated_payload_names_tensor(tmp_path):
 
 def test_container_rejects_non_finite(tmp_path):
     p = tmp_path / "nan.lcb"
-    import struct
-
     name = b"bad"
     payload = np.array([np.nan], dtype="<f4").tobytes()
     raw = (b"LCB1" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
@@ -92,6 +90,41 @@ def test_container_rejects_trailing_bytes(tmp_path):
     tensorio.write_container(p, {"x": np.zeros(1)})
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(DataError):
+        tensorio.read_container(p)
+
+
+def _one_tensor_container(name: bytes, dims: tuple[int, ...], payload: bytes) -> bytes:
+    return (b"LCB1" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+            + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+def test_container_rejects_name_that_is_not_utf8(tmp_path):
+    p = tmp_path / "name.lcb"
+    p.write_bytes(_one_tensor_container(b"\xffx", (1,), bytes(4)))
+    with pytest.raises(DataError, match="UTF-8"):
+        tensorio.read_container(p)
+
+
+def test_container_rejects_dims_whose_product_wraps_int64(tmp_path):
+    # 65536**4 == 2**64 is 0 in int64 arithmetic
+    p = tmp_path / "dims.lcb"
+    p.write_bytes(_one_tensor_container(b"huge", (65536,) * 4, b""))
+    with pytest.raises(DataError, match="huge"):
+        tensorio.read_container(p)
+
+
+def test_container_rejects_more_dims_than_numpy_supports(tmp_path):
+    p = tmp_path / "deep.lcb"
+    p.write_bytes(_one_tensor_container(b"deep", (1,) * 65, bytes(4)))
+    with pytest.raises(DataError, match="deep"):
+        tensorio.read_container(p)
+
+
+def test_container_rejects_repeated_name(tmp_path):
+    p = tmp_path / "twice.lcb"
+    one = _one_tensor_container(b"x", (1,), bytes(4))
+    p.write_bytes(b"LCB1" + struct.pack("<II", 1, 2) + one[12:] + one[12:])
+    with pytest.raises(DataError, match="twice"):
         tensorio.read_container(p)
 
 

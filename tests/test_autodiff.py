@@ -195,6 +195,30 @@ def test_axis_max_tie_routing_deterministic():
         assert np.array_equal(g.data, np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
+# ---------------------------------------------------------------- gathers
+
+
+@pytest.mark.parametrize("indices, reason", [
+    ([5], "out of range"), ([3], "out of range"), ([-1], "out of range"),
+    ([0, 2, 0], "repeat"), ([1.7], "integers"),
+], ids=["past_end", "at_end", "negative", "repeated", "fractional"])
+def test_take_rejects_bad_indices(indices, reason):
+    with pytest.raises(ArgumentError, match=reason):
+        ad.take(Tensor([1.0, 2.0, 3.0]), indices)
+
+
+@pytest.mark.parametrize("rows, cols, reason", [
+    ([0], [7], "column index out of range"), ([2], [0], "row index out of range"),
+    ([-1], [0], "row index out of range"), ([0], [-2], "column index out of range"),
+    ([1, 1], [0], "row indices repeat"), ([0], [2, 0, 2], "column indices repeat"),
+    ([0.5], [0], "row indices must be integers"),
+], ids=["column_past_end", "row_at_end", "negative_row", "negative_column",
+        "repeated_row", "repeated_column", "fractional_row"])
+def test_take2d_rejects_bad_indices(rows, cols, reason):
+    with pytest.raises(ArgumentError, match=reason):
+        ad.take2d(Tensor(np.zeros((2, 3))), rows, cols)
+
+
 # ---------------------------------------------------------------- grad basics
 
 

@@ -85,6 +85,23 @@ def test_compose_bad_layout_errors(asset_dir, tmp_path, capsys, box):
     assert not (tmp_path / "out").exists()
 
 
+def test_compose_corrupt_container_errors(asset_dir, tmp_path, capsys):
+    # byte 14 is the first byte of the global embedding's tensor name
+    raw = json.loads((asset_dir / "config.json").read_text())
+    embed = bytearray((asset_dir / raw["global_prompt_embed"]).read_bytes())
+    embed[14] = 0xFF
+    (tmp_path / "embed.lcb").write_bytes(bytes(embed))
+    raw["global_prompt_embed"] = str(tmp_path / "embed.lcb")
+    for region in raw["regions"]:
+        region["bundle"] = str(asset_dir / region["bundle"])
+    config = tmp_path / "corrupt.json"
+    config.write_text(json.dumps(raw))
+    rc = compose_main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_main_passes_on_shipped_config(asset_dir, capsys):
     rc = gradcheck_main(["--config", str(asset_dir / "gradcheck.json")])
     out = capsys.readouterr().out

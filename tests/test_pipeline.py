@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loracanvas.autodiff import Tensor
 from loracanvas.cli import make_toy_assets
+from loracanvas.denoiser import denoiser_forward
 from loracanvas.errors import ArgumentError, ConfigurationError
+from loracanvas.guidance import inbox_mass_fraction
 from loracanvas.pipeline import (
     RunConfig,
     SamplerSchedule,
@@ -20,6 +23,7 @@ from loracanvas.pipeline import (
     sample,
     write_pgm,
 )
+from loracanvas.reinit import reinitialize
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +279,19 @@ def test_sample_guidance_window_boundaries(small_config, tmp_path):
     expected = [t for t in range(1, total + 1)
                 if t / total >= (1 - fraction) - 1e-9]
     assert guided_ts == expected
+
+
+def test_sample_mass_history_starts_at_reinitialized_latent(small_config, tmp_path):
+    config = dataclasses.replace(small_config, output_dir=tmp_path / "mass")
+    result = sample(config)
+    ctx, schedule = prepare(config)
+    geometry = ctx.loss_geometry
+    z, _ = reinitialize(config.seed, ctx, config.guidance, schedule.steps)
+    _, record = denoiser_forward(Tensor(z), schedule.steps, ctx)
+    assert result.mass_history[0] == (schedule.steps, {
+        cid: inbox_mass_fraction(record, geometry, cid) for cid in geometry.concept_ids})
+    assert ([t for t, _ in result.mass_history]
+            == sorted({row.timestep for row in result.trace}, reverse=True))
 
 
 def test_sample_flushes_trace_on_numeric_error(small_config, tmp_path, monkeypatch):

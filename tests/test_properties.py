@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from loracanvas import autodiff as ad
+from loracanvas import tensorio
 from loracanvas.attention import (
     AttnRecord,
     LayerRecord,
@@ -23,7 +24,7 @@ from loracanvas.attention import (
     rasterize_mask,
 )
 from loracanvas.autodiff import Tensor, finite_difference_gradient, grad
-from loracanvas.errors import EmptyMaskError
+from loracanvas.errors import DataError, EmptyMaskError, FormatError
 from loracanvas.guidance import GuidanceConfig, composite_loss
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -173,6 +174,118 @@ def test_topk_mean_equals_stable_argsort_bit_for_bit(case):
     value = ad.topk_mean(xt, k)
     assert value.data.tobytes() == np.asarray(flat[idx].mean()).tobytes()
     assert grad(value, xt).data.tobytes() == expected_grad.reshape(x.shape).tobytes()
+
+
+# ------------------------------------------------------------------ selection
+
+SELECTIONS = ("take", "take2d", "column", "slice_cols", "axis_max_project")
+tied_grid = st.integers(-3, 3).map(float)
+# one apart, so no argmax changes within a finite-difference step
+spaced = st.integers(-50, 50).map(float)
+
+
+@st.composite
+def selection_cases(draw, kind: str, unique: bool):
+    """An input, the selection kernel applied to it and the numpy index it gathers."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shape = (rows * cols,) if kind == "take" else (rows, cols)
+    x = draw(arrays(np.float64, shape, elements=spaced if unique else tied_grid,
+                    unique=unique))
+
+    def distinct(n: int) -> list[int]:
+        return draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+
+    if kind == "take":
+        idx = distinct(x.size)
+        return x, lambda t: ad.take(t, idx), np.asarray(idx)
+    if kind == "take2d":
+        r, c = distinct(rows), distinct(cols)
+        return x, lambda t: ad.take2d(t, r, c), np.ix_(r, c)
+    if kind == "column":
+        j = draw(st.integers(0, cols - 1))
+        return x, lambda t: ad.column(t, j), (slice(None), j)
+    if kind == "slice_cols":
+        start = draw(st.integers(0, cols - 1))
+        stop = draw(st.integers(start + 1, cols))
+        return x, lambda t: ad.slice_cols(t, start, stop), (slice(None), slice(start, stop))
+    if draw(st.booleans()):
+        return (x, lambda t: ad.axis_max_project(t, "rows"),
+                (x.argmax(axis=0), np.arange(cols)))
+    return (x, lambda t: ad.axis_max_project(t, "cols"),
+            (np.arange(rows), x.argmax(axis=1)))
+
+
+@pytest.mark.parametrize("kind", SELECTIONS)
+@PROPERTY
+@given(data=st.data())
+def test_selection_kernels_gather_and_scatter_like_numpy(kind, data):
+    x, kernel, index = data.draw(selection_cases(kind, unique=False))
+    xt = Tensor(x, requires_grad=True)
+    y = kernel(xt)
+    assert y.op == kind
+    assert y.data.tobytes() == np.ascontiguousarray(x[index]).tobytes()
+    loss = ad.mean_all(y * Tensor(data.draw(arrays(np.float64, y.shape, elements=small))))
+    expected = np.zeros(x.shape)
+    np.add.at(expected, index, grad(loss, y).data)
+    # add.at lands a -0.0 cotangent as 0.0 + -0.0 = 0.0, assignment keeps
+    # its sign; adding 0.0 clears that sign and changes no other bit
+    assert (grad(loss, xt).data + 0.0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", SELECTIONS)
+@PROPERTY
+@given(data=st.data())
+def test_selection_kernel_vjps_match_finite_differences(kind, data):
+    x, kernel, _ = data.draw(selection_cases(kind, unique=True))
+    cotangent = Tensor(data.draw(arrays(np.float64, kernel(Tensor(x)).shape, elements=small)))
+
+    def loss_of(t):
+        return ad.mean_all(kernel(t) * cotangent)
+
+    xt = Tensor(x, requires_grad=True)
+    analytic = grad(loss_of(xt), xt).data
+    numeric = finite_difference_gradient(loss_of, Tensor(x)).data
+    assert np.abs(analytic - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
+
+
+# ------------------------------------------------------------------ container
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """A scratch directory and the bytes of a valid three-tensor container."""
+    directory = tmp_path_factory.mktemp("container")
+    path = directory / "valid.lcb"
+    tensorio.write_container(path, {"prompt_embed": np.arange(6.0).reshape(2, 3),
+                                    "scale": np.array(0.5), "grüße": np.ones(2)})
+    return directory, path.read_bytes()
+
+
+def read_raw(directory, raw: bytes) -> dict[str, np.ndarray]:
+    path = directory / "probe.lcb"
+    path.write_bytes(raw)
+    return tensorio.read_container(path)
+
+
+def test_truncated_container_raises_only_named_errors(container):
+    directory, raw = container
+    for cut in range(len(raw)):
+        with pytest.raises((FormatError, DataError)):
+            read_raw(directory, raw[:cut])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_corrupted_container_reads_or_raises_only_named_errors(container, edits):
+    directory, raw = container
+    corrupted = bytearray(raw)
+    for offset, value in edits:
+        corrupted[offset % len(raw)] = value
+    try:
+        read_raw(directory, bytes(corrupted))
+    except (FormatError, DataError):
+        pass
 
 
 # ------------------------------------------------------------------ geometry
