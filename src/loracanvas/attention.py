@@ -13,6 +13,7 @@ loss, not a hard mask).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -157,6 +158,43 @@ class RegionGeometry:
     def flat_mask(self, concept_id: str) -> np.ndarray:
         return self.masks[concept_id].reshape(-1)
 
+    @cached_property
+    def pixels(self) -> PixelTable:
+        """Every concept's pixel constants, computed on first use: building them
+        in ``build`` would double the cost of ``prepare``'s two geometries."""
+        count = sum(map(self.flat_mask, self.concept_ids), np.zeros(self.height * self.width))
+        safe = np.maximum(count, 1.0)
+        concepts = {}
+        for cid, mask in self.masks.items():
+            flat = mask.reshape(-1)
+            concepts[cid] = ConceptPixels(
+                inside=np.flatnonzero(flat), outside=np.flatnonzero(flat == 0),
+                rows=np.flatnonzero(mask.any(axis=1)), cols=np.flatnonzero(mask.any(axis=0)),
+                query=Tensor(flat[:, None]), share=Tensor((flat / safe)[:, None]),
+                weight=Tensor(self.gaussians[cid]))
+        return PixelTable(concepts, background=Tensor((count == 0)[:, None]))
+
+
+@dataclass(frozen=True)
+class ConceptPixels:
+    """One concept's box at one resolution, in the form each reader needs."""
+
+    inside: np.ndarray    # flat indices of the box's pixels
+    outside: np.ndarray   # flat indices of every other pixel
+    rows: np.ndarray      # rows the box covers
+    cols: np.ndarray      # columns the box covers
+    query: Tensor         # (h*w, 1) mask on the concept branch's queries
+    share: Tensor         # (h*w, 1) compose weight: mask / boxes covering the pixel
+    weight: Tensor        # (h, w) Gaussian weight, in-box maximum 1
+
+
+@dataclass(frozen=True)
+class PixelTable:
+    """A geometry's pixel constants: one entry per concept, plus h0's weight."""
+
+    concepts: dict[str, ConceptPixels]
+    background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
+
 
 def _multihead(q: Tensor, k: Tensor, v: Tensor, n_heads: int, wo: np.ndarray,
                allowed: np.ndarray | None) -> tuple[Tensor, Tensor]:
@@ -166,27 +204,19 @@ def _multihead(q: Tensor, k: Tensor, v: Tensor, n_heads: int, wo: np.ndarray,
     return hidden, ad.mean_heads(probs)
 
 
-def compose_hidden(h0: Tensor, regional: list[tuple[np.ndarray, Tensor]]) -> Tensor:
-    """Merge per-region hidden states over the background hidden state.
+def compose_hidden(h0: Tensor, hiddens_by_concept: dict[str, Tensor],
+                   geometry: RegionGeometry) -> Tensor:
+    """Merge per-concept hidden states over the background hidden state.
 
-    Pixels covered by no mask keep h0; pixels covered by k masks take the
+    Pixels covered by no box keep h0; pixels covered by k boxes take the
     arithmetic mean of the k covering states.
     """
-    if not regional:
+    if not hiddens_by_concept:
         return h0
-    n_pixels = h0.shape[0]
-    flats = []
-    for mask, hidden in regional:
-        flat = np.asarray(mask, dtype=np.float64).reshape(-1)
-        if flat.size != n_pixels or hidden.shape != h0.shape:
-            raise ShapeError("regional entries must match the base hidden state")
-        flats.append(flat)
-    count = np.sum(flats, axis=0)
-    background = (count == 0).astype(np.float64)
-    safe = np.maximum(count, 1.0)
-    out = ad.mul(h0, Tensor(background[:, None]))
-    for flat, (_, hidden) in zip(flats, regional):
-        out = out + ad.mul(hidden, Tensor((flat / safe)[:, None]))
+    table = geometry.pixels
+    out = ad.mul(h0, table.background)
+    for cid in geometry.concept_ids:
+        out = out + ad.mul(hiddens_by_concept[cid], table.concepts[cid].share)
     return out
 
 
@@ -243,18 +273,17 @@ def region_cross_attention(
     k0, v0 = kv[0]
     h0, _ = _multihead(q_full, k0, v0, n_heads, weights.wo, allowed=None)
 
-    regional: list[tuple[np.ndarray, Tensor]] = []
+    hiddens: dict[str, Tensor] = {}
     cross_maps: dict[str, Tensor] = {}
     for region, (kn, vn) in zip(layout.regions, kv[1:]):
+        cid = region.concept_id
         bundle = _bundle_for(region, bundles)
-        mask = geometry.flat_mask(region.concept_id)
-        qn = ad.mul(q_full, Tensor(mask[:, None]))
-        hn, attn = _multihead(qn, kn, vn, n_heads, weights.wo, allowed=None)
+        qn = ad.mul(q_full, geometry.pixels.concepts[cid].query)
+        hiddens[cid], attn = _multihead(qn, kn, vn, n_heads, weights.wo, allowed=None)
         concept_col = ad.column(attn, bundle.token_index)
-        cross_maps[region.concept_id] = ad.reshape(concept_col, (h, w))
-        regional.append((mask, hn))
+        cross_maps[cid] = ad.reshape(concept_col, (h, w))
 
-    return compose_hidden(h0, regional), cross_maps
+    return compose_hidden(h0, hiddens, geometry), cross_maps
 
 
 def masked_self_attention(

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttnRecord, RegionGeometry
 from .autodiff import Tensor, grad
-from .errors import ArgumentError, EmptyMaskError, NumericError
+from .errors import ArgumentError, NumericError
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class GuidanceConfig:
         # 0 disables guidance entirely, used by the neutrality checks
         if not (0.0 <= self.guidance_fraction <= 1.0):
             raise ArgumentError("guidance_fraction must lie in [0, 1]")
-        if self.max_iters < 1 or self.patience < 1:
-            raise ArgumentError("max_iters and patience must be at least 1")
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1
+               for n in (self.max_iters, self.patience)):
+            raise ArgumentError("max_iters and patience must be integers of at least 1")
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,10 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
     """Per-concept enhancement terms, averaged over contributing layers."""
     _check_resolution(record, geometry)
     out: dict[str, Tensor] = {}
-    for cid in geometry.concept_ids:
-        mask = geometry.masks[cid]
-        support = int(mask.sum())
-        if support == 0:
-            raise EmptyMaskError(f"empty mask for concept {cid!r}")
-        top_s = math.ceil(s_ratio * support)
-        weight = Tensor(geometry.gaussians[cid])
+    for cid, box in geometry.pixels.concepts.items():
+        top_s = math.ceil(s_ratio * box.inside.size)
         layer_terms = [
-            1.0 - ad.topk_mean(ad.mul(layer.cross_maps[cid], weight), top_s)
+            1.0 - ad.topk_mean(ad.mul(layer.cross_maps[cid], box.weight), top_s)
             for layer in record.loss_layers()
         ]
         out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
@@ -104,17 +100,12 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> dict[str, Tensor
     """Per-concept axis-projection fill terms, averaged over layers."""
     _check_resolution(record, geometry)
     out: dict[str, Tensor] = {}
-    for cid in geometry.concept_ids:
-        mask = geometry.masks[cid]
-        if not mask.any():
-            raise EmptyMaskError(f"empty mask for concept {cid!r}")
-        box_cols = np.flatnonzero(mask.max(axis=0))
-        box_rows = np.flatnonzero(mask.max(axis=1))
+    for cid, box in geometry.pixels.concepts.items():
         layer_terms = []
         for layer in record.loss_layers():
             amap = layer.cross_maps[cid]
-            over_rows = ad.take(ad.axis_max_project(amap, "rows"), box_cols)
-            over_cols = ad.take(ad.axis_max_project(amap, "cols"), box_rows)
+            over_rows = ad.take(ad.axis_max_project(amap, "rows"), box.cols)
+            over_cols = ad.take(ad.axis_max_project(amap, "cols"), box.rows)
             restricted = ad.concat([over_rows, over_cols])
             layer_terms.append(ad.mean_all(1.0 - restricted))
         out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
@@ -126,15 +117,12 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry,
     """Per-concept foreground-to-complement leakage terms."""
     _check_resolution(record, geometry)
     out: dict[str, Tensor] = {}
-    for cid in geometry.concept_ids:
-        flat = geometry.flat_mask(cid)
-        inside = np.flatnonzero(flat)
-        outside = np.flatnonzero(flat == 0)
-        if outside.size == 0:
+    for cid, box in geometry.pixels.concepts.items():
+        if box.outside.size == 0:
             raise ArgumentError(f"concept {cid!r} covers the whole map")
         layer_terms = []
         for layer in record.loss_layers():
-            sub = ad.take2d(layer.self_map, inside, outside)
+            sub = ad.take2d(layer.self_map, box.inside, box.outside)
             top_p = math.ceil(p_ratio * sub.size)
             layer_terms.append(ad.topk_mean(sub, top_p))
         out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))

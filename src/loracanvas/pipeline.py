@@ -156,19 +156,20 @@ class RunConfig:
                 for entry in raw.get("regions", ())
             )
             config = cls(
-                seed=int(raw["seed"]),
-                steps=int(raw.get("steps", 25)),
-                channels=int(latent.get("channels", 8)),
-                height=int(latent.get("height", 16)),
-                width=int(latent.get("width", 16)),
-                d_model=int(model.get("d_model", 16)),
-                n_heads=int(model.get("heads", 2)),
+                seed=_json_typed("seed", raw["seed"], int),
+                steps=_json_typed("steps", raw.get("steps", 25), int),
+                channels=_json_typed("channels", latent.get("channels", 8), int),
+                height=_json_typed("height", latent.get("height", 16), int),
+                width=_json_typed("width", latent.get("width", 16), int),
+                d_model=_json_typed("d_model", model.get("d_model", 16), int),
+                n_heads=_json_typed("heads", model.get("heads", 2), int),
                 guidance=GuidanceConfig(**raw.get("guidance", {})),
                 global_prompt_embed=resolve(raw["global_prompt_embed"]),
                 regions=regions,
                 output_dir=resolve(raw.get("output_dir", "out")),
-                dump_attention=bool(raw.get("dump_attention", False)),
-                reinit=bool(raw.get("reinit", True)),
+                dump_attention=_json_typed("dump_attention",
+                                           raw.get("dump_attention", False), bool),
+                reinit=_json_typed("reinit", raw.get("reinit", True), bool),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid run config: {exc}") from exc
@@ -181,6 +182,13 @@ class RunConfig:
         if len(set(p for _, p in config.regions)) != len(config.regions):
             raise ConfigurationError("regions must reference distinct bundles")
         return config
+
+
+def _json_typed(key: str, value, kind: type):
+    """A config value that must be a JSON integer or boolean (true is no integer)."""
+    if type(value) is not kind:
+        raise ConfigurationError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def prepare(config: RunConfig) -> tuple[DenoiserContext, SamplerSchedule]:

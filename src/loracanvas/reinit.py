@@ -109,16 +109,6 @@ def initial_latent(seed: int, dims: ModelDims) -> np.ndarray:
     return rng.standard_normal((dims.channels, dims.height, dims.width))
 
 
-def mask_bounding_box(mask: np.ndarray) -> tuple[int, int, int, int]:
-    """(row, col, height, width) of the tight box around a binary mask."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    if rows.size == 0:
-        raise ArgumentError("empty mask has no bounding box")
-    return (int(rows[0]), int(cols[0]),
-            int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1))
-
-
 def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
                  total_steps: int) -> tuple[np.ndarray, list[TraceRow]]:
     """Draw noise, apply one guided step, relocate concept crops, renorm.
@@ -137,15 +127,15 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     def forward(zt: Tensor):
         return denoiser_forward(zt, total_steps, ctx)[1]
 
-    z1, rows = guided_update(z0, forward, geometry, one_step,
-                             total_steps, total_steps)
+    z1, trace = guided_update(z0, forward, geometry, one_step,
+                              total_steps, total_steps)
     _, record = denoiser_forward(Tensor(z1), total_steps, ctx)
 
     crops: list[CropResult] = []
     boxes: list[tuple[int, int, int, int]] = []
-    for cid in geometry.concept_ids:
-        bi, bj, box_h, box_w = mask_bounding_box(geometry.masks[cid])
+    for cid, box in geometry.pixels.concepts.items():
+        box_h, box_w = box.rows.size, box.cols.size
         amap = record.averaged_cross_map(cid)
         crops.append(best_crop(amap, (box_w, box_h), concept_id=cid))
-        boxes.append((bi, bj, box_h, box_w))
-    return standardize(transplant(z1, crops, boxes)), rows
+        boxes.append((int(box.rows[0]), int(box.cols[0]), box_h, box_w))
+    return standardize(transplant(z1, crops, boxes)), trace

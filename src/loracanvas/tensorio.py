@@ -28,7 +28,7 @@ VERSION = 1
 
 
 def write_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors in dict order."""
+    """Write named tensors in dict order; nothing is written unless all are finite."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     for name, value in tensors.items():
         arr = np.asarray(value, dtype=np.float64)
@@ -40,8 +40,12 @@ def write_container(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<B", arr.ndim))
+        with np.errstate(over="ignore"):
+            payload = arr.astype("<f4")
+        if not np.all(np.isfinite(payload)):
+            raise DataError(f"tensor {name!r} has values that are not finite as float32")
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f4").tobytes(order="C"))
+        chunks.append(payload.tobytes(order="C"))
     Path(path).write_bytes(b"".join(chunks))
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ def test_container_rejects_non_finite(tmp_path):
     p.write_bytes(raw)
     with pytest.raises(DataError, match="bad"):
         tensorio.read_container(p)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+def test_container_write_rejects_values_not_finite_as_float32(tmp_path, value):
+    p = tmp_path / "x.lcb"
+    tensorio.write_container(p, {"x": np.zeros(2)})
+    before = p.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float32 overflow warning fails the test
+        with pytest.raises(DataError, match="'big'"):
+            tensorio.write_container(p, {"x": np.ones(2), "big": np.array([1.0, value])})
+    assert p.read_bytes() == before
+
+
+def test_container_float32_max_round_trips(tmp_path):
+    p = tmp_path / "max.lcb"
+    top = np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max])
+    tensorio.write_container(p, {"top": top})
+    assert np.array_equal(tensorio.read_container(p)["top"], top)
 
 
 def test_container_missing_file_is_data_error(tmp_path):

@@ -28,6 +28,7 @@ from loracanvas.attention import (
     region_cross_attention,
 )
 from loracanvas.autodiff import Tensor
+from loracanvas.denoiser import denoiser_forward
 from loracanvas.errors import ArgumentError, ConfigurationError, EmptyMaskError
 
 # every oracle check runs at each head count: one head, two, and d_h = 1
@@ -199,37 +200,47 @@ def test_attn_record_loss_layers_pick_highest_resolution():
 # ------------------------------------------------------------------ compose
 
 
+def _geometry(boxes, height, width):
+    regions = tuple(RegionSpec(box, f"c{i}") for i, box in enumerate(boxes))
+    layout = LayoutCondition(regions=regions, global_prompt_embed=np.zeros((2, 4)))
+    return RegionGeometry.build(layout, height, width)
+
+
 def test_compose_empty_regional_is_identity():
     h0 = Tensor(np.arange(8.0).reshape(4, 2))
-    assert compose_hidden(h0, []) is h0
+    for boxes in ((), ((0.0, 0.0, 1.0, 0.5),)):
+        assert compose_hidden(h0, {}, _geometry(boxes, 2, 2)) is h0
 
 
 def test_compose_disjoint_masks_select_piecewise():
+    # pixels 0 and 1 are the top row, pixel 2 the bottom-left corner
+    geometry = _geometry(((0.0, 0.0, 1.0, 0.5), (0.0, 0.5, 0.5, 1.0)), 2, 2)
     h0 = Tensor(np.zeros((4, 2)))
     ha = Tensor(np.full((4, 2), 1.0))
     hb = Tensor(np.full((4, 2), 2.0))
-    ma = np.array([1.0, 1.0, 0.0, 0.0])
-    mb = np.array([0.0, 0.0, 1.0, 0.0])
-    out = compose_hidden(h0, [(ma, ha), (mb, hb)])
+    out = compose_hidden(h0, {"c0": ha, "c1": hb}, geometry)
     assert np.array_equal(out.data,
                           np.array([[1, 1], [1, 1], [2, 2], [0, 0]], dtype=float))
 
 
 def test_compose_overlap_takes_mean():
+    geometry = _geometry(((0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)), 1, 2)
     h0 = Tensor(np.zeros((2, 1)))
     ha = Tensor(np.array([[1.0], [3.0]]))
     hb = Tensor(np.array([[2.0], [5.0]]))
-    out = compose_hidden(h0, [(np.ones(2), ha), (np.ones(2), hb)])
+    out = compose_hidden(h0, {"c0": ha, "c1": hb}, geometry)
     assert np.array_equal(out.data, np.array([[1.5], [4.0]]))
 
 
 def test_compose_background_keeps_h0_exactly():
+    # the left column of a 2x3 grid: pixels 0 and 3
+    geometry = _geometry(((0.0, 0.0, 1 / 3, 1.0),), 2, 3)
     rng = np.random.default_rng(4)
     h0 = Tensor(rng.standard_normal((6, 3)))
     ha = Tensor(rng.standard_normal((6, 3)))
-    mask = np.array([1.0, 0, 0, 1, 0, 0])
-    out = compose_hidden(h0, [(mask, ha)])
-    background = mask == 0
+    out = compose_hidden(h0, {"c0": ha}, geometry)
+    background = geometry.flat_mask("c0") == 0
+    assert np.array_equal(background, [False, True, True, False, True, True])
     assert np.array_equal(out.data[background], h0.data[background])
 
 
@@ -350,6 +361,15 @@ def test_build_context_computes_no_kv(monkeypatch):
     assert len(ctx.cross_kv) == len(ctx.weights.blocks)
     # blocks x (K, V) x (global branch + 2 concepts), all on first use
     assert len(calls) == len(ctx.weights.blocks) * 2 * 3
+
+
+def test_build_context_computes_no_pixel_table():
+    ctx = build_test_context()
+    assert all("pixels" not in g.__dict__ for g in ctx.geometries.values())
+    z = np.random.default_rng(0).standard_normal(
+        (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
+    denoiser_forward(Tensor(z), 5, ctx)
+    assert all("pixels" in g.__dict__ for g in ctx.geometries.values())
 
 
 # ------------------------------------------------------------------ self attention

@@ -68,6 +68,21 @@ def test_compose_short_box_errors(asset_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_compose_fractional_max_iters_errors(asset_dir, tmp_path, capsys):
+    raw = json.loads((asset_dir / "config.json").read_text())
+    raw["guidance"]["max_iters"] = 2.5
+    raw["global_prompt_embed"] = str(asset_dir / raw["global_prompt_embed"])
+    for region in raw["regions"]:
+        region["bundle"] = str(asset_dir / region["bundle"])
+    config = tmp_path / "fractional_max_iters.json"
+    config.write_text(json.dumps(raw))
+    rc = compose_main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_iters" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("box", [[0.5, 0.5, 0.55, 0.55], [0.0, 0.0, 1.0, 1.0]])
 def test_compose_bad_layout_errors(asset_dir, tmp_path, capsys, box):
     # empty at the pooled resolution; covering the whole latent under guidance

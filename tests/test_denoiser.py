@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_DIMS, build_test_context, empty_layout_context
-from loracanvas.assets import synth_bundle
+from loracanvas.assets import ModelDims, synth_bundle
 from loracanvas.attention import LayoutCondition, RegionSpec
-from loracanvas.autodiff import Tensor
+from loracanvas.autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
 from loracanvas.denoiser import (
     build_context,
     denoiser_forward,
@@ -116,3 +116,24 @@ def test_tape_size_of_forward_plus_loss():
             seen.add(id(node))
             stack.extend(p for p in node.parents if p.requires_grad)
     assert len(seen) == FORWARD_PLUS_LOSS_NODES
+
+
+@pytest.mark.parametrize("t", [10, 6, 3])
+def test_gradient_on_overlapping_layout_matches_finite_differences(t):
+    # the boxes share 4 of the 16 pixels, so the backward pass runs through
+    # compose_hidden's half shares as well as its single-box and background weights
+    dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
+    ctx = build_test_context(dims=dims, boxes=((0.0, 0.0, 0.75, 0.75), (0.25, 0.25, 1.0, 1.0)),
+                             tokens=3)
+    a, b = (ctx.loss_geometry.masks[cid] for cid in ctx.layout.concept_ids)
+    assert (a * b).sum() == 4
+
+    def loss_of(z: Tensor) -> Tensor:
+        _, record = denoiser_forward(z, t, ctx)
+        return composite_loss(record, ctx.loss_geometry, GuidanceConfig())[0]
+
+    z0 = np.random.default_rng(t).standard_normal((2, 4, 4))
+    traced = Tensor(z0, requires_grad=True)
+    analytic = grad(loss_of(traced), traced)
+    numeric = finite_difference_gradient(loss_of, Tensor(z0), eps=1e-6)
+    assert max_relative_error(analytic, numeric) < 1e-5

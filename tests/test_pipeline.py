@@ -179,6 +179,26 @@ def test_config_duplicate_bundles(tmp_path):
         RunConfig.from_dict(raw, tmp_path)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"guidance": {"max_iters": 2.5}}, "max_iters"),
+    ({"guidance": {"patience": True}}, "patience"),
+    ({"reinit": "false"}, "reinit"),
+    ({"dump_attention": 1}, "dump_attention"),
+    ({"seed": 3.7}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"steps": 2.5}, "steps"),
+    ({"latent": {"channels": 8.0}}, "channels"),
+    ({"latent": {"height": "16"}}, "height"),
+    ({"latent": {"width": False}}, "width"),
+    ({"model": {"d_model": 16.5}}, "d_model"),
+    ({"model": {"heads": 2.0}}, "heads"),
+])
+def test_config_rejects_value_of_wrong_type(tmp_path, overrides, key):
+    raw = {"seed": 1, "global_prompt_embed": "e.lcb", **overrides}
+    with pytest.raises(ConfigurationError, match=key):
+        RunConfig.from_dict(raw, tmp_path)
+
+
 # one box empty at the pooled 8x8 grid, one covering the whole latent
 BAD_BOXES = [([0.5, 0.5, 0.55, 0.55], "covers no pixel at 8x8"),
              ([0.0, 0.0, 1.0, 1.0], "covers the whole 16x16 latent")]

@@ -349,6 +349,22 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert geometry.masks[cid].dtype == mask.dtype
             assert np.array_equal(geometry.masks[cid], mask)
             assert np.array_equal(geometry.gaussians[cid] > 0, mask > 0)
+        table = geometry.pixels
+        shares = np.zeros(h * w)
+        for cid, mask in expected.items():
+            box, flat = table.concepts[cid], mask.reshape(-1)
+            assert np.array_equal(box.inside, np.flatnonzero(flat))
+            assert np.array_equal(box.outside, np.flatnonzero(flat == 0))
+            assert np.array_equal(box.rows, np.flatnonzero(mask.any(axis=1)))
+            assert np.array_equal(box.cols, np.flatnonzero(mask.any(axis=0)))
+            assert np.array_equal(box.query.data, flat[:, None])
+            assert np.array_equal(box.weight.data, geometry.gaussians[cid])
+            shares += box.share.data[:, 0]
+        background = table.background.data[:, 0]
+        assert np.max(np.abs(background + shares - 1.0)) <= 1e-15
+        uncovered = sum(m.reshape(-1) for m in expected.values()) == 0
+        assert np.array_equal(background == 1.0, uncovered)
+        assert np.all(background[~uncovered] == 0.0)
 
 
 # ------------------------------------------------------------------ losses

@@ -11,7 +11,6 @@ from loracanvas.guidance import GuidanceConfig, inbox_mass_fraction
 from loracanvas.reinit import (
     best_crop,
     initial_latent,
-    mask_bounding_box,
     reinitialize,
     standardize,
     transplant,
@@ -145,12 +144,6 @@ def test_standardize_rejects_constant_channel():
 
 
 # ------------------------------------------------------------------ reinitialize
-
-
-def test_mask_bounding_box():
-    mask = np.zeros((6, 6))
-    mask[2:5, 1:3] = 1.0
-    assert mask_bounding_box(mask) == (2, 1, 3, 2)
 
 
 def test_reinitialize_empty_layout_returns_standardized_draw():
