@@ -10,12 +10,13 @@ concurrent sampling jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import tensorio
-from .autodiff import Tensor, matmul, transpose2d
+from .autodiff import Tensor, matmul
 from .errors import ArgumentError, ShapeError, ValidationError
 
 # bump when the draw order or scaling of any seeded generator changes
@@ -86,6 +87,15 @@ class ConceptBundle:
             raise ValidationError(f"deltas disagree on output dim: {sorted(d_outs)}")
 
 
+def _operand(w: np.ndarray) -> Tensor:
+    """``w.T`` as a constant right-hand matmul operand.
+
+    A C-contiguous copy, the layout ``transpose2d`` gives, so products with it
+    round exactly as products with a transposed tensor do.
+    """
+    return Tensor(np.ascontiguousarray(w.T, dtype=np.float64))
+
+
 def apply_projection(x: Tensor, base: np.ndarray, delta: LoraDelta | None = None) -> Tensor:
     """Project rows of x through ``base`` merged with an optional delta.
 
@@ -106,7 +116,7 @@ def apply_projection(x: Tensor, base: np.ndarray, delta: LoraDelta | None = None
             raise ShapeError(
                 f"delta shape {update.shape} does not match base {base.shape}")
         weight = base + update
-    return matmul(x, transpose2d(Tensor(weight)))
+    return matmul(x, _operand(weight))
 
 
 # -- bundle container ------------------------------------------------------
@@ -228,12 +238,33 @@ class ModelDims:
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads")
 
 
+# The transposed operands below are built on first use and kept by the
+# instance, so weight generation stays cheap and a ``dataclasses.replace``d
+# copy builds its own.
+
+
 @dataclass(frozen=True)
 class AttentionWeights:
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
+
+    @cached_property
+    def wq_t(self) -> Tensor:
+        return _operand(self.wq)
+
+    @cached_property
+    def wk_t(self) -> Tensor:
+        return _operand(self.wk)
+
+    @cached_property
+    def wv_t(self) -> Tensor:
+        return _operand(self.wv)
+
+    @cached_property
+    def wo_t(self) -> Tensor:
+        return _operand(self.wo)
 
 
 @dataclass(frozen=True)
@@ -252,6 +283,14 @@ class BaseWeights:
     w_in: np.ndarray   # (d_model, channels)
     w_out: np.ndarray  # (channels, d_model)
     blocks: tuple[BlockWeights, ...]
+
+    @cached_property
+    def w_in_t(self) -> Tensor:
+        return _operand(self.w_in)
+
+    @cached_property
+    def w_out_t(self) -> Tensor:
+        return _operand(self.w_out)
 
 
 def generate_base_weights(seed: int, dims: ModelDims) -> BaseWeights:

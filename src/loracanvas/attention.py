@@ -161,15 +161,19 @@ class RegionGeometry:
     @cached_property
     def pixels(self) -> PixelTable:
         """Every concept's pixel constants, computed on first use: building them
-        in ``build`` would double the cost of ``prepare``'s two geometries."""
-        count = sum(map(self.flat_mask, self.concept_ids), np.zeros(self.height * self.width))
+        in ``build`` would double the cost of ``prepare``'s two geometries.
+        The index lists are validated here, once, for every gather that reads them."""
+        h, w = self.height, self.width
+        count = sum(map(self.flat_mask, self.concept_ids), np.zeros(h * w))
         safe = np.maximum(count, 1.0)
         concepts = {}
         for cid, mask in self.masks.items():
             flat = mask.reshape(-1)
             concepts[cid] = ConceptPixels(
-                inside=np.flatnonzero(flat), outside=np.flatnonzero(flat == 0),
-                rows=np.flatnonzero(mask.any(axis=1)), cols=np.flatnonzero(mask.any(axis=0)),
+                inside=ad.distinct_indices(np.flatnonzero(flat), h * w),
+                outside=ad.distinct_indices(np.flatnonzero(flat == 0), h * w),
+                rows=ad.distinct_indices(np.flatnonzero(mask.any(axis=1)), h),
+                cols=ad.distinct_indices(np.flatnonzero(mask.any(axis=0)), w),
                 query=Tensor(flat[:, None]), share=Tensor((flat / safe)[:, None]),
                 weight=Tensor(self.gaussians[cid]))
         return PixelTable(concepts, background=Tensor((count == 0)[:, None]))
@@ -179,13 +183,13 @@ class RegionGeometry:
 class ConceptPixels:
     """One concept's box at one resolution, in the form each reader needs."""
 
-    inside: np.ndarray    # flat indices of the box's pixels
-    outside: np.ndarray   # flat indices of every other pixel
-    rows: np.ndarray      # rows the box covers
-    cols: np.ndarray      # columns the box covers
-    query: Tensor         # (h*w, 1) mask on the concept branch's queries
-    share: Tensor         # (h*w, 1) compose weight: mask / boxes covering the pixel
-    weight: Tensor        # (h, w) Gaussian weight, in-box maximum 1
+    inside: ad.DistinctIndices    # flat indices of the box's pixels
+    outside: ad.DistinctIndices   # flat indices of every other pixel
+    rows: ad.DistinctIndices      # rows the box covers
+    cols: ad.DistinctIndices      # columns the box covers
+    query: Tensor                 # (h*w, 1) mask on the concept branch's queries
+    share: Tensor                 # (h*w, 1) compose weight: mask / boxes covering the pixel
+    weight: Tensor                # (h, w) Gaussian weight, in-box maximum 1
 
 
 @dataclass(frozen=True)
@@ -196,11 +200,11 @@ class PixelTable:
     background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
 
 
-def _multihead(q: Tensor, k: Tensor, v: Tensor, n_heads: int, wo: np.ndarray,
+def _multihead(q: Tensor, k: Tensor, v: Tensor, n_heads: int, wo_t: Tensor,
                allowed: np.ndarray | None) -> tuple[Tensor, Tensor]:
     """Scaled dot-product attention; returns hidden and heads-averaged map."""
     probs = ad.attention_probs(q, k, n_heads, allowed)
-    hidden = ad.matmul(ad.apply_heads(probs, v), ad.transpose2d(Tensor(wo)))
+    hidden = ad.matmul(ad.apply_heads(probs, v), wo_t)
     return hidden, ad.mean_heads(probs)
 
 
@@ -269,9 +273,9 @@ def region_cross_attention(
         raise ArgumentError(
             f"{len(layout.regions)} regions need {len(layout.regions) + 1} K/V pairs, "
             f"got {len(kv)}")
-    q_full = apply_projection(z_flat, weights.wq)
+    q_full = ad.matmul(z_flat, weights.wq_t)
     k0, v0 = kv[0]
-    h0, _ = _multihead(q_full, k0, v0, n_heads, weights.wo, allowed=None)
+    h0, _ = _multihead(q_full, k0, v0, n_heads, weights.wo_t, allowed=None)
 
     hiddens: dict[str, Tensor] = {}
     cross_maps: dict[str, Tensor] = {}
@@ -279,7 +283,7 @@ def region_cross_attention(
         cid = region.concept_id
         bundle = _bundle_for(region, bundles)
         qn = ad.mul(q_full, geometry.pixels.concepts[cid].query)
-        hiddens[cid], attn = _multihead(qn, kn, vn, n_heads, weights.wo, allowed=None)
+        hiddens[cid], attn = _multihead(qn, kn, vn, n_heads, weights.wo_t, allowed=None)
         concept_col = ad.column(attn, bundle.token_index)
         cross_maps[cid] = ad.reshape(concept_col, (h, w))
 
@@ -301,7 +305,7 @@ def masked_self_attention(
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
         raise ShapeError(f"hidden rows {z_flat.shape[0]} != {h}x{w}")
-    q = apply_projection(z_flat, weights.wq)
-    k = apply_projection(z_flat, weights.wk)
-    v = apply_projection(z_flat, weights.wv)
-    return _multihead(q, k, v, n_heads, weights.wo, geometry.allowed_self)
+    q = ad.matmul(z_flat, weights.wq_t)
+    k = ad.matmul(z_flat, weights.wk_t)
+    v = ad.matmul(z_flat, weights.wv_t)
+    return _multihead(q, k, v, n_heads, weights.wo_t, geometry.allowed_self)

@@ -91,7 +91,7 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{what} produced non-finite values")
 
 
@@ -101,8 +101,17 @@ def _as_tensor(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: _VJP) -> Tensor:
-    _check_finite(data, op)
+# Every tensor holds only finite entries: the constructor and each kernel that
+# does arithmetic check their output. A kernel that only moves entries
+# (transpose, reshape, negation, gathers, concatenation, nearest upsampling)
+# cannot turn finite inputs into a non-finite output, so it passes
+# ``checked=False`` and skips the scan.
+
+
+def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: _VJP,
+            checked: bool = True) -> Tensor:
+    if checked:
+        _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim and not data.flags.c_contiguous:
@@ -173,7 +182,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _result(-a.data, "neg", (a,), lambda g: (-g,))
+    return _result(-a.data, "neg", (a,), lambda g: (-g,), checked=False)
 
 
 def div_scalar(a: Tensor, scalar) -> Tensor:
@@ -202,7 +211,7 @@ def transpose2d(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError("transpose2d expects a 2-D tensor")
-    return _result(a.data.T, "transpose2d", (a,), lambda g: (g.T,))
+    return _result(a.data.T, "transpose2d", (a,), lambda g: (g.T,), checked=False)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -212,7 +221,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
     return _result(a.data.reshape(shape), "reshape", (a,),
-                   lambda g: (g.reshape(old),))
+                   lambda g: (g.reshape(old),), checked=False)
 
 
 # -- softmax family ---------------------------------------------------------
@@ -426,7 +435,7 @@ def take(x: Tensor, indices) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeError("take expects a 1-D tensor")
-    return _select(x, _distinct_indices(indices, x.size, "take"), "take")
+    return _select(x, _valid_indices(indices, x.size, "take"), "take")
 
 
 def take2d(x: Tensor, rows, cols) -> Tensor:
@@ -434,8 +443,8 @@ def take2d(x: Tensor, rows, cols) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("take2d expects a 2-D tensor")
-    ri = _distinct_indices(rows, x.shape[0], "take2d row")
-    ci = _distinct_indices(cols, x.shape[1], "take2d column")
+    ri = _valid_indices(rows, x.shape[0], "take2d row")
+    ci = _valid_indices(cols, x.shape[1], "take2d column")
     if ri.size == 0 or ci.size == 0:
         raise ArgumentError("take2d needs non-empty index lists")
     return _select(x, np.ix_(ri, ci), "take2d")
@@ -458,6 +467,31 @@ def column(x: Tensor, j: int) -> Tensor:
     if not (0 <= j < x.shape[1]):
         raise ArgumentError(f"column {j} out of range for {x.shape}")
     return _select(x, (slice(None), j), "column")
+
+
+class DistinctIndices(np.ndarray):
+    """Read-only index list already checked against an axis of length ``bound``.
+
+    ``take`` and ``take2d`` skip re-validating it on an axis of that length.
+    Arrays derived from one (slices, sums) are plain arrays, validated as usual.
+    """
+
+    bound: int | None = None
+
+
+def distinct_indices(indices, n: int, what: str = "index list") -> DistinctIndices:
+    """Validate an index list into an axis of length n once, for repeated gathers."""
+    idx = np.array(_distinct_indices(indices, n, what), dtype=np.intp)
+    idx.flags.writeable = False
+    out = idx.view(DistinctIndices)
+    out.bound = n
+    return out
+
+
+def _valid_indices(indices, n: int, what: str) -> np.ndarray:
+    if isinstance(indices, DistinctIndices) and indices.bound == n:
+        return indices
+    return _distinct_indices(indices, n, what)
 
 
 def _distinct_indices(indices, n: int, what: str) -> np.ndarray:
@@ -488,7 +522,7 @@ def _select(x: Tensor, index, op: str) -> Tensor:
         out[index] = g
         return (out,)
 
-    return _result(x.data[index], op, (x,), vjp)
+    return _result(x.data[index], op, (x,), vjp, checked=False)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -505,7 +539,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _result(data, "concat", parts, vjp)
+    return _result(data, "concat", parts, vjp, checked=False)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -553,7 +587,7 @@ def upsample_nearest_2x(x: Tensor, height: int, width: int) -> Tensor:
     def vjp(g):
         return (g.reshape(height, 2, width, 2, d).sum(axis=(1, 3)).reshape(height * width, d),)
 
-    return _result(data, "upsample_nearest_2x", (x,), vjp)
+    return _result(data, "upsample_nearest_2x", (x,), vjp, checked=False)
 
 
 # -- reverse-mode driver --------------------------------------------------------

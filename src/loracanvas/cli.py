@@ -11,7 +11,7 @@ from pathlib import Path
 from . import tensorio
 from .assets import gen_prompt_embedding, gen_synthetic_bundle
 from .autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
-from .denoiser import denoiser_forward
+from .denoiser import encode
 from .errors import LoracanvasError
 from .guidance import composite_loss
 from .pipeline import RunConfig, prepare, sample
@@ -81,7 +81,7 @@ def run_gradcheck(config: RunConfig, eps: float = 1e-6) -> float:
     z0 = initial_latent(config.seed, ctx.dims)
 
     def loss_of(zt: Tensor) -> Tensor:
-        _, record = denoiser_forward(zt, t, ctx)
+        _, record = encode(zt, t, ctx)
         total, _ = composite_loss(record, geometry, config.guidance)
         return total
 

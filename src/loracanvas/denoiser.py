@@ -6,6 +6,13 @@ at full resolution, a 2x2 pooled block at half resolution (so concept
 features really do bleed across region borders on the coarse grid), a
 nearest-neighbour upsample with skip connection and a per-pixel linear
 head predicting the noise.
+
+The forward comes in two halves. ``encode`` runs the lift and the two
+full-resolution blocks, whose attention maps are all the constraint losses
+and the re-init crop search read; ``decode`` runs the pooled block, the
+upsample and the head. The guidance loop, re-init and the gradient check
+call ``encode`` alone, since they drop the noise prediction. Only the DDIM
+step, which needs the noise, runs the full ``denoiser_forward``.
 """
 
 from __future__ import annotations
@@ -119,8 +126,11 @@ def _composer_block(x: Tensor, ctx: DenoiserContext, block_index: int,
     return x, record
 
 
-def denoiser_forward(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]:
-    """Predict the noise for latent z at timestep t, recording attention."""
+def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]:
+    """Lift latent z at timestep t and run the two full-resolution blocks.
+
+    Returns the (h*w, d_model) hidden state and the record of both blocks.
+    """
     dims = ctx.dims
     if z.shape != (dims.channels, dims.height, dims.width):
         raise ConfigurationError(
@@ -128,24 +138,36 @@ def denoiser_forward(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Tensor, A
             f"({dims.channels}, {dims.height}, {dims.width})")
     h, w = dims.height, dims.width
     full = ctx.geometries[(h, w)]
-    pooled = ctx.geometries[(h // 2, w // 2)]
 
     z_flat = ad.transpose2d(ad.reshape(z, (dims.channels, h * w)))
-    x = ad.matmul(z_flat, ad.transpose2d(Tensor(ctx.weights.w_in)))
+    x = ad.matmul(z_flat, ctx.weights.w_in_t)
     x = x + Tensor(sinusoidal_embedding(t, dims.d_model))
 
     record = AttnRecord()
-    x, layer0 = _composer_block(x, ctx, 0, full)
-    record.layers.append(layer0)
-    x, layer1 = _composer_block(x, ctx, 1, full)
-    record.layers.append(layer1)
+    for block_index in (0, 1):
+        x, layer = _composer_block(x, ctx, block_index, full)
+        record.layers.append(layer)
+    return x, record
 
-    skip = x
+
+def decode(x: Tensor, record: AttnRecord,
+           ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]:
+    """Pooled block, upsample with skip and head on ``encode``'s output.
+
+    Appends the pooled block's layer to the record and returns the noise.
+    """
+    dims = ctx.dims
+    h, w = dims.height, dims.width
     down = ad.avg_pool_2x2(x, h, w)
-    down, layer2 = _composer_block(down, ctx, 2, pooled)
+    down, layer2 = _composer_block(down, ctx, 2, ctx.geometries[(h // 2, w // 2)])
     record.layers.append(layer2)
-    x = ad.upsample_nearest_2x(down, h // 2, w // 2) + skip
+    x = ad.upsample_nearest_2x(down, h // 2, w // 2) + x
 
-    eps_flat = ad.matmul(x, ad.transpose2d(Tensor(ctx.weights.w_out)))
+    eps_flat = ad.matmul(x, ctx.weights.w_out_t)
     eps = ad.reshape(ad.transpose2d(eps_flat), (dims.channels, h, w))
     return eps, record
+
+
+def denoiser_forward(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]:
+    """Predict the noise for latent z at timestep t, recording attention."""
+    return decode(*encode(z, t, ctx), ctx)

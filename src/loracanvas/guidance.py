@@ -12,6 +12,7 @@ stopping early once the loss stops improving.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +38,10 @@ class GuidanceConfig:
     patience: int = 1              # non-improving iterations before stopping
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "s_ratio", "p_ratio", "phi0", "guidance_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ArgumentError(f"{name} must be a real number, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ArgumentError("loss weights must be non-negative")
         if not (0.0 < self.s_ratio <= 1.0 and 0.0 < self.p_ratio <= 1.0):

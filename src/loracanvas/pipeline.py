@@ -17,7 +17,7 @@ from . import tensorio
 from .assets import ModelDims, generate_base_weights, load_bundle
 from .attention import LayoutCondition, RegionSpec
 from .autodiff import Tensor
-from .denoiser import DenoiserContext, build_context, denoiser_forward
+from .denoiser import DenoiserContext, build_context, denoiser_forward, encode
 from .errors import ArgumentError, ConfigurationError, NumericError
 from .guidance import (
     GuidanceConfig,
@@ -152,8 +152,9 @@ class RunConfig:
             latent = raw.get("latent", {})
             model = raw.get("model", {})
             regions = tuple(
-                (tuple(float(v) for v in entry["box"]), resolve(entry["bundle"]))
-                for entry in raw.get("regions", ())
+                (tuple(_json_number(f"region {i} box", v) for v in entry["box"]),
+                 resolve(entry["bundle"]))
+                for i, entry in enumerate(raw.get("regions", ()))
             )
             config = cls(
                 seed=_json_typed("seed", raw["seed"], int),
@@ -189,6 +190,13 @@ def _json_typed(key: str, value, kind: type):
     if type(value) is not kind:
         raise ConfigurationError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _json_number(key: str, value) -> float:
+    """A config value that must be a JSON number (true and "0.5" are none)."""
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def prepare(config: RunConfig) -> tuple[DenoiserContext, SamplerSchedule]:
@@ -269,7 +277,7 @@ def sample(config: RunConfig) -> SampleResult:
                 mass_history.append((t, masses))
 
                 def forward(zt: Tensor, _t=t, _masses=masses):
-                    attn = denoiser_forward(zt, _t, ctx)[1]
+                    attn = encode(zt, _t, ctx)[1]
                     if not _masses:
                         _masses.update((cid, inbox_mass_fraction(attn, geometry, cid))
                                        for cid in geometry.concept_ids)

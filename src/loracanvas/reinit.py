@@ -15,7 +15,7 @@ import numpy as np
 
 from .assets import GENERATOR_VERSION, ModelDims
 from .autodiff import Tensor
-from .denoiser import DenoiserContext, denoiser_forward
+from .denoiser import DenoiserContext, encode
 from .errors import ArgumentError, DegenerateLatentError
 from .guidance import GuidanceConfig, TraceRow, guided_update
 
@@ -125,11 +125,11 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     one_step = replace(config, max_iters=1)
 
     def forward(zt: Tensor):
-        return denoiser_forward(zt, total_steps, ctx)[1]
+        return encode(zt, total_steps, ctx)[1]
 
     z1, trace = guided_update(z0, forward, geometry, one_step,
                               total_steps, total_steps)
-    _, record = denoiser_forward(Tensor(z1), total_steps, ctx)
+    _, record = encode(Tensor(z1), total_steps, ctx)
 
     crops: list[CropResult] = []
     boxes: list[tuple[int, int, int, int]] = []

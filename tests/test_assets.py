@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import struct
 import warnings
 
@@ -17,7 +18,7 @@ from loracanvas.assets import (
     load_bundle,
     write_bundle,
 )
-from loracanvas.autodiff import Tensor
+from loracanvas.autodiff import Tensor, transpose2d
 from loracanvas.errors import (
     ArgumentError,
     DataError,
@@ -284,6 +285,37 @@ def test_base_weights_deterministic_and_shaped():
     assert np.array_equal(w1.blocks[2].cross_attn.wv, w2.blocks[2].cross_attn.wv)
     assert not np.array_equal(w1.blocks[0].self_attn.wq,
                               generate_base_weights(43, dims).blocks[0].self_attn.wq)
+
+
+OPERANDS = ("wq_t", "wk_t", "wv_t", "wo_t")
+
+
+def test_weight_operands_are_the_transposed_weights_built_once():
+    weights = generate_base_weights(42, ModelDims())
+    pairs = [(weights, "w_in_t", weights.w_in), (weights, "w_out_t", weights.w_out)]
+    for block in weights.blocks:
+        for attn in (block.self_attn, block.cross_attn):
+            pairs += [(attn, name, getattr(attn, name[:-2])) for name in OPERANDS]
+    for owner, name, w in pairs:
+        assert name not in vars(owner)  # nothing is built with the weights
+        operand = getattr(owner, name)
+        # the bytes and layout a traced transpose of the weight gives
+        assert operand.data.flags.c_contiguous
+        assert operand.data.tobytes() == transpose2d(Tensor(w)).data.tobytes()
+        assert not operand.requires_grad
+        assert getattr(owner, name) is operand
+
+
+def test_replaced_weights_build_their_own_operands():
+    attn = generate_base_weights(42, ModelDims()).blocks[0].self_attn
+    before = attn.wq_t
+    swapped = dataclasses.replace(attn, wq=np.eye(attn.wq.shape[0]))
+    assert np.array_equal(swapped.wq_t.data, np.eye(attn.wq.shape[0]))
+    assert attn.wq_t is before
+    weights = generate_base_weights(42, ModelDims())
+    _ = weights.w_out_t
+    zeroed = dataclasses.replace(weights, w_out=np.zeros_like(weights.w_out))
+    assert not zeroed.w_out_t.data.any()
 
 
 def test_model_dims_validation():

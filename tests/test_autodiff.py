@@ -219,6 +219,31 @@ def test_take2d_rejects_bad_indices(rows, cols, reason):
         ad.take2d(Tensor(np.zeros((2, 3))), rows, cols)
 
 
+def test_distinct_indices_are_validated_once_per_axis_length(monkeypatch):
+    idx = ad.distinct_indices([2, 0], 3)
+    assert idx.bound == 3 and not idx.flags.writeable
+    x = Tensor([1.0, 2.0, 3.0])
+
+    def revalidated(*args):
+        raise AssertionError("validated again")
+
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_distinct_indices", revalidated)
+        assert np.array_equal(ad.take(x, idx).data, [3.0, 1.0])
+        assert np.array_equal(ad.take2d(Tensor(np.eye(3)), idx, idx).data,
+                              [[1.0, 0.0], [0.0, 1.0]])
+    # a list checked against another length, or derived from a checked one,
+    # is validated as usual
+    with pytest.raises(ArgumentError, match="out of range"):
+        ad.take(Tensor([1.0, 2.0]), idx)
+    with pytest.raises(ArgumentError, match="repeat"):
+        ad.take(x, idx[[0, 0]])
+    with pytest.raises(ArgumentError, match="out of range"):
+        ad.take(x, idx + 1)
+    with pytest.raises(ArgumentError, match="repeat"):
+        ad.distinct_indices([1, 1], 3)
+
+
 # ---------------------------------------------------------------- grad basics
 
 

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_DIMS, build_test_context, empty_layout_context
+from loracanvas import autodiff as ad
 from loracanvas.assets import ModelDims, synth_bundle
 from loracanvas.attention import LayoutCondition, RegionSpec
 from loracanvas.autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
 from loracanvas.denoiser import (
     build_context,
     denoiser_forward,
+    encode,
     sinusoidal_embedding,
 )
 from loracanvas.errors import ConfigurationError
@@ -44,6 +46,21 @@ def test_denoiser_records_three_layers_two_resolutions():
         assert set(layer.cross_maps) == {"concept_a", "concept_b"}
         n = layer.resolution[0] * layer.resolution[1]
         assert layer.self_map.shape == (n, n)
+
+
+def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
+    ctx = build_test_context()
+    z = np.random.default_rng(2).standard_normal((4, 8, 8))
+    _, full = denoiser_forward(Tensor(z), 5, ctx)
+    hidden, record = encode(Tensor(z), 5, ctx)
+    assert hidden.shape == (64, ctx.dims.d_model)
+    assert len(record.layers) == 2
+    for mine, theirs in zip(record.layers, full.layers[:2]):
+        assert mine.resolution == theirs.resolution
+        assert mine.self_map.data.tobytes() == theirs.self_map.data.tobytes()
+        assert mine.cross_maps.keys() == theirs.cross_maps.keys()
+        for cid, amap in mine.cross_maps.items():
+            assert amap.data.tobytes() == theirs.cross_maps[cid].data.tobytes()
 
 
 def test_denoiser_zero_output_head_gives_zero_noise():
@@ -97,6 +114,30 @@ def test_build_context_validates_bundle_dims():
                       {**ctx.bundles, "concept_a": bad_bundle})
 
 
+def test_loss_reads_pixel_lists_without_revalidating(monkeypatch):
+    ctx = build_test_context()
+    table = ctx.loss_geometry.pixels
+    for box in table.concepts.values():
+        assert box.inside.bound == box.outside.bound == 64
+        assert box.rows.bound == box.cols.bound == 8
+    z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)))
+    expected = composite_loss(encode(z, 5, ctx)[1], ctx.loss_geometry, GuidanceConfig())[1]
+
+    def revalidated(*args):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(ad, "_distinct_indices", revalidated)
+    _, breakdown = composite_loss(encode(z, 5, ctx)[1], ctx.loss_geometry, GuidanceConfig())
+    assert breakdown == expected
+
+
+def test_build_context_builds_no_weight_operands():
+    ctx = build_test_context()
+    owners = [ctx.weights] + [attn for block in ctx.weights.blocks
+                              for attn in (block.self_attn, block.cross_attn)]
+    assert not [name for owner in owners for name in vars(owner) if name.endswith("_t")]
+
+
 def test_build_context_requires_all_bundles():
     ctx = build_test_context()
     missing = {k: v for k, v in ctx.bundles.items() if k != "concept_b"}
@@ -104,10 +145,11 @@ def test_build_context_requires_all_bundles():
         build_context(ctx.weights, ctx.layout, missing)
 
 
-def test_tape_size_of_forward_plus_loss():
+def taped_loss_nodes(forward) -> int:
+    """Traced nodes reachable from the loss of one forward on the conftest stack."""
     ctx = build_test_context()
     z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)), requires_grad=True)
-    _, record = denoiser_forward(z, 5, ctx)
+    _, record = forward(z, 5, ctx)
     total, _ = composite_loss(record, ctx.loss_geometry, GuidanceConfig())
     seen, stack = set(), [total]
     while stack:
@@ -115,7 +157,15 @@ def test_tape_size_of_forward_plus_loss():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(p for p in node.parents if p.requires_grad)
-    assert len(seen) == FORWARD_PLUS_LOSS_NODES
+    return len(seen)
+
+
+def test_encode_plus_loss_tapes_the_same_graph():
+    assert taped_loss_nodes(encode) == FORWARD_PLUS_LOSS_NODES
+
+
+def test_tape_size_of_forward_plus_loss():
+    assert taped_loss_nodes(denoiser_forward) == FORWARD_PLUS_LOSS_NODES
 
 
 @pytest.mark.parametrize("t", [10, 6, 3])

@@ -255,6 +255,14 @@ def test_config_validation():
         GuidanceConfig(patience=0)
 
 
+@pytest.mark.parametrize("knob", ["alpha", "beta", "s_ratio", "p_ratio", "phi0",
+                                  "guidance_fraction"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None])
+def test_config_float_knobs_reject_non_numbers(knob, value):
+    with pytest.raises(ArgumentError, match=knob):
+        GuidanceConfig(**{knob: value})
+
+
 def test_adaptive_stopper_trips_after_patience():
     stopper = AdaptiveStopper(patience=2)
     assert stopper.observe(1.0)

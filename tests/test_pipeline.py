@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loracanvas import autodiff as ad
 from loracanvas.autodiff import Tensor
-from loracanvas.cli import make_toy_assets
+from loracanvas.cli import make_toy_assets, run_gradcheck
 from loracanvas.denoiser import denoiser_forward
 from loracanvas.errors import ArgumentError, ConfigurationError
 from loracanvas.guidance import inbox_mass_fraction
@@ -192,6 +193,12 @@ def test_config_duplicate_bundles(tmp_path):
     ({"latent": {"width": False}}, "width"),
     ({"model": {"d_model": 16.5}}, "d_model"),
     ({"model": {"heads": 2.0}}, "heads"),
+    ({"regions": [{"box": ["0", 0, 0.5, 1], "bundle": "a.lcb"}]}, "region 0 box"),
+    ({"regions": [{"box": [0, 0, 0.5, 1], "bundle": "a.lcb"},
+                  {"box": [0.5, False, 1, True], "bundle": "b.lcb"}]}, "region 1 box"),
+    ({"guidance": {"phi0": True}}, "phi0"),
+    ({"guidance": {"alpha": False}}, "alpha"),
+    ({"guidance": {"s_ratio": "0.2"}}, "s_ratio"),
 ])
 def test_config_rejects_value_of_wrong_type(tmp_path, overrides, key):
     raw = {"seed": 1, "global_prompt_embed": "e.lcb", **overrides}
@@ -318,7 +325,7 @@ def test_sample_flushes_trace_on_numeric_error(small_config, tmp_path, monkeypat
     from loracanvas import pipeline as pipeline_module
     from loracanvas.errors import NumericError
 
-    real = pipeline_module.denoiser_forward
+    real = pipeline_module.encode
     calls = {"n": 0}
 
     def exploding(z, t, ctx):
@@ -327,13 +334,53 @@ def test_sample_flushes_trace_on_numeric_error(small_config, tmp_path, monkeypat
             raise NumericError("synthetic blowup")
         return real(z, t, ctx)
 
-    monkeypatch.setattr(pipeline_module, "denoiser_forward", exploding)
+    monkeypatch.setattr(pipeline_module, "encode", exploding)
     config = dataclasses.replace(small_config, output_dir=tmp_path / "crash")
     with pytest.raises(NumericError):
         sample(config)
     trace = (tmp_path / "crash" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("timestep,")
     assert len(trace) > 1  # rows collected before the failure were kept
+
+
+# ------------------------------------------------------------ loss-only forwards
+
+
+def pooling_forbidden(monkeypatch):
+    """Make the pooled block's first kernel raise: only decode reaches it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a loss-only forward ran the pooled block")
+
+    monkeypatch.setattr(ad, "avg_pool_2x2", forbidden)
+
+
+def test_guidance_in_sample_never_pools(small_config, tmp_path, monkeypatch):
+    from loracanvas import pipeline as pipeline_module
+
+    real = pipeline_module.guided_update
+    calls = []
+
+    def guarded(*args, **kwargs):
+        calls.append(args[4])
+        with monkeypatch.context() as m:
+            pooling_forbidden(m)
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "guided_update", guarded)
+    result = sample(dataclasses.replace(small_config, output_dir=tmp_path / "nopool"))
+    assert calls and calls == sorted({row.timestep for row in result.trace}, reverse=True)
+
+
+def test_reinitialize_never_pools(small_config, monkeypatch):
+    ctx, schedule = prepare(small_config)
+    pooling_forbidden(monkeypatch)
+    _, rows = reinitialize(small_config.seed, ctx, small_config.guidance, schedule.steps)
+    assert len(rows) == 1
+
+
+def test_gradcheck_never_pools(small_config, monkeypatch):
+    pooling_forbidden(monkeypatch)
+    assert run_gradcheck(small_config) < 1e-5
 
 
 def test_denoiser_bit_identical_across_processes(asset_dir):

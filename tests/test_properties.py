@@ -248,6 +248,151 @@ def test_selection_kernel_vjps_match_finite_differences(kind, data):
     assert np.abs(analytic - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
 
 
+# ------------------------------------------------------------------ data movement
+
+# every finite float64, the extremes included
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+MOVEMENTS = ("transpose2d", "reshape", "neg", "take", "take2d", "column", "slice_cols",
+             "axis_max_project", "concat", "upsample_nearest_2x")
+
+
+@st.composite
+def movement_cases(draw):
+    """A finite input and one data-movement kernel applied to it."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    x = Tensor(draw(arrays(np.float64, (2 * rows, 2 * cols), elements=any_finite)))
+
+    def distinct(n: int) -> list[int]:
+        return draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+
+    kind = draw(st.sampled_from(MOVEMENTS))
+    if kind == "transpose2d":
+        return x, ad.transpose2d
+    if kind == "reshape":
+        return x, lambda t: ad.reshape(t, (t.size,))
+    if kind == "neg":
+        return x, ad.neg
+    if kind == "take":
+        idx = distinct(x.size)
+        return x, lambda t: ad.take(ad.reshape(t, (t.size,)), idx)
+    if kind == "take2d":
+        r, c = distinct(2 * rows), distinct(2 * cols)
+        return x, lambda t: ad.take2d(t, r, c)
+    if kind == "column":
+        return x, lambda t: ad.column(t, cols)
+    if kind == "slice_cols":
+        return x, lambda t: ad.slice_cols(t, 1, 2 * cols)
+    if kind == "axis_max_project":
+        axis = draw(st.sampled_from(("rows", "cols")))
+        return x, lambda t: ad.axis_max_project(t, axis)
+    if kind == "concat":
+        return x, lambda t: ad.concat([t, ad.neg(t)], axis=draw(st.integers(0, 1)))
+    return x, lambda t: ad.upsample_nearest_2x(t, rows, 2)
+
+
+@PROPERTY
+@given(movement_cases())
+def test_data_movement_kernels_keep_finite_tensors_finite(case):
+    # these kernels skip the finite scan; this is the invariant that allows it
+    x, kernel = case
+    assert np.isfinite(kernel(x).data).all()
+
+
+# ------------------------------------------------------------------ kernel VJPs
+
+
+def assert_vjp_matches_finite_differences(kernel, inputs, cotangent):
+    """Each input's taped gradient of <kernel(inputs), cotangent> against central
+    differences; every other input is held constant."""
+    for i, x in enumerate(inputs):
+        def loss_of(t, i=i):
+            args = [Tensor(a) for a in inputs]
+            args[i] = t
+            return ad.mean_all(kernel(*args) * Tensor(cotangent))
+
+        xt = Tensor(x, requires_grad=True)
+        analytic = grad(loss_of(xt), xt).data
+        numeric = finite_difference_gradient(loss_of, Tensor(x)).data
+        assert np.abs(analytic - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
+
+
+@st.composite
+def layernorm_cases(draw):
+    shape = (draw(st.integers(1, 5)), draw(st.integers(2, 6)))
+    return (draw(arrays(np.float64, shape, elements=small)),
+            draw(arrays(np.float64, shape, elements=small)))
+
+
+@PROPERTY
+@given(layernorm_cases())
+def test_layernorm_rows_vjp_matches_finite_differences(case):
+    x, cotangent = case
+    assert_vjp_matches_finite_differences(ad.layernorm_rows, [x], cotangent)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_topk_mean_vjp_matches_finite_differences(data):
+    shape = data.draw(st.sampled_from(((1,), (7,), (3, 4), (5, 5))))
+    # distinct entries one apart, so no winner changes within a step
+    x = data.draw(arrays(np.float64, shape, elements=spaced, unique=True))
+    k = data.draw(st.integers(1, x.size))
+    assert_vjp_matches_finite_differences(lambda t: ad.topk_mean(t, k), [x],
+                                          np.asarray(data.draw(small)))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_spatial_kernel_vjps_match_finite_differences(data):
+    h, w = 2 * data.draw(st.integers(1, 3)), 2 * data.draw(st.integers(1, 3))
+    d = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        kernel, x_shape, out_shape = (lambda t: ad.avg_pool_2x2(t, h, w),
+                                      (h * w, d), (h * w // 4, d))
+    else:
+        kernel, x_shape, out_shape = (lambda t: ad.upsample_nearest_2x(t, h // 2, w // 2),
+                                      (h * w // 4, d), (h * w, d))
+    x = data.draw(arrays(np.float64, x_shape, elements=small))
+    cotangent = data.draw(arrays(np.float64, out_shape, elements=small))
+    assert_vjp_matches_finite_differences(kernel, [x], cotangent)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_concat_vjp_matches_finite_differences(data):
+    axis = data.draw(st.integers(0, 1))
+    other = data.draw(st.integers(1, 4))
+    parts = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        shape = [other, other]
+        shape[axis] = data.draw(st.integers(1, 4))
+        parts.append(data.draw(arrays(np.float64, tuple(shape), elements=small)))
+    joined = np.concatenate(parts, axis=axis)
+    cotangent = data.draw(arrays(np.float64, joined.shape, elements=small))
+    assert_vjp_matches_finite_differences(lambda *ts: ad.concat(ts, axis=axis), parts,
+                                          cotangent)
+
+
+# operand shapes as the pipeline broadcasts them: a row mask, a column
+# weight, a channel bias, a scalar, and equal shapes
+BROADCASTS = (((4, 3), (4, 1)), ((4, 3), (3,)), ((4, 3), ()), ((1, 3), (4, 1)),
+              ((4, 3), (4, 3)))
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+@PROPERTY
+@given(data=st.data())
+def test_broadcasting_vjps_match_finite_differences(op, data):
+    a_shape, b_shape = data.draw(st.sampled_from(BROADCASTS))
+    if data.draw(st.booleans()):
+        a_shape, b_shape = b_shape, a_shape
+    a = data.draw(arrays(np.float64, a_shape, elements=small))
+    b = data.draw(arrays(np.float64, b_shape, elements=small))
+    cotangent = data.draw(arrays(np.float64, np.broadcast_shapes(a_shape, b_shape),
+                                 elements=small))
+    assert_vjp_matches_finite_differences(getattr(ad, op), [a, b], cotangent)
+
+
 # ------------------------------------------------------------------ container
 
 
