@@ -198,6 +198,19 @@ class AdaptiveStopper:
         return self.stale >= self.patience
 
 
+def _loss_gradient(z: np.ndarray, forward: Callable[[Tensor], AttnRecord],
+                   geometry: RegionGeometry,
+                   config: GuidanceConfig) -> tuple[np.ndarray, LossBreakdown]:
+    """Gradient of the constraint loss at z, and its breakdown.
+
+    The record, loss and tape die on return, so the next iteration's
+    forward never runs while this one's is still held.
+    """
+    traced = Tensor(z, requires_grad=True)
+    total, breakdown = composite_loss(forward(traced), geometry, config)
+    return grad(total, traced).data, breakdown
+
+
 def guided_update(
     z_t: np.ndarray,
     forward: Callable[[Tensor], AttnRecord],
@@ -221,15 +234,12 @@ def guided_update(
     best_z = z
     rows: list[TraceRow] = []
     for iteration in range(config.max_iters):
-        traced = Tensor(z, requires_grad=True)
         try:
-            record = forward(traced)
-            total, breakdown = composite_loss(record, geometry, config)
-            gradient = grad(total, traced)
+            gradient, breakdown = _loss_gradient(z, forward, geometry, config)
         except NumericError as exc:
             raise NumericError(
                 f"guidance diverged at t={t} iteration={iteration}: {exc}") from exc
-        z_next = z if phi == 0.0 else z - phi * gradient.data
+        z_next = z if phi == 0.0 else z - phi * gradient
         improved = stopper.observe(breakdown.total)
         rows.append(TraceRow(timestep=t, iteration=iteration,
                              l_ce=breakdown.l_ce, l_fill=breakdown.l_fill,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ctypes
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -300,6 +303,60 @@ def test_backward_invokes_each_node_exactly_once():
     g = grad(root, x)
     assert calls["n"] == 1
     assert np.allclose(g.data, 4.0 * x.data + 2.0 * x.data / x.size, atol=1e-15)
+
+
+def test_grad_wrt_non_leaf_with_two_consumers_keeps_its_cotangent():
+    x = Tensor(np.linspace(-1.0, 2.0, 6).reshape(2, 3), requires_grad=True)
+    w = Tensor(np.arange(12.0).reshape(3, 4) / 7.0)
+
+    def consumers(h: Tensor) -> Tensor:
+        # h feeds a softmax and a matmul, so its cotangent sums two parts
+        return ad.mean_all(softmax_rows(h) * h) + sum_of(matmul(h, w))
+
+    h = softmax_rows(x * x)
+    via_non_leaf = grad(consumers(h), h)
+    leaf = Tensor(h.data, requires_grad=True)
+    via_leaf = grad(consumers(leaf), leaf)
+    assert np.abs(via_non_leaf.data).max() > 0.0
+    assert via_non_leaf.data.tobytes() == via_leaf.data.tobytes()
+
+
+# ---------------------------------------------------------------- allocator
+
+
+class FakeMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_keep_freed_heap_sets_mmap_and_trim_thresholds(monkeypatch):
+    mallopt = FakeMallopt()
+    opened = []
+
+    def fake_cdll(name):
+        opened.append(name)
+        return SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+    ad._keep_freed_heap()
+    assert opened == [None]
+    # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 256 MiB
+    assert mallopt.calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def test_keep_freed_heap_is_quiet_without_glibc(monkeypatch):
+    def unloadable(name):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert ad._keep_freed_heap() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert ad._keep_freed_heap() is None
 
 
 # ---------------------------------------------------------------- FD oracle

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +380,24 @@ def test_guided_update_respects_patience():
     z = np.random.default_rng(3).standard_normal((N, 3))
     _, rows = guided_update(z, model, geo, cfg, 10, 10)
     assert len(rows) < 6
+
+
+def test_guided_update_releases_each_iteration_before_the_next():
+    geo = geometry_two_concepts()
+    model = MiniModel(seed=9)
+    cfg = GuidanceConfig(phi0=1.0, max_iters=4, patience=4)
+    previous: list[weakref.ref] = []
+
+    def forward(zt: Tensor) -> AttnRecord:
+        # the last iteration's record, loss and tape are gone by now
+        assert all(ref() is None for ref in previous)
+        record = model(zt)
+        previous.append(weakref.ref(record.layers[0].self_map.data))
+        return record
+
+    _, rows = guided_update(np.random.default_rng(3).standard_normal((N, 3)),
+                            forward, geo, cfg, 10, 10)
+    assert len(rows) == len(previous) == 4
 
 
 def test_inbox_mass_fraction_bounds():

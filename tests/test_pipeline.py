@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +297,22 @@ def test_sample_deterministic_artifacts(small_config, tmp_path):
     assert np.array_equal(r1.final.z, r2.final.z)
     for key in ("trace", "latent", "preview"):
         assert r1.outputs[key].read_bytes() == r2.outputs[key].read_bytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap is kept through glibc's mallopt")
+def test_repeated_guided_sample_reuses_the_heap(asset_dir, tmp_path):
+    config = RunConfig.from_json(asset_dir / "config.json")
+    config = dataclasses.replace(
+        config, steps=6, guidance=dataclasses.replace(config.guidance, max_iters=3))
+    faults = []
+    for run in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sample(dataclasses.replace(config, output_dir=tmp_path / str(run)))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    # without the kept heap every guidance iteration faults its attention
+    # arrays in afresh: well over 10,000 faults for the second run
+    assert faults[1] < 2000
 
 
 def test_sample_guidance_window_boundaries(small_config, tmp_path):

@@ -145,6 +145,32 @@ def test_batched_attention_kernels_equal_per_head_chain_bit_for_bit(case):
         assert np.abs(grads[1] - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
 
 
+def vjp_leaves_cotangent_alone(node: Tensor, cotangent: np.ndarray) -> None:
+    """The node's VJP neither writes into g nor depends on an earlier call."""
+    g = np.array(cotangent)
+    first = node._vjp(g)
+    assert g.tobytes() == cotangent.tobytes()
+    second = node._vjp(g)
+    assert g.tobytes() == cotangent.tobytes()
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(attention_cases(), st.booleans())
+def test_softmax_kernel_vjps_leave_their_cotangent_alone(case, masked):
+    q, k, _, n_heads, allowed, _, cot_map = case
+    probs = ad.attention_probs(Tensor(q, requires_grad=True),
+                               Tensor(k, requires_grad=True), n_heads, allowed)
+    vjp_leaves_cotangent_alone(probs, np.broadcast_to(cot_map, probs.shape))
+    logits = Tensor(probs.data[0], requires_grad=True)
+    if masked and allowed is not None:
+        y = ad.masked_softmax_rows(logits, allowed)
+    else:
+        y = ad.softmax_rows(logits)
+    vjp_leaves_cotangent_alone(y, cot_map)
+
+
 # ------------------------------------------------------------------ top-k
 
 tie_heavy = st.one_of(st.integers(-3, 3).map(float), st.sampled_from((0.0, -0.0)), finite)
