@@ -680,7 +680,7 @@ def grad(root: Tensor, wrt: Tensor) -> Tensor:
         if g is None or node._vjp is None:
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
-            if not parent.requires_grad or pg is None:
+            if not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg

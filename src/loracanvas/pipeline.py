@@ -267,7 +267,6 @@ def sample(config: RunConfig) -> SampleResult:
         else:
             z = initial_latent(config.seed, ctx.dims)
 
-        record = None
         for t in range(total, 0, -1):
             if guiding and in_guidance_window(t, total, guidance_cfg.guidance_fraction):
                 # mass is measured on the state entering the timestep, which
@@ -276,11 +275,11 @@ def sample(config: RunConfig) -> SampleResult:
                 masses: dict[str, float] = {}
                 mass_history.append((t, masses))
 
-                def forward(zt: Tensor, _t=t, _masses=masses):
-                    attn = encode(zt, _t, ctx)[1]
-                    if not _masses:
-                        _masses.update((cid, inbox_mass_fraction(attn, geometry, cid))
-                                       for cid in geometry.concept_ids)
+                def forward(zt: Tensor):
+                    attn = encode(zt, t, ctx)[1]
+                    if not masses:
+                        masses.update((cid, inbox_mass_fraction(attn, geometry, cid))
+                                      for cid in geometry.concept_ids)
                     return attn
 
                 z, rows = guided_update(z, forward, geometry, guidance_cfg, t, total)
@@ -297,7 +296,7 @@ def sample(config: RunConfig) -> SampleResult:
         "preview": write_pgm(out_dir / "preview.pgm", decode_preview(z)),
     }
     tensorio.write_container(outputs["latent"], {"latent": z})
-    if config.dump_attention and record is not None:
+    if config.dump_attention:
         dump: dict[str, np.ndarray] = {}
         for cid in geometry.concept_ids:
             dump[f"cross.{cid}"] = record.averaged_cross_map(cid)

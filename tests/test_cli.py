@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from loracanvas.cli import (
     make_toy_assets,
     make_toy_assets_main,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -136,3 +142,25 @@ def test_main_dispatch(asset_dir, capsys):
     assert main(["unknown"]) == 2
     assert main(["gradcheck", "--config", str(asset_dir / "gradcheck.json")]) == 0
     capsys.readouterr()
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports loracanvas from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_python_m_without_arguments_prints_usage():
+    done = run_fresh("-m", "loracanvas")
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: loracanvas {compose,make-toy-assets,gradcheck}")
+
+
+def test_importing_one_module_loads_only_its_dependencies():
+    done = run_fresh("-c", "import sys, loracanvas.tensorio; "
+                           "print(*sorted(m for m in sys.modules if m.startswith('loracanvas')))")
+    assert done.returncode == 0, done.stderr
+    # autodiff's import sets process-wide allocator options; reading a
+    # container must not pull it, or any other stage, in
+    assert done.stdout.split() == ["loracanvas", "loracanvas.errors", "loracanvas.tensorio"]

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import build_test_context, empty_layout_context
-from loracanvas.autodiff import Tensor
-from loracanvas.denoiser import denoiser_forward
+from loracanvas import reinit as reinit_module
+from loracanvas.autodiff import Tensor, grad
+from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.errors import ArgumentError, DegenerateLatentError
-from loracanvas.guidance import GuidanceConfig, inbox_mass_fraction
+from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fraction, step_size
 from loracanvas.reinit import (
     best_crop,
     initial_latent,
@@ -188,3 +189,26 @@ def test_reinitialize_does_not_reduce_inbox_mass():
         pre = inbox_mass_fraction(record_before, geometry, cid)
         post = inbox_mass_fraction(record_after, geometry, cid)
         assert post >= pre
+
+
+def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
+    """The latent re-init crops from is z0 - phi_T * grad L(z0), never z0 itself."""
+    ctx = build_test_context()
+    cfg = GuidanceConfig(phi0=2.0, max_iters=4)
+    total_steps = 10
+    seen: list[np.ndarray] = []
+
+    def recording_transplant(z, crops, boxes):
+        seen.append(np.array(z, copy=True))
+        return transplant(z, crops, boxes)
+
+    monkeypatch.setattr(reinit_module, "transplant", recording_transplant)
+    reinitialize(3, ctx, cfg, total_steps)
+
+    z0 = initial_latent(3, ctx.dims)
+    traced = Tensor(z0, requires_grad=True)
+    total, _ = composite_loss(encode(traced, total_steps, ctx)[1], ctx.loss_geometry, cfg)
+    expected = z0 - step_size(total_steps, total_steps, cfg.phi0) * grad(total, traced).data
+    assert not np.array_equal(expected, z0)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == expected.tobytes()
