@@ -200,12 +200,9 @@ class PixelTable:
     background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
 
 
-def _multihead(q: Tensor, k: Tensor, v: Tensor, n_heads: int, wo_t: Tensor,
-               allowed: np.ndarray | None) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention; returns hidden and heads-averaged map."""
-    probs = ad.attention_probs(q, k, n_heads, allowed)
-    hidden = ad.matmul(ad.apply_heads(probs, v), wo_t)
-    return hidden, ad.mean_heads(probs)
+def _heads_out(probs: Tensor, v: Tensor, wo_t: Tensor) -> Tensor:
+    """Attention output: each head's probs @ v, joined and projected by W_O."""
+    return ad.matmul(ad.apply_heads(probs, v), wo_t)
 
 
 def compose_hidden(h0: Tensor, hiddens_by_concept: dict[str, Tensor],
@@ -249,6 +246,17 @@ def _bundle_for(region: RegionSpec, bundles: dict[str, ConceptBundle]) -> Concep
     return bundle
 
 
+@dataclass(frozen=True)
+class CrossQueries:
+    """Region cross-attention run as far as its concept maps.
+
+    ``region_cross_output`` finishes it from here.
+    """
+
+    query: Tensor                 # (h*w, d) unmasked queries, for the global branch
+    probs: dict[str, Tensor]      # concept id -> (heads, h*w, tokens) branch attention
+
+
 def region_cross_attention(
     z_flat: Tensor,
     layout: LayoutCondition,
@@ -266,6 +274,25 @@ def region_cross_attention(
     ``kv`` holds every branch's keys and values (``cross_branch_kv``).
     Returns the composed hidden state and the recorded concept-token maps.
     """
+    queries, cross_maps = region_cross_maps(z_flat, layout, bundles, weights,
+                                            n_heads, geometry, kv)
+    return region_cross_output(queries, weights, n_heads, geometry, kv), cross_maps
+
+
+def region_cross_maps(
+    z_flat: Tensor,
+    layout: LayoutCondition,
+    bundles: dict[str, ConceptBundle],
+    weights: AttentionWeights,
+    n_heads: int,
+    geometry: RegionGeometry,
+    kv: tuple[KV, ...],
+) -> tuple[CrossQueries, dict[str, Tensor]]:
+    """The first half of ``region_cross_attention``: everything its maps read.
+
+    Projects the queries, runs each concept branch's attention and records
+    its concept-token map (heads averaged). No hidden state is computed.
+    """
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
         raise ShapeError(f"hidden rows {z_flat.shape[0]} != {h}x{w}")
@@ -274,20 +301,35 @@ def region_cross_attention(
             f"{len(layout.regions)} regions need {len(layout.regions) + 1} K/V pairs, "
             f"got {len(kv)}")
     q_full = ad.matmul(z_flat, weights.wq_t)
-    k0, v0 = kv[0]
-    h0, _ = _multihead(q_full, k0, v0, n_heads, weights.wo_t, allowed=None)
-
-    hiddens: dict[str, Tensor] = {}
+    probs: dict[str, Tensor] = {}
     cross_maps: dict[str, Tensor] = {}
-    for region, (kn, vn) in zip(layout.regions, kv[1:]):
+    for region, (kn, _) in zip(layout.regions, kv[1:]):
         cid = region.concept_id
         bundle = _bundle_for(region, bundles)
         qn = ad.mul(q_full, geometry.pixels.concepts[cid].query)
-        hiddens[cid], attn = _multihead(qn, kn, vn, n_heads, weights.wo_t, allowed=None)
-        concept_col = ad.column(attn, bundle.token_index)
+        probs[cid] = ad.attention_probs(qn, kn, n_heads)
+        concept_col = ad.column(ad.mean_heads(probs[cid]), bundle.token_index)
         cross_maps[cid] = ad.reshape(concept_col, (h, w))
+    return CrossQueries(query=q_full, probs=probs), cross_maps
 
-    return compose_hidden(h0, hiddens, geometry), cross_maps
+
+def region_cross_output(
+    queries: CrossQueries,
+    weights: AttentionWeights,
+    n_heads: int,
+    geometry: RegionGeometry,
+    kv: tuple[KV, ...],
+) -> Tensor:
+    """The second half of ``region_cross_attention``: its composed hidden state.
+
+    Runs the global branch, applies each concept branch's attention to its
+    values and merges the branches with ``compose_hidden``.
+    """
+    k0, v0 = kv[0]
+    h0 = _heads_out(ad.attention_probs(queries.query, k0, n_heads), v0, weights.wo_t)
+    hiddens = {cid: _heads_out(p, vn, weights.wo_t)
+               for (cid, p), (_, vn) in zip(queries.probs.items(), kv[1:])}
+    return compose_hidden(h0, hiddens, geometry)
 
 
 def masked_self_attention(
@@ -308,4 +350,5 @@ def masked_self_attention(
     q = ad.matmul(z_flat, weights.wq_t)
     k = ad.matmul(z_flat, weights.wk_t)
     v = ad.matmul(z_flat, weights.wv_t)
-    return _multihead(q, k, v, n_heads, weights.wo_t, geometry.allowed_self)
+    probs = ad.attention_probs(q, k, n_heads, geometry.allowed_self)
+    return _heads_out(probs, v, weights.wo_t), ad.mean_heads(probs)

@@ -4,10 +4,11 @@ Every kernel needed to differentiate the attention constraint losses with
 respect to a latent is implemented here: matrix products, row softmax
 (plain and key-masked), batched multi-head attention (probabilities, head
 outputs, head mean), top-k means, axis max-projections, row layer
-normalization, 2x2 average pooling, nearest-neighbour upsampling, gathers
-and concatenation. Each traced tensor doubles as its own tape node: it
-remembers the kernel that produced it (``op``), its ``parents`` and a
-vector-Jacobian closure. ``grad`` replays the tape once in reverse
+normalization, 2x2 average pooling, nearest-neighbour upsampling, gathers,
+concatenation, and the three constraint terms fused into one kernel each
+(top-k enhancement, box fill, region leakage). Each traced tensor doubles
+as its own tape node: it remembers the kernel that produced it (``op``),
+its ``parents`` and a vector-Jacobian closure. ``grad`` replays the tape once in reverse
 topological order. ``finite_difference_gradient`` is the independent
 oracle used to cross-check every backward rule.
 
@@ -431,16 +432,14 @@ def layernorm_rows(x: Tensor) -> Tensor:
 # -- selection kernels -------------------------------------------------------
 
 
-def topk_mean(x: Tensor, k: int) -> Tensor:
-    """Mean of the k largest elements; ties resolved by ascending index.
+def _top_k(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.float64]:
+    """Positions of the k largest entries of a 1-D array, and their mean.
 
-    The subgradient flows only to the selected elements.
+    Ties are resolved by ascending index. This is the one selection rule
+    behind ``topk_mean`` and the fused constraint kernels.
     """
-    x = _as_tensor(x)
-    k = int(k)
-    if k < 1 or k > x.size:
-        raise ArgumentError(f"k={k} outside [1, {x.size}]")
-    flat = x.data.reshape(-1)
+    if k < 1 or k > flat.size:
+        raise ArgumentError(f"k={k} outside [1, {flat.size}]")
     # the k-th largest value; everything above it wins, and its ties fill
     # the remaining places in index order
     kth = np.partition(flat, flat.size - k)[flat.size - k]
@@ -450,15 +449,24 @@ def topk_mean(x: Tensor, k: int) -> Tensor:
     # sum in descending value order, as a stable descending sort would; equal
     # values are interchangeable, and ±0.0 only sets the sign of a zero sum,
     # whatever their order. Contiguous, so the reduction runs in that order.
-    data = np.asarray(np.ascontiguousarray(np.sort(flat[idx])[::-1]).mean())
+    return idx, np.ascontiguousarray(np.sort(flat[idx])[::-1]).mean()
+
+
+def topk_mean(x: Tensor, k: int) -> Tensor:
+    """Mean of the k largest elements; ties resolved by ascending index.
+
+    The subgradient flows only to the selected elements.
+    """
+    x = _as_tensor(x)
+    k = int(k)
+    flat = x.data.reshape(-1)
+    idx, top = _top_k(flat, k)
     shape = x.shape
 
     def vjp(g):
-        out = np.zeros(flat.size)
-        out[idx] = float(g) / k
-        return (out.reshape(shape),)
+        return (_scatter(flat.size, idx, float(g) / k).reshape(shape),)
 
-    return _result(data, "topk_mean", (x,), vjp)
+    return _result(np.asarray(top), "topk_mean", (x,), vjp)
 
 
 def axis_max_project(x: Tensor, axis: str) -> Tensor:
@@ -565,13 +573,15 @@ def _select(x: Tensor, index, op: str) -> Tensor:
     each entry of ``x`` at most once.
     """
     shape = x.shape
+    return _result(x.data[index], op, (x,), lambda g: (_scatter(shape, index, g),),
+                   checked=False)
 
-    def vjp(g):
-        out = np.zeros(shape)
-        out[index] = g
-        return (out,)
 
-    return _result(x.data[index], op, (x,), vjp, checked=False)
+def _scatter(shape, index, values) -> np.ndarray:
+    """Zeros of ``shape`` with ``values`` assigned at ``index``."""
+    out = np.zeros(shape)
+    out[index] = values
+    return out
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -600,6 +610,126 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.size
     return _result(np.asarray(x.data.mean()), "mean_all", (x,),
                    lambda g: (np.full(shape, float(g) / n),))
+
+
+# -- fused constraint terms ---------------------------------------------------
+#
+# Each kernel is one concept's constraint term over its loss layers: it takes
+# one map per layer and returns the mean of the per-map terms as one node.
+# Values and gradients round exactly as the chain of small kernels that each
+# docstring names, followed by add and div_scalar for the layer mean.
+
+
+def _layer_maps(maps: Sequence[Tensor], op: str, ndim: int | None = None) -> tuple[Tensor, ...]:
+    maps = tuple(_as_tensor(m) for m in maps)
+    if not maps:
+        raise ArgumentError(f"{op} needs at least one map")
+    if ndim is not None and any(m.data.ndim != ndim for m in maps):
+        raise ShapeError(f"{op} expects {ndim}-D maps")
+    return maps
+
+
+def _layer_mean(terms: list) -> np.ndarray:
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return np.asarray(total / float(len(terms)))
+
+
+def _box_indices(rows, cols, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, np.ndarray]:
+    ri = _valid_indices(rows, shape[0], f"{op} row")
+    ci = _valid_indices(cols, shape[1], f"{op} column")
+    if ri.size == 0 or ci.size == 0:
+        raise ArgumentError(f"{op} needs non-empty index lists")
+    return ri, ci
+
+
+def topk_shortfall(maps: Sequence[Tensor], weight, k: int) -> Tensor:
+    """Mean over maps of ``1 - topk_mean(map * weight, k)``.
+
+    Attend-and-Excite's top-k enhancement term (chain: mul, topk_mean, sub).
+    ``weight`` is a constant; no gradient flows to it.
+    """
+    maps = _layer_maps(maps, "topk_shortfall")
+    weight = _as_tensor(weight)
+    if weight.requires_grad:
+        raise ArgumentError("topk_shortfall needs a constant weight")
+    w = weight.data
+    k = int(k)
+    picks, terms = [], []
+    for m in maps:
+        try:
+            product = m.data * w
+        except ValueError as exc:
+            raise ShapeError(f"topk_shortfall: {m.shape} vs {w.shape}") from exc
+        _check_finite(product, "topk_shortfall")
+        idx, top = _top_k(product.reshape(-1), k)
+        picks.append((idx, product.shape))
+        terms.append(1.0 - top)
+    n = float(len(maps))
+
+    def vjp(g):
+        share = -(float(g) / n) / k
+        return tuple(
+            _unbroadcast(_scatter(math.prod(shape), idx, share).reshape(shape) * w, m.shape)
+            for m, (idx, shape) in zip(maps, picks))
+
+    return _result(_layer_mean(terms), "topk_shortfall", maps, vjp)
+
+
+def box_fill(maps: Sequence[Tensor], rows, cols) -> Tensor:
+    """Mean over maps of ``mean(1 - [column maxima at cols, row maxima at rows])``.
+
+    BoxDiff's box-axis max-projection fill term (chain: axis_max_project,
+    take, concat, sub, mean_all). Each maximum's gradient routes to its
+    first argmax. Each map is listed twice in ``parents``: the VJP hands
+    back its column-max and row-max scatters as separate cotangents, so
+    ``grad`` adds them to the map's other cotangents in the chain's order.
+    Summing the two here would reassociate that sum.
+    """
+    maps = _layer_maps(maps, "box_fill", 2)
+    picks, terms = [], []
+    for m in maps:
+        ri, ci = _box_indices(rows, cols, m.shape, "box_fill")
+        at_cols = (m.data.argmax(axis=0)[ci], ci)
+        at_rows = (ri, m.data.argmax(axis=1)[ri])
+        projected = np.concatenate([m.data[at_cols], m.data[at_rows]])
+        terms.append((1.0 - projected).mean())
+        picks.append((at_cols, at_rows, projected.size))
+    n = float(len(maps))
+
+    def vjp(g):
+        out = []
+        for m, (at_cols, at_rows, size) in zip(maps, picks):
+            share = -(float(g) / n / size)
+            out += [_scatter(m.shape, at_cols, share), _scatter(m.shape, at_rows, share)]
+        return tuple(out)
+
+    parents = tuple(m for m in maps for _ in range(2))
+    return _result(_layer_mean(terms), "box_fill", parents, vjp)
+
+
+def submatrix_topk_mean(maps: Sequence[Tensor], rows, cols, k: int) -> Tensor:
+    """Mean over maps of ``topk_mean(map[rows][:, cols], k)``.
+
+    The isolation term's leakage (chain: take2d, topk_mean). The VJP writes
+    the k selected entries straight into each map's shape.
+    """
+    maps = _layer_maps(maps, "submatrix_topk_mean", 2)
+    k = int(k)
+    picks, terms = [], []
+    for m in maps:
+        ri, ci = _box_indices(rows, cols, m.shape, "submatrix_topk_mean")
+        idx, top = _top_k(m.data[np.ix_(ri, ci)].reshape(-1), k)
+        picks.append((ri[idx // ci.size], ci[idx % ci.size]))
+        terms.append(top)
+    n = float(len(maps))
+
+    def vjp(g):
+        share = float(g) / n / k
+        return tuple(_scatter(m.shape, at, share) for m, at in zip(maps, picks))
+
+    return _result(_layer_mean(terms), "submatrix_topk_mean", maps, vjp)
 
 
 # -- spatial kernels ----------------------------------------------------------
@@ -693,8 +823,8 @@ def grad(root: Tensor, wrt: Tensor) -> Tensor:
 def finite_difference_gradient(f: Callable[[Tensor], object], x: Tensor,
                                eps: float = 1e-6) -> Tensor:
     """Central-difference gradient estimate, one coordinate at a time."""
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ArgumentError(f"eps must be finite and positive, got {eps!r}")
     x = _as_tensor(x)
     base = x.data.copy()
     flat = base.reshape(-1)

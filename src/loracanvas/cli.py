@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -140,6 +141,8 @@ def gradcheck_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--eps", type=float, default=1e-6)
     parser.add_argument("--threshold", type=float, default=1e-5)
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        parser.error(f"--threshold must be finite and positive, got {args.threshold}")
     try:
         config = RunConfig.from_json(args.config)
         error = run_gradcheck(config, eps=args.eps)

@@ -7,12 +7,13 @@ features really do bleed across region borders on the coarse grid), a
 nearest-neighbour upsample with skip connection and a per-pixel linear
 head predicting the noise.
 
-The forward comes in two halves. ``encode`` runs the lift and the two
-full-resolution blocks, whose attention maps are all the constraint losses
-and the re-init crop search read; ``decode`` runs the pooled block, the
-upsample and the head. The guidance loop, re-init and the gradient check
-call ``encode`` alone, since they drop the noise prediction. Only the DDIM
-step, which needs the noise, runs the full ``denoiser_forward``.
+The forward comes in two halves. ``encode`` runs the lift, block 0 and
+block 1 as far as its attention maps, which are all the constraint losses
+and the re-init crop search read; ``decode`` finishes block 1's
+cross-attention, then runs the pooled block, the upsample and the head.
+The guidance loop, re-init and the gradient check call ``encode`` alone,
+since they drop the noise prediction. Only the DDIM step, which needs the
+noise, runs the full ``denoiser_forward``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ from .assets import BaseWeights, ConceptBundle, ModelDims
 from .attention import (
     KV,
     AttnRecord,
+    CrossQueries,
     LayerRecord,
     LayoutCondition,
     RegionGeometry,
     cross_branch_kv,
     masked_self_attention,
     region_cross_attention,
+    region_cross_maps,
+    region_cross_output,
 )
 from .autodiff import Tensor
 from .errors import ConfigurationError, EmptyMaskError
@@ -109,27 +113,42 @@ def sinusoidal_embedding(t: int, width: int) -> np.ndarray:
     return emb
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """``encode``'s output: block 1 stopped once its attention maps exist."""
+
+    residual: Tensor        # (h*w, d_model) stream after block 1's self-attention
+    cross: CrossQueries     # block 1's cross-attention, up to its maps
+
+
+def _self_attention(x: Tensor, ctx: DenoiserContext, block_index: int,
+                    geometry: RegionGeometry) -> tuple[Tensor, Tensor]:
+    """A block's residual masked self-attention; returns the stream and its map."""
+    block = ctx.weights.blocks[block_index]
+    sa_out, self_map = masked_self_attention(
+        ad.layernorm_rows(x), block.self_attn, ctx.dims.n_heads, geometry)
+    return x + sa_out, self_map
+
+
 def _composer_block(x: Tensor, ctx: DenoiserContext, block_index: int,
                     geometry: RegionGeometry) -> tuple[Tensor, LayerRecord]:
     """Pre-norm residual block: masked self-attention then region cross."""
-    block = ctx.weights.blocks[block_index]
-    heads = ctx.dims.n_heads
-    sa_out, self_map = masked_self_attention(
-        ad.layernorm_rows(x), block.self_attn, heads, geometry)
-    x = x + sa_out
+    x, self_map = _self_attention(x, ctx, block_index, geometry)
     ca_out, cross_maps = region_cross_attention(
-        ad.layernorm_rows(x), ctx.layout, ctx.bundles, block.cross_attn,
-        heads, geometry, ctx.cross_kv[block_index])
-    x = x + ca_out
+        ad.layernorm_rows(x), ctx.layout, ctx.bundles,
+        ctx.weights.blocks[block_index].cross_attn, ctx.dims.n_heads, geometry,
+        ctx.cross_kv[block_index])
     record = LayerRecord(resolution=(geometry.height, geometry.width),
                          cross_maps=cross_maps, self_map=self_map)
-    return x, record
+    return x + ca_out, record
 
 
-def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]:
-    """Lift latent z at timestep t and run the two full-resolution blocks.
+def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Encoded, AttnRecord]:
+    """Lift latent z at timestep t and run the full-resolution blocks' maps.
 
-    Returns the (h*w, d_model) hidden state and the record of both blocks.
+    Block 0 runs whole; block 1 stops once its maps are recorded, since the
+    losses read nothing after them. Returns that pending state and the
+    record of both blocks.
     """
     dims = ctx.dims
     if z.shape != (dims.channels, dims.height, dims.width):
@@ -143,21 +162,27 @@ def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]
     x = ad.matmul(z_flat, ctx.weights.w_in_t)
     x = x + Tensor(sinusoidal_embedding(t, dims.d_model))
 
-    record = AttnRecord()
-    for block_index in (0, 1):
-        x, layer = _composer_block(x, ctx, block_index, full)
-        record.layers.append(layer)
-    return x, record
+    x, layer0 = _composer_block(x, ctx, 0, full)
+    x, self_map = _self_attention(x, ctx, 1, full)
+    cross, cross_maps = region_cross_maps(
+        ad.layernorm_rows(x), ctx.layout, ctx.bundles, ctx.weights.blocks[1].cross_attn,
+        dims.n_heads, full, ctx.cross_kv[1])
+    layer1 = LayerRecord(resolution=(h, w), cross_maps=cross_maps, self_map=self_map)
+    return Encoded(residual=x, cross=cross), AttnRecord(layers=[layer0, layer1])
 
 
-def decode(x: Tensor, record: AttnRecord,
+def decode(state: Encoded, record: AttnRecord,
            ctx: DenoiserContext) -> tuple[Tensor, AttnRecord]:
-    """Pooled block, upsample with skip and head on ``encode``'s output.
+    """Finish block 1, then the pooled block, upsample with skip and head.
 
     Appends the pooled block's layer to the record and returns the noise.
     """
     dims = ctx.dims
     h, w = dims.height, dims.width
+    x = state.residual + region_cross_output(
+        state.cross, ctx.weights.blocks[1].cross_attn, dims.n_heads,
+        ctx.geometries[(h, w)], ctx.cross_kv[1])
+
     down = ad.avg_pool_2x2(x, h, w)
     down, layer2 = _composer_block(down, ctx, 2, ctx.geometries[(h // 2, w // 2)])
     record.layers.append(layer2)

@@ -90,47 +90,31 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
                               s_ratio: float) -> dict[str, Tensor]:
     """Per-concept enhancement terms, averaged over contributing layers."""
     _check_resolution(record, geometry)
-    out: dict[str, Tensor] = {}
-    for cid, box in geometry.pixels.concepts.items():
-        top_s = math.ceil(s_ratio * box.inside.size)
-        layer_terms = [
-            1.0 - ad.topk_mean(ad.mul(layer.cross_maps[cid], box.weight), top_s)
-            for layer in record.loss_layers()
-        ]
-        out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
-    return out
+    layers = record.loss_layers()
+    return {cid: ad.topk_shortfall([layer.cross_maps[cid] for layer in layers], box.weight,
+                                   math.ceil(s_ratio * box.inside.size))
+            for cid, box in geometry.pixels.concepts.items()}
 
 
 def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> dict[str, Tensor]:
     """Per-concept axis-projection fill terms, averaged over layers."""
     _check_resolution(record, geometry)
-    out: dict[str, Tensor] = {}
-    for cid, box in geometry.pixels.concepts.items():
-        layer_terms = []
-        for layer in record.loss_layers():
-            amap = layer.cross_maps[cid]
-            over_rows = ad.take(ad.axis_max_project(amap, "rows"), box.cols)
-            over_cols = ad.take(ad.axis_max_project(amap, "cols"), box.rows)
-            restricted = ad.concat([over_rows, over_cols])
-            layer_terms.append(ad.mean_all(1.0 - restricted))
-        out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
-    return out
+    layers = record.loss_layers()
+    return {cid: ad.box_fill([layer.cross_maps[cid] for layer in layers], box.rows, box.cols)
+            for cid, box in geometry.pixels.concepts.items()}
 
 
 def region_terms(record: AttnRecord, geometry: RegionGeometry,
                  p_ratio: float) -> dict[str, Tensor]:
     """Per-concept foreground-to-complement leakage terms."""
     _check_resolution(record, geometry)
+    self_maps = [layer.self_map for layer in record.loss_layers()]
     out: dict[str, Tensor] = {}
     for cid, box in geometry.pixels.concepts.items():
         if box.outside.size == 0:
             raise ArgumentError(f"concept {cid!r} covers the whole map")
-        layer_terms = []
-        for layer in record.loss_layers():
-            sub = ad.take2d(layer.self_map, box.inside, box.outside)
-            top_p = math.ceil(p_ratio * sub.size)
-            layer_terms.append(ad.topk_mean(sub, top_p))
-        out[cid] = _sum_terms(layer_terms) / float(len(layer_terms))
+        top_p = math.ceil(p_ratio * (box.inside.size * box.outside.size))
+        out[cid] = ad.submatrix_topk_mean(self_maps, box.inside, box.outside, top_p)
     return out
 
 

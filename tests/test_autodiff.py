@@ -374,6 +374,12 @@ def test_fd_linear_is_near_exact():
     assert np.max(np.abs(g.data - c)) < 1e-9
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_fd_rejects_a_non_finite_eps_by_name(eps):
+    with pytest.raises(ArgumentError, match="eps"):
+        finite_difference_gradient(lambda t: sum_of(t), Tensor([1.0]), eps=eps)
+
+
 def test_fd_rejects_nonpositive_eps():
     with pytest.raises(ArgumentError):
         finite_difference_gradient(lambda t: sum_of(t), Tensor([1.0]), eps=0.0)

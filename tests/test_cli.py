@@ -137,6 +137,27 @@ def test_gradcheck_main_fails_on_tight_threshold(asset_dir, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_gradcheck_main_rejects_a_non_finite_eps(asset_dir, capsys, eps):
+    rc = gradcheck_main(["--config", str(asset_dir / "gradcheck.json"), f"--eps={eps}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must be finite and positive")
+    assert "tensor literal" not in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1e-5"])
+def test_gradcheck_main_rejects_a_threshold_that_is_not_finite_and_positive(
+        asset_dir, capsys, threshold):
+    with pytest.raises(SystemExit) as exc:
+        gradcheck_main(["--config", str(asset_dir / "gradcheck.json"),
+                        f"--threshold={threshold}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradcheck")
+    assert "--threshold must be finite and positive" in err
+
+
 def test_main_dispatch(asset_dir, capsys):
     assert main([]) == 2
     assert main(["unknown"]) == 2

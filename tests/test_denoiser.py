@@ -21,8 +21,9 @@ from loracanvas.guidance import GuidanceConfig, composite_loss
 
 # traced nodes of one forward plus composite_loss on the conftest stack,
 # counted from the loss root as perfbench counts them (latent leaf included);
-# splitting attention back into per-head kernels (204 nodes) fails this
-FORWARD_PLUS_LOSS_NODES = 127
+# splitting attention back into per-head kernels (204 nodes) or the constraint
+# terms back into chains of small kernels (127 nodes) fails this
+FORWARD_PLUS_LOSS_NODES = 73
 
 
 def test_sinusoidal_embedding_shape_and_determinism():
@@ -52,8 +53,10 @@ def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
     ctx = build_test_context()
     z = np.random.default_rng(2).standard_normal((4, 8, 8))
     _, full = denoiser_forward(Tensor(z), 5, ctx)
-    hidden, record = encode(Tensor(z), 5, ctx)
-    assert hidden.shape == (64, ctx.dims.d_model)
+    state, record = encode(Tensor(z), 5, ctx)
+    assert state.residual.shape == (64, ctx.dims.d_model)
+    assert state.cross.query.shape == (64, ctx.dims.d_model)
+    assert list(state.cross.probs) == ["concept_a", "concept_b"]
     assert len(record.layers) == 2
     for mine, theirs in zip(record.layers, full.layers[:2]):
         assert mine.resolution == theirs.resolution
@@ -61,6 +64,25 @@ def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
         assert mine.cross_maps.keys() == theirs.cross_maps.keys()
         for cid, amap in mine.cross_maps.items():
             assert amap.data.tobytes() == theirs.cross_maps[cid].data.tobytes()
+
+
+def test_encode_stops_block_one_at_its_maps(monkeypatch):
+    # per block: one self-attention head output plus the global and two concept
+    # branches; encode stops block 1 after self-attention, and only attention
+    # maps that are recorded take a head mean (the global branch records none)
+    ctx = build_test_context()
+    z = Tensor(np.random.default_rng(4).standard_normal((4, 8, 8)))
+    calls = {"apply_heads": 0, "mean_heads": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(ad, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ad, name, counted)
+    encode(z, 5, ctx)
+    assert calls == {"apply_heads": 5, "mean_heads": 6}
+    calls.update(apply_heads=0, mean_heads=0)
+    denoiser_forward(z, 5, ctx)
+    assert calls == {"apply_heads": 12, "mean_heads": 9}
 
 
 def test_denoiser_zero_output_head_gives_zero_noise():
