@@ -157,7 +157,10 @@ def load_bundle(path: str | Path) -> ConceptBundle:
     token_index = float(raw_index[0])
     if token_index != int(token_index):
         raise ValidationError(f"{path}: token_index {token_index} is not integral")
-    scale = float(tensors["scale"].reshape(-1)[0])
+    raw_scale = tensors["scale"].reshape(-1)
+    if raw_scale.size != 1:
+        raise ValidationError(f"{path}: scale must hold one element")
+    scale = float(raw_scale[0])
     deltas = {
         name: LoraDelta(down=tensors[f"{name}.down"], up=tensors[f"{name}.up"],
                         scale=scale)

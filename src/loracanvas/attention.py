@@ -23,7 +23,6 @@ from .autodiff import Tensor
 from .errors import ArgumentError, ConfigurationError, EmptyMaskError, ShapeError
 
 Box = tuple[float, float, float, float]
-KV = tuple[Tensor, Tensor]  # one attention branch's keys and values
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ class RegionGeometry:
     concept_ids: tuple[str, ...]
     masks: dict[str, np.ndarray]       # (h, w) binary
     gaussians: dict[str, np.ndarray]   # (h, w), in-box max 1
-    allowed_self: np.ndarray | None    # (h*w, h*w) bool; None without regions
 
     @classmethod
     def build(cls, layout: LayoutCondition, height: int, width: int) -> "RegionGeometry":
@@ -145,18 +143,22 @@ class RegionGeometry:
                 raise EmptyMaskError(f"region {i} (concept {r.concept_id!r}): {exc}") from exc
         # every in-box weight is at least exp(-1), so the support is the mask
         masks = {cid: (g > 0).astype(np.float64) for cid, g in gaussians.items()}
-        allowed = None
-        if masks:
-            stack = np.stack([m.reshape(-1) for m in masks.values()]) > 0
-            foreground = stack.any(axis=0)
-            shared = (stack.T.astype(np.float64) @ stack.astype(np.float64)) > 0
-            blocked = foreground[:, None] & foreground[None, :] & ~shared
-            allowed = ~blocked
         return cls(height=height, width=width, concept_ids=layout.concept_ids,
-                   masks=masks, gaussians=gaussians, allowed_self=allowed)
+                   masks=masks, gaussians=gaussians)
 
     def flat_mask(self, concept_id: str) -> np.ndarray:
         return self.masks[concept_id].reshape(-1)
+
+    @cached_property
+    def allowed_self(self) -> np.ndarray | None:
+        """(h*w, h*w) bool: the self-attention pairs not blocked by concept
+        isolation, computed on first use; None without regions."""
+        if not self.masks:
+            return None
+        stack = np.stack([m.reshape(-1) for m in self.masks.values()]) > 0
+        foreground = stack.any(axis=0)
+        shared = (stack.T.astype(np.float64) @ stack.astype(np.float64)) > 0
+        return ~(foreground[:, None] & foreground[None, :] & ~shared)
 
     @cached_property
     def pixels(self) -> PixelTable:
@@ -221,29 +223,46 @@ def compose_hidden(h0: Tensor, hiddens_by_concept: dict[str, Tensor],
     return out
 
 
-def cross_branch_kv(layout: LayoutCondition, bundles: dict[str, ConceptBundle],
-                    weights: AttentionWeights) -> tuple[KV, ...]:
-    """Keys and values of every cross-attention branch, global branch first.
+@dataclass(frozen=True)
+class ConceptBranch:
+    """One concept's cross-attention branch, as ``cross_branches`` builds it."""
 
-    Entry 0 projects the global prompt through the base weights; entry n
-    projects region n-1's prompt through the base weights merged with the
-    concept's deltas. They depend on no latent, so a run computes them once.
+    concept_id: str
+    token_index: int    # the concept token, whose map the branch records
+    k: Tensor           # (tokens, d) prompt keys through the concept-merged W_K
+    v: Tensor           # (tokens, d) prompt values through the concept-merged W_V
+
+
+@dataclass(frozen=True)
+class CrossBranches:
+    """Every cross-attention branch of one block, as ``cross_branches`` builds it."""
+
+    k: Tensor                             # global prompt keys, base weights
+    v: Tensor                             # global prompt values, base weights
+    concepts: tuple[ConceptBranch, ...]   # one per region, in layout order
+
+
+def cross_branches(layout: LayoutCondition, bundles: dict[str, ConceptBundle],
+                   weights: AttentionWeights) -> CrossBranches:
+    """One block's cross-attention branches, built from the layout and bundles.
+
+    The global branch projects the global prompt through the base weights,
+    each region's branch its concept's prompt through the base weights merged
+    with the concept's deltas. They depend on no latent: a run builds them once.
     """
     prompt = Tensor(layout.global_prompt_embed)
-    kv = [(apply_projection(prompt, weights.wk), apply_projection(prompt, weights.wv))]
+    k0, v0 = apply_projection(prompt, weights.wk), apply_projection(prompt, weights.wv)
+    concepts = []
     for region in layout.regions:
-        bundle = _bundle_for(region, bundles)
+        bundle = bundles.get(region.concept_id)
+        if bundle is None:
+            raise ConfigurationError(f"no bundle for concept {region.concept_id!r}")
         prompt = Tensor(bundle.prompt_embed)
-        kv.append((apply_projection(prompt, weights.wk, bundle.deltas.get("cross.W_K")),
-                   apply_projection(prompt, weights.wv, bundle.deltas.get("cross.W_V"))))
-    return tuple(kv)
-
-
-def _bundle_for(region: RegionSpec, bundles: dict[str, ConceptBundle]) -> ConceptBundle:
-    bundle = bundles.get(region.concept_id)
-    if bundle is None:
-        raise ConfigurationError(f"no bundle for concept {region.concept_id!r}")
-    return bundle
+        concepts.append(ConceptBranch(
+            concept_id=region.concept_id, token_index=bundle.token_index,
+            k=apply_projection(prompt, weights.wk, bundle.deltas.get("cross.W_K")),
+            v=apply_projection(prompt, weights.wv, bundle.deltas.get("cross.W_V"))))
+    return CrossBranches(k=k0, v=v0, concepts=tuple(concepts))
 
 
 @dataclass(frozen=True)
@@ -259,34 +278,26 @@ class CrossQueries:
 
 def region_cross_attention(
     z_flat: Tensor,
-    layout: LayoutCondition,
-    bundles: dict[str, ConceptBundle],
     weights: AttentionWeights,
     n_heads: int,
     geometry: RegionGeometry,
-    kv: tuple[KV, ...],
+    branches: CrossBranches,
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Cross-attention with one LoRA-injected branch per concept region.
 
-    The n=0 branch attends the global prompt with base weights and an
-    all-ones mask; branch n masks its queries with the concept's region
-    and attends keys/values projected through the concept's deltas.
-    ``kv`` holds every branch's keys and values (``cross_branch_kv``).
-    Returns the composed hidden state and the recorded concept-token maps.
+    Each concept branch masks its queries with its region and attends its own
+    keys and values; returns the composed hidden state and the concept maps.
     """
-    queries, cross_maps = region_cross_maps(z_flat, layout, bundles, weights,
-                                            n_heads, geometry, kv)
-    return region_cross_output(queries, weights, n_heads, geometry, kv), cross_maps
+    queries, cross_maps = region_cross_maps(z_flat, weights, n_heads, geometry, branches)
+    return region_cross_output(queries, weights, n_heads, geometry, branches), cross_maps
 
 
 def region_cross_maps(
     z_flat: Tensor,
-    layout: LayoutCondition,
-    bundles: dict[str, ConceptBundle],
     weights: AttentionWeights,
     n_heads: int,
     geometry: RegionGeometry,
-    kv: tuple[KV, ...],
+    branches: CrossBranches,
 ) -> tuple[CrossQueries, dict[str, Tensor]]:
     """The first half of ``region_cross_attention``: everything its maps read.
 
@@ -296,19 +307,14 @@ def region_cross_maps(
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
         raise ShapeError(f"hidden rows {z_flat.shape[0]} != {h}x{w}")
-    if len(kv) != len(layout.regions) + 1:
-        raise ArgumentError(
-            f"{len(layout.regions)} regions need {len(layout.regions) + 1} K/V pairs, "
-            f"got {len(kv)}")
     q_full = ad.matmul(z_flat, weights.wq_t)
     probs: dict[str, Tensor] = {}
     cross_maps: dict[str, Tensor] = {}
-    for region, (kn, _) in zip(layout.regions, kv[1:]):
-        cid = region.concept_id
-        bundle = _bundle_for(region, bundles)
+    for branch in branches.concepts:
+        cid = branch.concept_id
         qn = ad.mul(q_full, geometry.pixels.concepts[cid].query)
-        probs[cid] = ad.attention_probs(qn, kn, n_heads)
-        concept_col = ad.column(ad.mean_heads(probs[cid]), bundle.token_index)
+        probs[cid] = ad.attention_probs(qn, branch.k, n_heads)
+        concept_col = ad.column(ad.mean_heads(probs[cid]), branch.token_index)
         cross_maps[cid] = ad.reshape(concept_col, (h, w))
     return CrossQueries(query=q_full, probs=probs), cross_maps
 
@@ -318,17 +324,17 @@ def region_cross_output(
     weights: AttentionWeights,
     n_heads: int,
     geometry: RegionGeometry,
-    kv: tuple[KV, ...],
+    branches: CrossBranches,
 ) -> Tensor:
     """The second half of ``region_cross_attention``: its composed hidden state.
 
     Runs the global branch, applies each concept branch's attention to its
     values and merges the branches with ``compose_hidden``.
     """
-    k0, v0 = kv[0]
-    h0 = _heads_out(ad.attention_probs(queries.query, k0, n_heads), v0, weights.wo_t)
-    hiddens = {cid: _heads_out(p, vn, weights.wo_t)
-               for (cid, p), (_, vn) in zip(queries.probs.items(), kv[1:])}
+    h0 = _heads_out(ad.attention_probs(queries.query, branches.k, n_heads), branches.v,
+                    weights.wo_t)
+    hiddens = {b.concept_id: _heads_out(queries.probs[b.concept_id], b.v, weights.wo_t)
+               for b in branches.concepts}
     return compose_hidden(h0, hiddens, geometry)
 
 

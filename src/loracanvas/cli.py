@@ -74,6 +74,14 @@ def make_toy_assets(out_dir: str | Path, seed: int = 42) -> dict[str, Path]:
     return paths
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a non-negative integer seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def run_gradcheck(config: RunConfig, eps: float = 1e-6) -> float:
     """Max relative error between taped and finite-difference gradients."""
     ctx, schedule = prepare(config)
@@ -96,7 +104,7 @@ def compose_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="compose", description="Run the guided multi-concept sampler.")
     parser.add_argument("--config", required=True, help="run configuration JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override the seed")
+    parser.add_argument("--seed", type=_seed, default=None, help="override the seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
     try:
@@ -124,7 +132,7 @@ def make_toy_assets_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="make-toy-assets",
         description="Generate deterministic bundles and run configs.")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_seed, default=42)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     paths = make_toy_assets(args.out, seed=args.seed)

@@ -26,13 +26,13 @@ import numpy as np
 from . import autodiff as ad
 from .assets import BaseWeights, ConceptBundle, ModelDims
 from .attention import (
-    KV,
     AttnRecord,
+    CrossBranches,
     CrossQueries,
     LayerRecord,
     LayoutCondition,
     RegionGeometry,
-    cross_branch_kv,
+    cross_branches,
     masked_self_attention,
     region_cross_attention,
     region_cross_maps,
@@ -61,14 +61,11 @@ class DenoiserContext:
         return self.geometries[(d.height, d.width)]
 
     @cached_property
-    def cross_kv(self) -> tuple[tuple[KV, ...], ...]:
-        """Per block, the keys and values of every cross-attention branch.
-
-        Computed on first use, so ``build_context`` stays cheap, and kept by
-        this instance: a context made with ``dataclasses.replace`` computes
-        its own.
-        """
-        return tuple(cross_branch_kv(self.layout, self.bundles, block.cross_attn)
+    def cross_branches(self) -> tuple[CrossBranches, ...]:
+        """Per block, its cross-attention branches: built on first use, so
+        ``build_context`` stays cheap, and kept by this instance (a context
+        made with ``dataclasses.replace`` builds its own)."""
+        return tuple(cross_branches(self.layout, self.bundles, block.cross_attn)
                      for block in self.weights.blocks)
 
 
@@ -135,9 +132,8 @@ def _composer_block(x: Tensor, ctx: DenoiserContext, block_index: int,
     """Pre-norm residual block: masked self-attention then region cross."""
     x, self_map = _self_attention(x, ctx, block_index, geometry)
     ca_out, cross_maps = region_cross_attention(
-        ad.layernorm_rows(x), ctx.layout, ctx.bundles,
-        ctx.weights.blocks[block_index].cross_attn, ctx.dims.n_heads, geometry,
-        ctx.cross_kv[block_index])
+        ad.layernorm_rows(x), ctx.weights.blocks[block_index].cross_attn,
+        ctx.dims.n_heads, geometry, ctx.cross_branches[block_index])
     record = LayerRecord(resolution=(geometry.height, geometry.width),
                          cross_maps=cross_maps, self_map=self_map)
     return x + ca_out, record
@@ -165,8 +161,8 @@ def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Encoded, AttnRecord
     x, layer0 = _composer_block(x, ctx, 0, full)
     x, self_map = _self_attention(x, ctx, 1, full)
     cross, cross_maps = region_cross_maps(
-        ad.layernorm_rows(x), ctx.layout, ctx.bundles, ctx.weights.blocks[1].cross_attn,
-        dims.n_heads, full, ctx.cross_kv[1])
+        ad.layernorm_rows(x), ctx.weights.blocks[1].cross_attn, dims.n_heads, full,
+        ctx.cross_branches[1])
     layer1 = LayerRecord(resolution=(h, w), cross_maps=cross_maps, self_map=self_map)
     return Encoded(residual=x, cross=cross), AttnRecord(layers=[layer0, layer1])
 
@@ -181,7 +177,7 @@ def decode(state: Encoded, record: AttnRecord,
     h, w = dims.height, dims.width
     x = state.residual + region_cross_output(
         state.cross, ctx.weights.blocks[1].cross_attn, dims.n_heads,
-        ctx.geometries[(h, w)], ctx.cross_kv[1])
+        ctx.geometries[(h, w)], ctx.cross_branches[1])
 
     down = ad.avg_pool_2x2(x, h, w)
     down, layer2 = _composer_block(down, ctx, 2, ctx.geometries[(h // 2, w // 2)])

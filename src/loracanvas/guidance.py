@@ -42,6 +42,8 @@ class GuidanceConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ArgumentError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ArgumentError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ArgumentError("loss weights must be non-negative")
         if not (0.0 < self.s_ratio <= 1.0 and 0.0 < self.p_ratio <= 1.0):

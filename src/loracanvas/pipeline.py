@@ -148,9 +148,10 @@ class RunConfig:
             candidate = Path(p)
             return candidate if candidate.is_absolute() else base / candidate
 
+        raw = _json_typed("run config", raw, dict)
         try:
-            latent = raw.get("latent", {})
-            model = raw.get("model", {})
+            latent = _json_typed("latent", raw.get("latent", {}), dict)
+            model = _json_typed("model", raw.get("model", {}), dict)
             regions = tuple(
                 (tuple(_json_number(f"region {i} box", v) for v in entry["box"]),
                  resolve(entry["bundle"]))
@@ -164,7 +165,8 @@ class RunConfig:
                 width=_json_typed("width", latent.get("width", 16), int),
                 d_model=_json_typed("d_model", model.get("d_model", 16), int),
                 n_heads=_json_typed("heads", model.get("heads", 2), int),
-                guidance=GuidanceConfig(**raw.get("guidance", {})),
+                guidance=GuidanceConfig(
+                    **_json_typed("guidance", raw.get("guidance", {}), dict)),
                 global_prompt_embed=resolve(raw["global_prompt_embed"]),
                 regions=regions,
                 output_dir=resolve(raw.get("output_dir", "out")),
@@ -174,6 +176,8 @@ class RunConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid run config: {exc}") from exc
+        if config.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {config.seed}")
         if config.steps < 1:
             raise ConfigurationError("steps must be positive")
         for i, (box, _) in enumerate(config.regions):
@@ -186,7 +190,7 @@ class RunConfig:
 
 
 def _json_typed(key: str, value, kind: type):
-    """A config value that must be a JSON integer or boolean (true is no integer)."""
+    """A config value that must be a JSON integer, boolean or object (true is no integer)."""
     if type(value) is not kind:
         raise ConfigurationError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return value

@@ -249,6 +249,16 @@ def test_load_bundle_missing_tensor(tmp_path):
         load_bundle(p)
 
 
+@pytest.mark.parametrize("scale", [np.zeros(0), np.array([0.5, 2.0])])
+def test_load_bundle_scale_must_hold_one_element(tmp_path, scale):
+    p = gen_synthetic_bundle(3, tmp_path / "b.lcb", tokens=2, d_text=4, d_model=4)
+    tensors = tensorio.read_container(p)
+    tensors["scale"] = scale
+    tensorio.write_container(p, tensors)
+    with pytest.raises(ValidationError, match="scale must hold one element"):
+        load_bundle(p)
+
+
 def test_load_bundle_bad_magic(tmp_path):
     p = tmp_path / "junk.lcb"
     p.write_bytes(b"XXXX" + bytes(20))

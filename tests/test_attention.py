@@ -21,7 +21,7 @@ from loracanvas.attention import (
     RegionGeometry,
     RegionSpec,
     compose_hidden,
-    cross_branch_kv,
+    cross_branches,
     gaussian_weight,
     masked_self_attention,
     rasterize_mask,
@@ -266,9 +266,8 @@ def _small_setup(n_regions, scale=1.0, seed=31, n_heads=2):
 
 
 def _cross(z, layout, bundles, weights, n_heads, geometry):
-    kv = cross_branch_kv(layout, bundles, weights)
-    return region_cross_attention(Tensor(z), layout, bundles, weights, n_heads,
-                                  geometry, kv)
+    branches = cross_branches(layout, bundles, weights)
+    return region_cross_attention(Tensor(z), weights, n_heads, geometry, branches)
 
 
 def test_region_cross_attention_matches_scripted_oracle():
@@ -312,39 +311,46 @@ def test_region_cross_attention_uniform_rows_outside_mask():
 
 
 def test_region_cross_attention_missing_bundle():
-    z, layout, bundles, weights, n_heads, geometry = _small_setup(2)
-    with pytest.raises(ConfigurationError):
-        cross_branch_kv(layout, {}, weights)
-    kv = cross_branch_kv(layout, bundles, weights)
-    with pytest.raises(ConfigurationError):
-        region_cross_attention(Tensor(z), layout, {}, weights, n_heads, geometry, kv)
+    _, layout, bundles, weights, _, _ = _small_setup(2)
+    with pytest.raises(ConfigurationError, match="no bundle for concept 'c1'"):
+        cross_branches(layout, {"c0": bundles["c0"]}, weights)
 
 
-def test_region_cross_attention_needs_one_kv_pair_per_branch():
-    z, layout, bundles, weights, n_heads, geometry = _small_setup(2)
-    kv = cross_branch_kv(layout, bundles, weights)
-    with pytest.raises(ArgumentError):
-        region_cross_attention(Tensor(z), layout, bundles, weights, n_heads,
-                               geometry, kv[:2])
+def test_cross_branches_follow_the_layout():
+    _, layout, bundles, weights, _, _ = _small_setup(2)
+    bundles["c1"] = dataclasses.replace(bundles["c1"], token_index=2)
+    branches = cross_branches(layout, bundles, weights)
+    assert [(b.concept_id, b.token_index) for b in branches.concepts] == [
+        ("c0", 1), ("c1", 2)]
+    reversed_layout = dataclasses.replace(layout, regions=layout.regions[::-1])
+    flipped = cross_branches(reversed_layout, bundles, weights)
+    assert [(b.concept_id, b.token_index) for b in flipped.concepts] == [
+        ("c1", 2), ("c0", 1)]
+    assert _kv_bytes(flipped.concepts[::-1]) == _kv_bytes(branches.concepts)
 
 
-def _kv_bytes(kv):
-    return [(k.data.tobytes(), v.data.tobytes()) for k, v in kv]
+def _kv_bytes(branches):
+    return [(b.k.data.tobytes(), b.v.data.tobytes()) for b in branches]
+
+
+def _table_bytes(table):
+    return _kv_bytes((table, *table.concepts))  # global branch first
 
 
 def test_context_kv_cache_belongs_to_the_instance():
     ctx = build_test_context()
-    assert ctx.cross_kv is ctx.cross_kv
-    for block, kv in zip(ctx.weights.blocks, ctx.cross_kv):
-        assert _kv_bytes(kv) == _kv_bytes(
-            cross_branch_kv(ctx.layout, ctx.bundles, block.cross_attn))
+    assert ctx.cross_branches is ctx.cross_branches
+    for block, table in zip(ctx.weights.blocks, ctx.cross_branches):
+        assert _table_bytes(table) == _table_bytes(
+            cross_branches(ctx.layout, ctx.bundles, block.cross_attn))
     other = generate_base_weights(7, ctx.dims)
     replaced = dataclasses.replace(ctx, weights=other)
-    assert len(replaced.cross_kv) == len(other.blocks)
-    for block, kv, old in zip(other.blocks, replaced.cross_kv, ctx.cross_kv):
-        assert _kv_bytes(kv) == _kv_bytes(
-            cross_branch_kv(ctx.layout, ctx.bundles, block.cross_attn))
-        assert _kv_bytes(kv) != _kv_bytes(old)
+    assert len(replaced.cross_branches) == len(other.blocks)
+    for block, table, old in zip(other.blocks, replaced.cross_branches,
+                                 ctx.cross_branches):
+        assert _table_bytes(table) == _table_bytes(
+            cross_branches(ctx.layout, ctx.bundles, block.cross_attn))
+        assert _table_bytes(table) != _table_bytes(old)
 
 
 def test_build_context_computes_no_kv(monkeypatch):
@@ -358,18 +364,19 @@ def test_build_context_computes_no_kv(monkeypatch):
     monkeypatch.setattr(attention_module, "apply_projection", counting)
     ctx = build_test_context()
     assert calls == []
-    assert len(ctx.cross_kv) == len(ctx.weights.blocks)
+    assert len(ctx.cross_branches) == len(ctx.weights.blocks)
     # blocks x (K, V) x (global branch + 2 concepts), all on first use
     assert len(calls) == len(ctx.weights.blocks) * 2 * 3
 
 
 def test_build_context_computes_no_pixel_table():
     ctx = build_test_context()
-    assert all("pixels" not in g.__dict__ for g in ctx.geometries.values())
+    lazy = ("pixels", "allowed_self")
+    assert all(n not in g.__dict__ for g in ctx.geometries.values() for n in lazy)
     z = np.random.default_rng(0).standard_normal(
         (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
     denoiser_forward(Tensor(z), 5, ctx)
-    assert all("pixels" in g.__dict__ for g in ctx.geometries.values())
+    assert all(n in g.__dict__ for g in ctx.geometries.values() for n in lazy)
 
 
 # ------------------------------------------------------------------ self attention

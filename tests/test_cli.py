@@ -89,6 +89,38 @@ def test_compose_fractional_max_iters_errors(asset_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_compose_non_finite_guidance_knob_errors(asset_dir, tmp_path, capsys):
+    raw = json.loads((asset_dir / "config.json").read_text())
+    raw["guidance"]["phi0"] = float("nan")  # json.dumps writes the NaN literal
+    raw["global_prompt_embed"] = str(asset_dir / raw["global_prompt_embed"])
+    for region in raw["regions"]:
+        region["bundle"] = str(asset_dir / region["bundle"])
+    config = tmp_path / "nan_phi0.json"
+    config.write_text(json.dumps(raw))
+    rc = compose_main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "phi0 must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compose_negative_seed_is_a_usage_error(asset_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        compose_main(["--config", str(asset_dir / "gradcheck.json"),
+                      "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert info.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_make_toy_assets_negative_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        make_toy_assets_main(["--seed", "-1", "--out", str(tmp_path / "a")])
+    assert info.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("box", [[0.5, 0.5, 0.55, 0.55], [0.0, 0.0, 1.0, 1.0]])
 def test_compose_bad_layout_errors(asset_dir, tmp_path, capsys, box):
     # empty at the pooled resolution; covering the whole latent under guidance

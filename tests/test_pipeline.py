@@ -201,11 +201,44 @@ def test_config_duplicate_bundles(tmp_path):
     ({"guidance": {"phi0": True}}, "phi0"),
     ({"guidance": {"alpha": False}}, "alpha"),
     ({"guidance": {"s_ratio": "0.2"}}, "s_ratio"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"latent": [8, 16, 16]}, "latent must be of type dict"),
+    ({"latent": None}, "latent must be of type dict"),
+    ({"model": "x"}, "model must be of type dict"),
+    ({"model": None}, "model must be of type dict"),
+    ({"guidance": [0.25]}, "guidance must be of type dict"),
 ])
 def test_config_rejects_value_of_wrong_type(tmp_path, overrides, key):
     raw = {"seed": 1, "global_prompt_embed": "e.lcb", **overrides}
     with pytest.raises(ConfigurationError, match=key):
         RunConfig.from_dict(raw, tmp_path)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "3", '"config"'])
+def test_config_top_level_must_be_an_object(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="run config must be of type dict"):
+        RunConfig.from_json(path)
+
+
+# Python's json module reads these literals as floats
+@pytest.mark.parametrize("knob", ["alpha", "beta", "phi0"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_config_rejects_non_finite_guidance_knob(tmp_path, knob, literal):
+    raw = json.loads(f'{{"seed": 1, "global_prompt_embed": "e.lcb", '
+                     f'"guidance": {{"{knob}": {literal}}}}}')
+    with pytest.raises(ConfigurationError, match=f"{knob} must be finite"):
+        RunConfig.from_dict(raw, tmp_path)
+
+
+def test_readme_configuration_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = RunConfig.from_dict(json.loads(example), tmp_path)
+    assert config.seed == 42 and len(config.regions) == 2
+    assert config.guidance.phi0 == 10.0 and config.reinit
 
 
 # one box empty at the pooled 8x8 grid, one covering the whole latent
