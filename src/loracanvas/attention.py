@@ -161,6 +161,12 @@ class RegionGeometry:
         return ~(foreground[:, None] & foreground[None, :] & ~shared)
 
     @cached_property
+    def blocked_self(self) -> np.ndarray | None:
+        """The pairs ``allowed_self`` forbids, the form self-attention reads,
+        built and row-checked on first use; None without regions."""
+        return None if self.allowed_self is None else ad.blocked_keys(self.allowed_self)
+
+    @cached_property
     def pixels(self) -> PixelTable:
         """Every concept's pixel constants, computed on first use: building them
         in ``build`` would double the cost of ``prepare``'s two geometries.
@@ -356,5 +362,5 @@ def masked_self_attention(
     q = ad.matmul(z_flat, weights.wq_t)
     k = ad.matmul(z_flat, weights.wk_t)
     v = ad.matmul(z_flat, weights.wv_t)
-    probs = ad.attention_probs(q, k, n_heads, geometry.allowed_self)
+    probs = ad.attention_probs(q, k, n_heads, geometry.blocked_self)
     return _heads_out(probs, v, weights.wo_t), ad.mean_heads(probs)

@@ -279,31 +279,45 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     return _softmax_2d(x, allowed, "masked_softmax_rows")
 
 
+def blocked_keys(allowed: np.ndarray) -> np.ndarray:
+    """The read-only complement of a 2-D key mask: True where a key is forbidden.
+
+    Raises ArgumentError when a row permits no key, since its softmax
+    would have nothing to normalize.
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    if allowed.ndim != 2:
+        raise ShapeError(f"a key mask must be 2-D, got shape {allowed.shape}")
+    if not allowed.any(axis=1).all():
+        raise ArgumentError("a row has no permitted keys")
+    blocked = ~allowed
+    blocked.flags.writeable = False
+    return blocked
+
+
 def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D tensor")
-    y, vjp = _softmax_rows(x.data, allowed)
+    logits = x.data
+    if allowed is not None:
+        logits = logits.copy()  # a tensor's data is read-only
+        _block(logits, blocked_keys(allowed))
+    y, vjp = _softmax_rows(logits)
     return _result(y, op, (x,), lambda g: (vjp(g),))
 
 
-def _softmax_rows(logits: np.ndarray, allowed: np.ndarray | None):
-    """Softmax over the last axis and its VJP.
+def _block(logits: np.ndarray, blocked: np.ndarray) -> None:
+    """Write -inf over ``blocked_keys`` on the last two axes, shared by any leading ones."""
+    if blocked.dtype != np.bool_ or blocked.shape != logits.shape[-2:]:
+        raise ShapeError(f"blocked keys of {blocked.dtype} {blocked.shape} do not fit "
+                         f"logits {logits.shape[-2:]}")
+    np.copyto(logits, -np.inf, where=blocked)
 
-    ``allowed`` is a key mask over the last two axes, shared by any
-    leading ones; forbidden entries come out exactly 0.
-    """
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != logits.shape[-2:]:
-            raise ShapeError(
-                f"mask shape {allowed.shape} does not match {logits.shape[-2:]}")
-        if not allowed.any(axis=1).all():
-            raise ArgumentError("a row has no permitted keys")
-        y = np.where(allowed, logits, -np.inf)
-        np.subtract(y, y.max(axis=-1, keepdims=True), out=y)
-    else:
-        y = logits - logits.max(axis=-1, keepdims=True)
+
+def _softmax_rows(logits: np.ndarray):
+    """Softmax over the last axis and its VJP; -inf logits come out exactly 0."""
+    y = logits - logits.max(axis=-1, keepdims=True)
     # y is this kernel's own array; logits may be a tensor's
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
@@ -343,11 +357,11 @@ def _check_heads(d: int, n_heads: int) -> None:
 
 
 def attention_probs(q: Tensor, k: Tensor, n_heads: int,
-                    allowed: np.ndarray | None = None) -> Tensor:
+                    blocked: np.ndarray | None = None) -> Tensor:
     """Per-head softmax(q_h @ k_h^T / sqrt(d_h)) as one (heads, n, m) tensor.
 
-    ``allowed`` is an optional (n, m) key mask shared by every head, with
-    the semantics of ``masked_softmax_rows``.
+    ``blocked`` is an optional (n, m) ``blocked_keys`` mask shared by every
+    head; those keys get exactly 0, as in ``masked_softmax_rows``.
     """
     q, k = _as_tensor(q), _as_tensor(k)
     if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
@@ -360,7 +374,9 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     kt = np.ascontiguousarray(k.data.reshape(m, n_heads, d // n_heads).transpose(1, 2, 0))
     logits = np.matmul(qh, kt)
     logits /= scale
-    y, softmax_vjp = _softmax_rows(logits, allowed)
+    if blocked is not None:
+        _block(logits, blocked)
+    y, softmax_vjp = _softmax_rows(logits)
 
     def vjp(g):
         gl = softmax_vjp(g)

@@ -13,7 +13,7 @@ from . import tensorio
 from .assets import gen_prompt_embedding, gen_synthetic_bundle
 from .autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
 from .denoiser import encode
-from .errors import LoracanvasError
+from .errors import ArgumentError, LoracanvasError
 from .guidance import composite_loss
 from .pipeline import RunConfig, prepare, sample
 from .reinit import initial_latent
@@ -33,6 +33,8 @@ def make_toy_assets(out_dir: str | Path, seed: int = 42) -> dict[str, Path]:
     fast. Local concept prompts carry two tokens (context + concept), the
     global prompt six.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}

@@ -6,7 +6,7 @@ maximum, a fill term pushing axis max-projections to cover the whole
 box, and a region term penalizing self-attention leakage from a concept
 region into its complement. Their weighted sum is differentiated with
 respect to the latent and applied with a linearly decaying step size,
-stopping early once the loss stops improving.
+stopping early once the loss stops improving by a relative tolerance.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ class GuidanceConfig:
     guidance_fraction: float = 0.7  # early fraction of timesteps updated
     max_iters: int = 5             # per-timestep update cap
     patience: int = 1              # non-improving iterations before stopping
+    min_delta: float = 2e-4        # relative gain below which an iteration is stale
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "s_ratio", "p_ratio", "phi0", "guidance_fraction"):
+        for name in ("alpha", "beta", "s_ratio", "p_ratio", "phi0", "guidance_fraction",
+                     "min_delta"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ArgumentError(f"{name} must be a real number, got {value!r}")
@@ -46,6 +48,8 @@ class GuidanceConfig:
                 raise ArgumentError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ArgumentError("loss weights must be non-negative")
+        if self.min_delta < 0:
+            raise ArgumentError(f"min_delta must be non-negative, got {self.min_delta!r}")
         if not (0.0 < self.s_ratio <= 1.0 and 0.0 < self.p_ratio <= 1.0):
             raise ArgumentError("s_ratio and p_ratio must lie in (0, 1]")
         if self.phi0 <= 0:
@@ -79,6 +83,13 @@ class TraceRow:
     total: float
     phi_t: float
     accepted: int
+
+    @classmethod
+    def of(cls, t: int, iteration: int, breakdown: LossBreakdown, phi_t: float,
+           accepted: bool) -> "TraceRow":
+        return cls(timestep=t, iteration=iteration, l_ce=breakdown.l_ce,
+                   l_fill=breakdown.l_fill, l_region=breakdown.l_region,
+                   total=breakdown.total, phi_t=phi_t, accepted=int(accepted))
 
 
 def _check_resolution(record: AttnRecord, geometry: RegionGeometry) -> None:
@@ -161,40 +172,52 @@ def in_guidance_window(t: int, total_steps: int, fraction: float) -> bool:
 
 
 class AdaptiveStopper:
-    """Tracks loss improvement; trips after `patience` stale iterations."""
+    """Tracks loss improvement; trips after `patience` stale iterations.
 
-    def __init__(self, patience: int):
+    An iteration is stale unless its loss beats the best so far by more
+    than ``min_delta * |best|``; the first observation always improves.
+    """
+
+    def __init__(self, patience: int, min_delta: float = 0.0):
         if patience < 1:
             raise ArgumentError("patience must be at least 1")
         self.patience = patience
+        self.min_delta = min_delta
         self.best: float = math.inf
         self.stale = 0
 
     def observe(self, loss: float) -> bool:
-        """Feed one loss value; returns True when it improved on the best."""
-        if loss < self.best:
-            self.best = loss
+        """Feed one loss value; returns True when it is a new minimum.
+
+        A new minimum is always recorded as the best, but one that beats
+        the previous best by no more than the tolerance counts as stale.
+        """
+        if loss >= self.best:
+            self.stale += 1
+            return False
+        if self.best == math.inf or self.best - loss > self.min_delta * abs(self.best):
             self.stale = 0
-            return True
-        self.stale += 1
-        return False
+        else:
+            self.stale += 1
+        self.best = loss
+        return True
 
     @property
     def should_stop(self) -> bool:
         return self.stale >= self.patience
 
 
-def _loss_gradient(z: np.ndarray, forward: Callable[[Tensor], AttnRecord],
-                   geometry: RegionGeometry,
-                   config: GuidanceConfig) -> tuple[np.ndarray, LossBreakdown]:
-    """Gradient of the constraint loss at z, and its breakdown.
+def taped_loss(z: np.ndarray, forward: Callable[[Tensor], AttnRecord],
+               geometry: RegionGeometry,
+               config: GuidanceConfig) -> tuple[LossBreakdown, Callable[[], np.ndarray]]:
+    """The constraint loss at z, and a function returning its gradient there.
 
-    The record, loss and tape die on return, so the next iteration's
-    forward never runs while this one's is still held.
+    The function holds the record, loss and tape: drop it before the next
+    forward, so no two iterations' tapes are alive at once.
     """
     traced = Tensor(z, requires_grad=True)
     total, breakdown = composite_loss(forward(traced), geometry, config)
-    return grad(total, traced).data, breakdown
+    return breakdown, lambda: grad(total, traced).data
 
 
 def guided_update(
@@ -209,33 +232,32 @@ def guided_update(
 
     Each iteration runs the forward closure under the tape, evaluates the
     total loss and steps ``z <- z - phi_t * grad``. Iterations stop at the
-    cap or once the loss has not improved for `patience` evaluations; the
-    latent produced by the best-loss iteration is kept.
+    cap or once `patience` evaluations in a row gained no more than
+    ``min_delta`` relative to the best loss. The lowest-loss latent the loop
+    evaluated is returned, so its loss is the minimum ``total`` of the rows.
     """
     if not in_guidance_window(t, total_steps, config.guidance_fraction):
         raise ArgumentError(f"timestep {t} is outside the guidance window")
     phi = step_size(t, total_steps, config.phi0)
-    stopper = AdaptiveStopper(config.patience)
+    stopper = AdaptiveStopper(config.patience, config.min_delta)
     z = np.asarray(z_t, dtype=np.float64)
     best_z = z
     rows: list[TraceRow] = []
     for iteration in range(config.max_iters):
         try:
-            gradient, breakdown = _loss_gradient(z, forward, geometry, config)
+            breakdown, gradient = taped_loss(z, forward, geometry, config)
+            improved = stopper.observe(breakdown.total)
+            rows.append(TraceRow.of(t, iteration, breakdown, phi, improved))
+            if improved:
+                best_z = z
+            if stopper.should_stop or iteration + 1 == config.max_iters:
+                break  # no later iteration would evaluate another step
+            if phi != 0.0:
+                z = z - phi * gradient()
         except NumericError as exc:
             raise NumericError(
                 f"guidance diverged at t={t} iteration={iteration}: {exc}") from exc
-        z_next = z if phi == 0.0 else z - phi * gradient
-        improved = stopper.observe(breakdown.total)
-        rows.append(TraceRow(timestep=t, iteration=iteration,
-                             l_ce=breakdown.l_ce, l_fill=breakdown.l_fill,
-                             l_region=breakdown.l_region, total=breakdown.total,
-                             phi_t=phi, accepted=int(improved)))
-        if improved:
-            best_z = z_next
-        if stopper.should_stop:
-            break
-        z = z_next
+        del gradient
     return best_z, rows
 
 

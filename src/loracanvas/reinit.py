@@ -9,7 +9,7 @@ result is re-standardized so the sampler still sees unit-Gaussian noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .assets import GENERATOR_VERSION, ModelDims
 from .autodiff import Tensor
 from .denoiser import DenoiserContext, encode
 from .errors import ArgumentError, DegenerateLatentError
-from .guidance import GuidanceConfig, TraceRow, guided_update
+from .guidance import GuidanceConfig, TraceRow, step_size, taped_loss
 
 _INIT_STREAM = 21
 
@@ -122,13 +122,14 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     if not geometry.concept_ids:
         return standardize(z0), []
 
-    one_step = replace(config, max_iters=1)
-
     def forward(zt: Tensor):
         return encode(zt, total_steps, ctx)[1]
 
-    z1, trace = guided_update(z0, forward, geometry, one_step,
-                              total_steps, total_steps)
+    breakdown, gradient = taped_loss(z0, forward, geometry, config)
+    phi = step_size(total_steps, total_steps, config.phi0)
+    z1 = z0 - phi * gradient()
+    del gradient
+    trace = [TraceRow.of(total_steps, 0, breakdown, phi, accepted=True)]
     _, record = encode(Tensor(z1), total_steps, ctx)
 
     crops: list[CropResult] = []

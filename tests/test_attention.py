@@ -371,7 +371,7 @@ def test_build_context_computes_no_kv(monkeypatch):
 
 def test_build_context_computes_no_pixel_table():
     ctx = build_test_context()
-    lazy = ("pixels", "allowed_self")
+    lazy = ("pixels", "allowed_self", "blocked_self")
     assert all(n not in g.__dict__ for g in ctx.geometries.values() for n in lazy)
     z = np.random.default_rng(0).standard_normal(
         (ctx.dims.channels, ctx.dims.height, ctx.dims.width))

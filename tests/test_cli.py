@@ -17,6 +17,7 @@ from loracanvas.cli import (
     make_toy_assets,
     make_toy_assets_main,
 )
+from loracanvas.errors import ArgumentError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -118,6 +119,13 @@ def test_make_toy_assets_negative_seed_is_a_usage_error(tmp_path, capsys):
         make_toy_assets_main(["--seed", "-1", "--out", str(tmp_path / "a")])
     assert info.value.code == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "7"])
+def test_make_toy_assets_rejects_a_bad_seed_before_writing(tmp_path, seed):
+    with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+        make_toy_assets(tmp_path / "a", seed=seed)
     assert not (tmp_path / "a").exists()
 
 

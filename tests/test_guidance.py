@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import build_test_context
 from loracanvas import autodiff as ad
 from loracanvas.attention import (
     AttnRecord,
@@ -16,9 +17,12 @@ from loracanvas.attention import (
 )
 from loracanvas.autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
 from loracanvas.errors import ArgumentError, NumericError
+from loracanvas import guidance as guidance_module
+from loracanvas.denoiser import encode
 from loracanvas.guidance import (
     AdaptiveStopper,
     GuidanceConfig,
+    LossBreakdown,
     composite_loss,
     concept_enhancement_terms,
     fill_terms,
@@ -257,11 +261,24 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("knob", ["alpha", "beta", "s_ratio", "p_ratio", "phi0",
-                                  "guidance_fraction"])
+                                  "guidance_fraction", "min_delta"])
 @pytest.mark.parametrize("value", [True, False, "0.5", None])
 def test_config_float_knobs_reject_non_numbers(knob, value):
     with pytest.raises(ArgumentError, match=knob):
         GuidanceConfig(**{knob: value})
+
+
+@pytest.mark.parametrize("value, reason", [
+    (True, "real number"), ("1e-3", "real number"), (math.nan, "finite"),
+    (math.inf, "finite"), (-math.inf, "finite"), (-1e-3, "non-negative")])
+def test_config_min_delta_must_be_a_finite_non_negative_number(value, reason):
+    with pytest.raises(ArgumentError, match=f"min_delta must be .*{reason}"):
+        GuidanceConfig(min_delta=value)
+
+
+def test_config_min_delta_default_and_zero():
+    assert GuidanceConfig().min_delta == 2e-4
+    assert GuidanceConfig(min_delta=0).min_delta == 0
 
 
 def test_adaptive_stopper_trips_after_patience():
@@ -283,6 +300,20 @@ def test_adaptive_stopper_resets_on_improvement():
     fresh.observe(2.5)
     assert fresh.observe(1.0)
     assert fresh.stale == 0
+
+
+def test_adaptive_stopper_keeps_a_gain_below_tolerance_but_counts_it_stale():
+    stopper = AdaptiveStopper(patience=2, min_delta=1e-2)
+    assert stopper.observe(-4.0)  # the first observation always improves
+    assert stopper.stale == 0
+    # a new minimum, but by 0.03 <= 1e-2 * |-4.0|
+    assert stopper.observe(-4.03)
+    assert stopper.best == -4.03 and stopper.stale == 1
+    assert stopper.observe(-5.0)
+    assert stopper.best == -5.0 and stopper.stale == 0
+    assert stopper.observe(-5.04)
+    assert not stopper.observe(-5.0)
+    assert stopper.best == -5.04 and stopper.should_stop
 
 
 # ------------------------------------------------------------------ guided update
@@ -409,3 +440,63 @@ def test_inbox_mass_fraction_bounds():
     concentrated = record_from_maps(
         {cid: geo.masks[cid].copy() for cid in geo.concept_ids}, uniform_self_map())
     assert inbox_mass_fraction(concentrated, geo, "a") == 1.0
+
+
+# ------------------------------------------------------------------ kept latent
+
+
+def loss_at(z: np.ndarray, forward, geometry, config) -> float:
+    _, breakdown = composite_loss(forward(Tensor(z, requires_grad=True)), geometry, config)
+    return breakdown.total
+
+
+@pytest.mark.parametrize("phi0", [1.0, 50.0])
+def test_guided_update_returns_its_lowest_loss_evaluated_latent(phi0):
+    geo = geometry_two_concepts()
+    model = MiniModel(seed=9)
+    cfg = GuidanceConfig(phi0=phi0, max_iters=6, patience=2)
+    z = np.random.default_rng(3).standard_normal((N, 3))
+    out, rows = guided_update(z, model, geo, cfg, 10, 10)
+    best = min(r.total for r in rows)
+    assert loss_at(out, model, geo, cfg) == best
+    assert rows[[r.total for r in rows].index(best)].accepted == 1
+
+
+def test_guided_update_on_reference_encode_returns_an_evaluated_latent():
+    ctx = build_test_context()
+    geo = ctx.loss_geometry
+    cfg = GuidanceConfig(phi0=40.0, max_iters=5, patience=2)
+    total_steps = 10
+    z = np.random.default_rng(4).standard_normal(
+        (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
+    for t in (10, 8):
+        def forward(zt):
+            return encode(zt, t, ctx)[1]
+
+        out, rows = guided_update(z, forward, geo, cfg, t, total_steps)
+        assert loss_at(out, forward, geo, cfg) == min(r.total for r in rows)
+        z = out
+
+
+def test_guided_update_scripted_losses_stop_on_the_tolerance(monkeypatch):
+    """Scripted losses: a new minimum within min_delta is kept and counts as stale."""
+    script = iter([5.0, 4.0, 4.5, 3.999, 1.0])
+    seen: list[np.ndarray] = []
+
+    def forward(zt: Tensor):
+        seen.append(zt.data)
+        return zt
+
+    def scripted_loss(traced, geometry, config):
+        total = next(script)
+        return ad.mean_all(traced), LossBreakdown(total, 0.0, 0.0, total, {})
+
+    monkeypatch.setattr(guidance_module, "composite_loss", scripted_loss)
+    cfg = GuidanceConfig(phi0=1.0, max_iters=8, patience=2, min_delta=1e-3)
+    z = np.zeros((N, 3))
+    out, rows = guided_update(z, forward, geometry_two_concepts(), cfg, 10, 10)
+    # 3.999 beats 4.0 by 0.001 <= 1e-3 * 4.0: the second stale iteration in a row
+    assert [r.total for r in rows] == [5.0, 4.0, 4.5, 3.999]
+    assert [r.accepted for r in rows] == [1, 1, 0, 1]
+    assert len(seen) == 4 and out.tobytes() == seen[3].tobytes()
+    assert np.array_equal(out, np.full_like(z, -3.0 / z.size))

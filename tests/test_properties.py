@@ -103,8 +103,12 @@ def per_head_chain(q, k, v, n_heads, allowed):
     return maps, ad.concat(outs, axis=1), avg
 
 
+def blocked(allowed):
+    return None if allowed is None else ad.blocked_keys(allowed)
+
+
 def batched_kernels(q, k, v, n_heads, allowed):
-    probs = ad.attention_probs(q, k, n_heads, allowed)
+    probs = ad.attention_probs(q, k, n_heads, blocked(allowed))
     return probs, ad.apply_heads(probs, v), ad.mean_heads(probs)
 
 
@@ -161,7 +165,7 @@ def vjp_leaves_cotangent_alone(node: Tensor, cotangent: np.ndarray) -> None:
 def test_softmax_kernel_vjps_leave_their_cotangent_alone(case, masked):
     q, k, _, n_heads, allowed, _, cot_map = case
     probs = ad.attention_probs(Tensor(q, requires_grad=True),
-                               Tensor(k, requires_grad=True), n_heads, allowed)
+                               Tensor(k, requires_grad=True), n_heads, blocked(allowed))
     vjp_leaves_cotangent_alone(probs, np.broadcast_to(cot_map, probs.shape))
     logits = Tensor(probs.data[0], requires_grad=True)
     if masked and allowed is not None:
