@@ -150,21 +150,16 @@ class RegionGeometry:
         return self.masks[concept_id].reshape(-1)
 
     @cached_property
-    def allowed_self(self) -> np.ndarray | None:
-        """(h*w, h*w) bool: the self-attention pairs not blocked by concept
-        isolation, computed on first use; None without regions."""
+    def blocked_self(self) -> np.ndarray | None:
+        """(h*w, h*w) read-only bool: the self-attention pairs concept isolation
+        forbids, a foreground query to a foreground key sharing no box with it.
+        Built and row-checked on first use; None without regions."""
         if not self.masks:
             return None
         stack = np.stack([m.reshape(-1) for m in self.masks.values()]) > 0
         foreground = stack.any(axis=0)
         shared = (stack.T.astype(np.float64) @ stack.astype(np.float64)) > 0
-        return ~(foreground[:, None] & foreground[None, :] & ~shared)
-
-    @cached_property
-    def blocked_self(self) -> np.ndarray | None:
-        """The pairs ``allowed_self`` forbids, the form self-attention reads,
-        built and row-checked on first use; None without regions."""
-        return None if self.allowed_self is None else ad.blocked_keys(self.allowed_self)
+        return ad.checked_block(foreground[:, None] & foreground[None, :] & ~shared)
 
     @cached_property
     def pixels(self) -> PixelTable:

@@ -279,18 +279,16 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     return _softmax_2d(x, allowed, "masked_softmax_rows")
 
 
-def blocked_keys(allowed: np.ndarray) -> np.ndarray:
-    """The read-only complement of a 2-D key mask: True where a key is forbidden.
+def checked_block(blocked: np.ndarray) -> np.ndarray:
+    """A 2-D bool mask of forbidden keys, made read-only and returned.
 
-    Raises ArgumentError when a row permits no key, since its softmax
+    Raises ArgumentError when a row forbids every key, since its softmax
     would have nothing to normalize.
     """
-    allowed = np.asarray(allowed, dtype=bool)
-    if allowed.ndim != 2:
-        raise ShapeError(f"a key mask must be 2-D, got shape {allowed.shape}")
-    if not allowed.any(axis=1).all():
+    if blocked.dtype != np.bool_ or blocked.ndim != 2:
+        raise ShapeError(f"a key mask must be 2-D bool, got {blocked.dtype} {blocked.shape}")
+    if blocked.all(axis=1).any():
         raise ArgumentError("a row has no permitted keys")
-    blocked = ~allowed
     blocked.flags.writeable = False
     return blocked
 
@@ -299,26 +297,31 @@ def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D tensor")
-    logits = x.data
-    if allowed is not None:
-        logits = logits.copy()  # a tensor's data is read-only
-        _block(logits, blocked_keys(allowed))
-    y, vjp = _softmax_rows(logits)
+    if allowed is None:
+        y, vjp = _softmax_rows(x.data)
+    else:
+        logits = x.data.copy()  # a tensor's data is read-only
+        _block(logits, checked_block(~np.asarray(allowed, dtype=bool)))
+        y, vjp = _softmax_rows(logits, owned=True)
     return _result(y, op, (x,), lambda g: (vjp(g),))
 
 
 def _block(logits: np.ndarray, blocked: np.ndarray) -> None:
-    """Write -inf over ``blocked_keys`` on the last two axes, shared by any leading ones."""
+    """Write -inf over ``checked_block`` keys on the last two axes, shared by any leading ones."""
     if blocked.dtype != np.bool_ or blocked.shape != logits.shape[-2:]:
         raise ShapeError(f"blocked keys of {blocked.dtype} {blocked.shape} do not fit "
                          f"logits {logits.shape[-2:]}")
     np.copyto(logits, -np.inf, where=blocked)
 
 
-def _softmax_rows(logits: np.ndarray):
-    """Softmax over the last axis and its VJP; -inf logits come out exactly 0."""
-    y = logits - logits.max(axis=-1, keepdims=True)
-    # y is this kernel's own array; logits may be a tensor's
+def _softmax_rows(logits: np.ndarray, owned: bool = False):
+    """Softmax over the last axis and its VJP; -inf logits come out exactly 0.
+
+    With ``owned`` the result overwrites ``logits``, which must then be the
+    caller's own array, never a tensor's data.
+    """
+    y = np.subtract(logits, logits.max(axis=-1, keepdims=True),
+                    out=logits if owned else None)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -360,7 +363,7 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
                     blocked: np.ndarray | None = None) -> Tensor:
     """Per-head softmax(q_h @ k_h^T / sqrt(d_h)) as one (heads, n, m) tensor.
 
-    ``blocked`` is an optional (n, m) ``blocked_keys`` mask shared by every
+    ``blocked`` is an optional (n, m) ``checked_block`` mask shared by every
     head; those keys get exactly 0, as in ``masked_softmax_rows``.
     """
     q, k = _as_tensor(q), _as_tensor(k)
@@ -376,7 +379,7 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     logits /= scale
     if blocked is not None:
         _block(logits, blocked)
-    y, softmax_vjp = _softmax_rows(logits)
+    y, softmax_vjp = _softmax_rows(logits, owned=True)
 
     def vjp(g):
         gl = softmax_vjp(g)

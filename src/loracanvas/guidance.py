@@ -23,6 +23,9 @@ from .attention import AttnRecord, RegionGeometry
 from .autodiff import Tensor, grad
 from .errors import ArgumentError, NumericError
 
+# a new minimum that beats the best loss by no more than this share of it is stale
+MIN_DELTA = 2e-4
+
 
 @dataclass(frozen=True)
 class GuidanceConfig:
@@ -34,13 +37,11 @@ class GuidanceConfig:
     p_ratio: float = 0.2           # top-P as a fraction of the sliced submatrix
     phi0: float = 10.0             # step size at t = T
     guidance_fraction: float = 0.7  # early fraction of timesteps updated
-    max_iters: int = 5             # per-timestep update cap
+    max_iters: int = 5             # loss evaluations per timestep, at most max_iters-1 steps
     patience: int = 1              # non-improving iterations before stopping
-    min_delta: float = 2e-4        # relative gain below which an iteration is stale
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "s_ratio", "p_ratio", "phi0", "guidance_fraction",
-                     "min_delta"):
+        for name in ("alpha", "beta", "s_ratio", "p_ratio", "phi0", "guidance_fraction"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ArgumentError(f"{name} must be a real number, got {value!r}")
@@ -48,8 +49,6 @@ class GuidanceConfig:
                 raise ArgumentError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ArgumentError("loss weights must be non-negative")
-        if self.min_delta < 0:
-            raise ArgumentError(f"min_delta must be non-negative, got {self.min_delta!r}")
         if not (0.0 < self.s_ratio <= 1.0 and 0.0 < self.p_ratio <= 1.0):
             raise ArgumentError("s_ratio and p_ratio must lie in (0, 1]")
         if self.phi0 <= 0:
@@ -178,7 +177,7 @@ class AdaptiveStopper:
     than ``min_delta * |best|``; the first observation always improves.
     """
 
-    def __init__(self, patience: int, min_delta: float = 0.0):
+    def __init__(self, patience: int, min_delta: float = MIN_DELTA):
         if patience < 1:
             raise ArgumentError("patience must be at least 1")
         self.patience = patience
@@ -231,15 +230,17 @@ def guided_update(
     """Iteratively push the latent down the constraint-loss gradient.
 
     Each iteration runs the forward closure under the tape, evaluates the
-    total loss and steps ``z <- z - phi_t * grad``. Iterations stop at the
-    cap or once `patience` evaluations in a row gained no more than
-    ``min_delta`` relative to the best loss. The lowest-loss latent the loop
-    evaluated is returned, so its loss is the minimum ``total`` of the rows.
+    total loss and steps ``z <- z - phi_t * grad``. Iterations stop after
+    ``max_iters`` evaluations (so at most ``max_iters - 1`` steps; with 1 the
+    input comes back unchanged) or once `patience` evaluations in a row gained
+    no more than ``MIN_DELTA`` relative to the best loss. The lowest-loss
+    latent the loop evaluated is returned, so its loss is the minimum
+    ``total`` of the rows.
     """
     if not in_guidance_window(t, total_steps, config.guidance_fraction):
         raise ArgumentError(f"timestep {t} is outside the guidance window")
     phi = step_size(t, total_steps, config.phi0)
-    stopper = AdaptiveStopper(config.patience, config.min_delta)
+    stopper = AdaptiveStopper(config.patience)
     z = np.asarray(z_t, dtype=np.float64)
     best_z = z
     rows: list[TraceRow] = []

@@ -16,7 +16,7 @@ import numpy as np
 from .assets import GENERATOR_VERSION, ModelDims
 from .autodiff import Tensor
 from .denoiser import DenoiserContext, encode
-from .errors import ArgumentError, DegenerateLatentError
+from .errors import ArgumentError, DegenerateLatentError, NumericError
 from .guidance import GuidanceConfig, TraceRow, step_size, taped_loss
 
 _INIT_STREAM = 21
@@ -125,9 +125,12 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     def forward(zt: Tensor):
         return encode(zt, total_steps, ctx)[1]
 
-    breakdown, gradient = taped_loss(z0, forward, geometry, config)
     phi = step_size(total_steps, total_steps, config.phi0)
-    z1 = z0 - phi * gradient()
+    try:
+        breakdown, gradient = taped_loss(z0, forward, geometry, config)
+        z1 = z0 - phi * gradient()
+    except NumericError as exc:
+        raise NumericError(f"re-init step diverged at t={total_steps}: {exc}") from exc
     del gradient
     trace = [TraceRow.of(total_steps, 0, breakdown, phi, accepted=True)]
     _, record = encode(Tensor(z1), total_steps, ctx)

@@ -371,7 +371,7 @@ def test_build_context_computes_no_kv(monkeypatch):
 
 def test_build_context_computes_no_pixel_table():
     ctx = build_test_context()
-    lazy = ("pixels", "allowed_self", "blocked_self")
+    lazy = ("pixels", "blocked_self")
     assert all(n not in g.__dict__ for g in ctx.geometries.values() for n in lazy)
     z = np.random.default_rng(0).standard_normal(
         (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
@@ -407,6 +407,21 @@ def test_masked_self_attention_blocks_cross_region_pairs():
     assert np.all(self_map.data[np.ix_(m1, m0)] == 0.0)
 
 
+def test_blocked_self_forbids_only_foreground_pairs_sharing_no_box():
+    # two overlapping boxes and an uncovered background
+    layout = LayoutCondition(
+        regions=(RegionSpec((0, 0, 0.5, 0.75), "a"), RegionSpec((0.25, 0, 0.75, 0.75), "b")),
+        global_prompt_embed=np.zeros((2, 6)))
+    geometry = RegionGeometry.build(layout, 4, 4)
+    boxes = [set(np.flatnonzero(geometry.flat_mask(cid))) for cid in ("a", "b")]
+    expected = np.array([[any(p in box for box in boxes) and any(q in box for box in boxes)
+                          and not any(p in box and q in box for box in boxes)
+                          for q in range(16)] for p in range(16)])
+    assert expected.any() and not expected.all(axis=1).any()
+    assert np.array_equal(geometry.blocked_self, expected)
+    assert not geometry.blocked_self.flags.writeable
+
+
 def test_masked_self_attention_rows_stochastic_over_seeds():
     dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
     weights = generate_base_weights(7, dims).blocks[0].self_attn
@@ -429,6 +444,6 @@ def test_masked_self_attention_matches_neginf_oracle():
         hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
         q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
         expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads,
-                                                  allowed=geometry.allowed_self)
+                                                  allowed=~geometry.blocked_self)
         assert np.max(np.abs(hidden.data - expected)) < 1e-12
         assert np.max(np.abs(self_map.data - expected_map)) < 1e-12

@@ -124,14 +124,15 @@ def test_masked_softmax_rejects_empty_row():
         ad.masked_softmax_rows(Tensor(np.zeros((2, 2))), np.zeros((2, 2), dtype=bool))
 
 
-def test_blocked_keys_is_the_read_only_complement():
-    allowed = np.array([[True, False, True], [False, True, False]])
-    blocked = ad.blocked_keys(allowed)
-    assert np.array_equal(blocked, ~allowed) and not blocked.flags.writeable
+def test_checked_block_makes_the_mask_read_only_and_rejects_a_closed_row():
+    mask = np.array([[False, True, False], [True, False, True]])
+    blocked = ad.checked_block(mask)
+    assert blocked is mask and not blocked.flags.writeable
     with pytest.raises(ArgumentError, match="no permitted keys"):
-        ad.blocked_keys(np.array([[True, False], [False, False]]))
-    with pytest.raises(ShapeError):
-        ad.blocked_keys(np.ones((2, 2, 2), dtype=bool))
+        ad.checked_block(np.array([[False, True], [True, True]]))
+    for bad in (np.zeros((2, 2, 2), dtype=bool), np.zeros((2, 2))):
+        with pytest.raises(ShapeError):
+            ad.checked_block(bad)
 
 
 def test_attention_probs_zeroes_blocked_keys_and_rejects_other_masks():
@@ -139,11 +140,11 @@ def test_attention_probs_zeroes_blocked_keys_and_rejects_other_masks():
     q, k = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((5, 4)))
     allowed = rng.uniform(size=(3, 5)) > 0.5
     allowed[:, 2] = True
-    probs = ad.attention_probs(q, k, 2, ad.blocked_keys(allowed))
+    probs = ad.attention_probs(q, k, 2, ad.checked_block(~allowed))
     assert np.all(probs.data[:, ~allowed] == 0.0)
     assert np.all(np.abs(probs.data.sum(axis=-1) - 1.0) <= 1e-12)
     # a float mask, or one of the wrong shape, is no blocked-key mask
-    for bad in (allowed.astype(np.float64), ad.blocked_keys(allowed[:, :4])):
+    for bad in (allowed.astype(np.float64), ad.checked_block(~allowed[:, :4])):
         with pytest.raises(ShapeError):
             ad.attention_probs(q, k, 2, bad)
 

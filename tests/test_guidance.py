@@ -261,24 +261,11 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("knob", ["alpha", "beta", "s_ratio", "p_ratio", "phi0",
-                                  "guidance_fraction", "min_delta"])
+                                  "guidance_fraction"])
 @pytest.mark.parametrize("value", [True, False, "0.5", None])
 def test_config_float_knobs_reject_non_numbers(knob, value):
     with pytest.raises(ArgumentError, match=knob):
         GuidanceConfig(**{knob: value})
-
-
-@pytest.mark.parametrize("value, reason", [
-    (True, "real number"), ("1e-3", "real number"), (math.nan, "finite"),
-    (math.inf, "finite"), (-math.inf, "finite"), (-1e-3, "non-negative")])
-def test_config_min_delta_must_be_a_finite_non_negative_number(value, reason):
-    with pytest.raises(ArgumentError, match=f"min_delta must be .*{reason}"):
-        GuidanceConfig(min_delta=value)
-
-
-def test_config_min_delta_default_and_zero():
-    assert GuidanceConfig().min_delta == 2e-4
-    assert GuidanceConfig(min_delta=0).min_delta == 0
 
 
 def test_adaptive_stopper_trips_after_patience():
@@ -385,6 +372,27 @@ def test_guided_update_zero_step_returns_same_latent_object():
     assert np.array_equal(out, z)
 
 
+def test_guided_update_single_evaluation_returns_its_input(monkeypatch):
+    """max_iters counts evaluations: with 1 the loop takes no step and no gradient."""
+    geo = geometry_two_concepts()
+    model = MiniModel()
+    calls = []
+
+    def forward(zt):
+        calls.append(zt)
+        return model(zt)
+
+    def no_gradient(*args):
+        raise AssertionError("the last evaluation's gradient is never used")
+
+    monkeypatch.setattr(guidance_module, "grad", no_gradient)
+    z = np.random.default_rng(0).standard_normal((N, 3))
+    out, rows = guided_update(z, forward, geo, GuidanceConfig(max_iters=1), 10, 10)
+    assert len(calls) == 1 and len(rows) == 1
+    assert rows[0].phi_t > 0 and rows[0].accepted == 1
+    assert np.array_equal(out, z)
+
+
 def test_guided_update_outside_window_rejected():
     geo = geometry_two_concepts()
     with pytest.raises(ArgumentError):
@@ -479,8 +487,9 @@ def test_guided_update_on_reference_encode_returns_an_evaluated_latent():
 
 
 def test_guided_update_scripted_losses_stop_on_the_tolerance(monkeypatch):
-    """Scripted losses: a new minimum within min_delta is kept and counts as stale."""
-    script = iter([5.0, 4.0, 4.5, 3.999, 1.0])
+    """Scripted losses: a new minimum within MIN_DELTA is kept and counts as stale."""
+    within = 4.0 * (1.0 - guidance_module.MIN_DELTA / 2)
+    script = iter([5.0, 4.0, 4.5, within, 1.0])
     seen: list[np.ndarray] = []
 
     def forward(zt: Tensor):
@@ -492,11 +501,11 @@ def test_guided_update_scripted_losses_stop_on_the_tolerance(monkeypatch):
         return ad.mean_all(traced), LossBreakdown(total, 0.0, 0.0, total, {})
 
     monkeypatch.setattr(guidance_module, "composite_loss", scripted_loss)
-    cfg = GuidanceConfig(phi0=1.0, max_iters=8, patience=2, min_delta=1e-3)
+    cfg = GuidanceConfig(phi0=1.0, max_iters=8, patience=2)
     z = np.zeros((N, 3))
     out, rows = guided_update(z, forward, geometry_two_concepts(), cfg, 10, 10)
-    # 3.999 beats 4.0 by 0.001 <= 1e-3 * 4.0: the second stale iteration in a row
-    assert [r.total for r in rows] == [5.0, 4.0, 4.5, 3.999]
+    # `within` beats 4.0 by less than MIN_DELTA * 4.0: the second stale iteration in a row
+    assert [r.total for r in rows] == [5.0, 4.0, 4.5, within]
     assert [r.accepted for r in rows] == [1, 1, 0, 1]
     assert len(seen) == 4 and out.tobytes() == seen[3].tobytes()
     assert np.array_equal(out, np.full_like(z, -3.0 / z.size))

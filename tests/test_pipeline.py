@@ -207,9 +207,6 @@ def test_config_duplicate_bundles(tmp_path):
     ({"model": "x"}, "model must be of type dict"),
     ({"model": None}, "model must be of type dict"),
     ({"guidance": [0.25]}, "guidance must be of type dict"),
-    ({"guidance": {"min_delta": True}}, "min_delta must be a real number"),
-    ({"guidance": {"min_delta": "1e-3"}}, "min_delta must be a real number"),
-    ({"guidance": {"min_delta": -1e-3}}, "min_delta must be non-negative"),
 ])
 def test_config_rejects_value_of_wrong_type(tmp_path, overrides, key):
     raw = {"seed": 1, "global_prompt_embed": "e.lcb", **overrides}
@@ -226,7 +223,7 @@ def test_config_top_level_must_be_an_object(tmp_path, text):
 
 
 # Python's json module reads these literals as floats
-@pytest.mark.parametrize("knob", ["alpha", "beta", "phi0", "min_delta"])
+@pytest.mark.parametrize("knob", ["alpha", "beta", "phi0"])
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_config_rejects_non_finite_guidance_knob(tmp_path, knob, literal):
     raw = json.loads(f'{{"seed": 1, "global_prompt_embed": "e.lcb", '

@@ -104,7 +104,7 @@ def per_head_chain(q, k, v, n_heads, allowed):
 
 
 def blocked(allowed):
-    return None if allowed is None else ad.blocked_keys(allowed)
+    return None if allowed is None else ad.checked_block(~allowed)
 
 
 def batched_kernels(q, k, v, n_heads, allowed):

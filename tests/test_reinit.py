@@ -7,7 +7,7 @@ from conftest import build_test_context, empty_layout_context
 from loracanvas import reinit as reinit_module
 from loracanvas.autodiff import Tensor, grad
 from loracanvas.denoiser import denoiser_forward, encode
-from loracanvas.errors import ArgumentError, DegenerateLatentError
+from loracanvas.errors import ArgumentError, DegenerateLatentError, NumericError
 from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fraction, step_size
 from loracanvas.reinit import (
     best_crop,
@@ -212,3 +212,13 @@ def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
     assert not np.array_equal(expected, z0)
     assert len(seen) == 1
     assert seen[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_reinitialize_numeric_error_carries_context(monkeypatch):
+    def exploding(zt, t, ctx):
+        return None, Tensor([1e308]) * Tensor([1e308])
+
+    monkeypatch.setattr(reinit_module, "encode", exploding)
+    with pytest.raises(NumericError, match="re-init step diverged at t=10"):
+        reinitialize(3, build_test_context(), GuidanceConfig(), total_steps=10)
