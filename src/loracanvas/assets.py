@@ -105,8 +105,6 @@ def apply_projection(x: Tensor, base: np.ndarray, delta: LoraDelta | None = None
     base = np.asarray(base, dtype=np.float64)
     if base.ndim != 2:
         raise ShapeError("base projection must be a matrix")
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
     if x.data.ndim != 2 or x.shape[1] != base.shape[1]:
         raise ShapeError(f"cannot project {x.shape} through {base.shape}")
     weight = base
@@ -278,10 +276,8 @@ class BlockWeights:
 
 @dataclass(frozen=True)
 class BaseWeights:
-    """Frozen 'pre-trained' weights, reproducible from (seed, version)."""
+    """Frozen 'pre-trained' weights; ``generate_base_weights`` draws them from a seed."""
 
-    seed: int
-    generator_version: int
     dims: ModelDims
     w_in: np.ndarray   # (d_model, channels)
     w_out: np.ndarray  # (channels, d_model)
@@ -318,5 +314,4 @@ def generate_base_weights(seed: int, dims: ModelDims) -> BaseWeights:
             wv=draw(d, dims.d_text), wo=draw(d, d))
         blocks.append(BlockWeights(self_attn=self_attn, cross_attn=cross_attn))
     w_out = draw(dims.channels, d, _OUT_HEAD_SCALE)
-    return BaseWeights(seed=seed, generator_version=GENERATOR_VERSION, dims=dims,
-                       w_in=w_in, w_out=w_out, blocks=tuple(blocks))
+    return BaseWeights(dims=dims, w_in=w_in, w_out=w_out, blocks=tuple(blocks))

@@ -129,22 +129,22 @@ class RegionGeometry:
 
     height: int
     width: int
-    concept_ids: tuple[str, ...]
+    regions: tuple[RegionSpec, ...]    # the layout's regions, in layout order
     masks: dict[str, np.ndarray]       # (h, w) binary
-    gaussians: dict[str, np.ndarray]   # (h, w), in-box max 1
 
     @classmethod
     def build(cls, layout: LayoutCondition, height: int, width: int) -> "RegionGeometry":
-        gaussians = {}
+        masks = {}
         for i, r in enumerate(layout.regions):
             try:
-                gaussians[r.concept_id] = gaussian_weight(r.box, height, width)
+                masks[r.concept_id] = rasterize_mask(r.box, height, width)
             except EmptyMaskError as exc:
                 raise EmptyMaskError(f"region {i} (concept {r.concept_id!r}): {exc}") from exc
-        # every in-box weight is at least exp(-1), so the support is the mask
-        masks = {cid: (g > 0).astype(np.float64) for cid, g in gaussians.items()}
-        return cls(height=height, width=width, concept_ids=layout.concept_ids,
-                   masks=masks, gaussians=gaussians)
+        return cls(height=height, width=width, regions=layout.regions, masks=masks)
+
+    @property
+    def concept_ids(self) -> tuple[str, ...]:
+        return tuple(r.concept_id for r in self.regions)
 
     def flat_mask(self, concept_id: str) -> np.ndarray:
         return self.masks[concept_id].reshape(-1)
@@ -163,22 +163,24 @@ class RegionGeometry:
 
     @cached_property
     def pixels(self) -> PixelTable:
-        """Every concept's pixel constants, computed on first use: building them
-        in ``build`` would double the cost of ``prepare``'s two geometries.
-        The index lists are validated here, once, for every gather that reads them."""
+        """Every concept's pixel constants, its Gaussian weight included, computed
+        on first use: building them in ``build`` would add to the cost of
+        ``prepare``'s two geometries. The index lists are validated here, once,
+        for every gather that reads them."""
         h, w = self.height, self.width
         count = sum(map(self.flat_mask, self.concept_ids), np.zeros(h * w))
         safe = np.maximum(count, 1.0)
         concepts = {}
-        for cid, mask in self.masks.items():
+        for r in self.regions:
+            mask = self.masks[r.concept_id]
             flat = mask.reshape(-1)
-            concepts[cid] = ConceptPixels(
+            concepts[r.concept_id] = ConceptPixels(
                 inside=ad.distinct_indices(np.flatnonzero(flat), h * w),
                 outside=ad.distinct_indices(np.flatnonzero(flat == 0), h * w),
                 rows=ad.distinct_indices(np.flatnonzero(mask.any(axis=1)), h),
                 cols=ad.distinct_indices(np.flatnonzero(mask.any(axis=0)), w),
                 query=Tensor(flat[:, None]), share=Tensor((flat / safe)[:, None]),
-                weight=Tensor(self.gaussians[cid]))
+                weight=Tensor(gaussian_weight(r.box, h, w)))
         return PixelTable(concepts, background=Tensor((count == 0)[:, None]))
 
 
@@ -203,6 +205,13 @@ class PixelTable:
     background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
 
 
+def _check_concepts(what: str, concept_ids, geometry: RegionGeometry) -> None:
+    """Reject inputs built for another layout than the geometry was."""
+    if set(concept_ids) != set(geometry.concept_ids):
+        raise ArgumentError(f"{what} list concepts {list(concept_ids)}, the geometry "
+                            f"{list(geometry.concept_ids)}")
+
+
 def _heads_out(probs: Tensor, v: Tensor, wo_t: Tensor) -> Tensor:
     """Attention output: each head's probs @ v, joined and projected by W_O."""
     return ad.matmul(ad.apply_heads(probs, v), wo_t)
@@ -217,6 +226,7 @@ def compose_hidden(h0: Tensor, hiddens_by_concept: dict[str, Tensor],
     """
     if not hiddens_by_concept:
         return h0
+    _check_concepts("hidden states", hiddens_by_concept, geometry)
     table = geometry.pixels
     out = ad.mul(h0, table.background)
     for cid in geometry.concept_ids:
@@ -308,6 +318,7 @@ def region_cross_maps(
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
         raise ShapeError(f"hidden rows {z_flat.shape[0]} != {h}x{w}")
+    _check_concepts("branches", [b.concept_id for b in branches.concepts], geometry)
     q_full = ad.matmul(z_flat, weights.wq_t)
     probs: dict[str, Tensor] = {}
     cross_maps: dict[str, Tensor] = {}

@@ -99,15 +99,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -116,12 +107,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div_scalar(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -137,9 +122,9 @@ def _as_tensor(value) -> Tensor:
 
 # Every tensor holds only finite entries: the constructor and each kernel that
 # does arithmetic check their output. A kernel that only moves entries
-# (transpose, reshape, negation, gathers, concatenation, nearest upsampling)
-# cannot turn finite inputs into a non-finite output, so it passes
-# ``checked=False`` and skips the scan.
+# (transpose, reshape, gathers, concatenation, nearest upsampling) cannot
+# turn finite inputs into a non-finite output, so it passes ``checked=False``
+# and skips the scan.
 
 
 def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: _VJP,
@@ -216,11 +201,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _result(data, "mul", (a, b),
                    lambda g: (_unbroadcast(g * b.data, a.shape),
                               _unbroadcast(g * a.data, b.shape)))
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return _result(-a.data, "neg", (a,), lambda g: (-g,), checked=False)
 
 
 def div_scalar(a: Tensor, scalar) -> Tensor:

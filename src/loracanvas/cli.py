@@ -121,10 +121,14 @@ def compose_main(argv: list[str] | None = None) -> int:
         return 1
     for name, path in sorted(result.outputs.items()):
         print(f"{name}: {path}")
-    if result.trace:
-        first, last = result.trace[0], result.trace[-1]
-        print(f"guidance loss: {first.total:.6f} -> {last.total:.6f} "
-              f"({len(result.trace)} iterations)")
+    guided = result.trace
+    if config.reinit and config.regions:
+        # re-init logs its one step as the first row; it is no guided iteration
+        print(f"re-init loss: {guided[0].total:.6f}")
+        guided = guided[1:]
+    if guided:
+        print(f"guidance loss: {guided[0].total:.6f} -> {guided[-1].total:.6f} "
+              f"({len(guided)} iterations)")
     else:
         print("guidance loss: no guided iterations")
     return 0

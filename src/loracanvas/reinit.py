@@ -63,9 +63,9 @@ def transplant(z: np.ndarray, crops: list[CropResult],
                boxes: list[tuple[int, int, int, int]]) -> np.ndarray:
     """Copy each crop patch into its target box, all channels at once.
 
-    Every patch is read from a snapshot of the input, so crops may overlap
-    previously written boxes without aliasing; later boxes overwrite
-    earlier ones. Pixels outside every box stay bit-identical.
+    Every patch is read from the input, which is never written, so crops
+    may overlap previously written boxes without aliasing; later boxes
+    overwrite earlier ones. Pixels outside every box stay bit-identical.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
@@ -73,7 +73,6 @@ def transplant(z: np.ndarray, crops: list[CropResult],
     if len(crops) != len(boxes):
         raise ArgumentError("crops and boxes must align")
     _, h, w = z.shape
-    snapshot = z.copy()
     out = z.copy()
     for crop, (bi, bj, box_h, box_w) in zip(crops, boxes):
         crop_w, crop_h = crop.extent
@@ -84,8 +83,7 @@ def transplant(z: np.ndarray, crops: list[CropResult],
         ci, cj = crop.origin
         if ci + crop_h > h or cj + crop_w > w or bi + box_h > h or bj + box_w > w:
             raise ArgumentError("crop or box exceeds the latent extent")
-        out[:, bi:bi + box_h, bj:bj + box_w] = snapshot[:, ci:ci + crop_h,
-                                                        cj:cj + crop_w]
+        out[:, bi:bi + box_h, bj:bj + box_w] = z[:, ci:ci + crop_h, cj:cj + crop_w]
     return out
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -377,6 +378,47 @@ def test_build_context_computes_no_pixel_table():
         (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
     denoiser_forward(Tensor(z), 5, ctx)
     assert all(n in g.__dict__ for g in ctx.geometries.values() for n in lazy)
+
+
+def test_gaussian_weights_are_computed_with_the_pixel_table(monkeypatch):
+    calls = []
+    real = attention_module.gaussian_weight
+
+    def counting(box, height, width):
+        calls.append((box, height, width))
+        return real(box, height, width)
+
+    monkeypatch.setattr(attention_module, "gaussian_weight", counting)
+    ctx = build_test_context()
+    assert calls == []
+    z = np.random.default_rng(0).standard_normal(
+        (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
+    for _ in range(2):
+        denoiser_forward(Tensor(z), 5, ctx)
+    # once per concept per geometry, however many forwards read the table
+    assert sorted(calls) == sorted((r.box, h, w) for h, w in ctx.geometries
+                                   for r in ctx.layout.regions)
+    for (h, w), geometry in ctx.geometries.items():
+        for r in ctx.layout.regions:
+            assert np.array_equal(geometry.masks[r.concept_id], rasterize_mask(r.box, h, w))
+            weight = geometry.pixels.concepts[r.concept_id].weight.data
+            assert np.array_equal(weight, real(r.box, h, w))
+
+
+def test_region_cross_attention_rejects_a_geometry_of_another_layout():
+    z, layout, bundles, weights, n_heads, geometry = _small_setup(2)
+    one = dataclasses.replace(layout, regions=layout.regions[:1])
+    one_geometry = RegionGeometry.build(one, 4, 4)
+    with pytest.raises(ArgumentError, match=re.escape(
+            "branches list concepts ['c0', 'c1'], the geometry ['c0']")):
+        _cross(z, layout, bundles, weights, n_heads, one_geometry)
+    with pytest.raises(ArgumentError, match=re.escape(
+            "branches list concepts ['c0'], the geometry ['c0', 'c1']")):
+        _cross(z, one, bundles, weights, n_heads, geometry)
+    h0 = Tensor(z)
+    with pytest.raises(ArgumentError, match=re.escape(
+            "hidden states list concepts ['c0'], the geometry ['c0', 'c1']")):
+        compose_hidden(h0, {"c0": h0}, geometry)
 
 
 # ------------------------------------------------------------------ self attention

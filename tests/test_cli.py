@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -160,6 +161,114 @@ def test_compose_corrupt_container_errors(asset_dir, tmp_path, capsys):
     rc = compose_main(["--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def _absolute(asset_dir, name: str) -> dict:
+    """A shipped config whose asset paths no longer depend on its directory."""
+    raw = json.loads((asset_dir / name).read_text())
+    raw["global_prompt_embed"] = str(asset_dir / raw["global_prompt_embed"])
+    for region in raw["regions"]:
+        region["bundle"] = str(asset_dir / region["bundle"])
+    return raw
+
+
+def _trace_totals(run_dir: Path) -> list[float]:
+    with open(run_dir / "trace.csv", newline="") as f:
+        return [float(row["total"]) for row in csv.DictReader(f)]
+
+
+def test_compose_summary_counts_guided_iterations_only(asset_dir, tmp_path, capsys):
+    rc = compose_main(["--config", str(asset_dir / "gradcheck.json"),
+                       "--out", str(tmp_path / "out")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    totals = _trace_totals(tmp_path / "out")
+    assert len(totals) > 2
+    # row 0 is re-init's step; every later row is one guided iteration
+    assert f"re-init loss: {totals[0]:.6f}\n" in out
+    assert (f"guidance loss: {totals[1]:.6f} -> {totals[-1]:.6f} "
+            f"({len(totals) - 1} iterations)\n") in out
+
+
+@pytest.mark.parametrize("reinit", [True, False])
+def test_compose_summary_without_guidance(asset_dir, tmp_path, capsys, reinit):
+    raw = _absolute(asset_dir, "gradcheck.json")
+    raw["guidance"] = {"guidance_fraction": 0.0}
+    raw["reinit"] = reinit
+    config = tmp_path / "unguided.json"
+    config.write_text(json.dumps(raw))
+    assert compose_main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    totals = _trace_totals(tmp_path / "out")
+    assert len(totals) == int(reinit)
+    assert ("re-init loss:" in out) == reinit
+    if reinit:
+        assert f"re-init loss: {totals[0]:.6f}\n" in out
+    assert "guidance loss: no guided iterations\n" in out
+
+
+def _container_edit(key: str, edit):
+    """A config edit that points ``key`` at a copy of its container changed by ``edit``."""
+    def apply(raw: dict, tmp_path: Path) -> dict:
+        holder = raw["regions"][0] if key == "bundle" else raw
+        source = Path(holder[key])
+        tensors = edit(tensorio.read_container(source))
+        holder[key] = str(tmp_path / source.name)
+        tensorio.write_container(holder[key], tensors)
+        return raw
+    return apply
+
+
+def _bundle(changes: dict):
+    """Region 0's bundle with each named tensor replaced by a function of its old value."""
+    return _container_edit(
+        "bundle", lambda t: {**t, **{name: f(t[name]) for name, f in changes.items()}})
+
+
+# outside input that each check in the loaders, the config or the context rejects
+MALFORMED = {
+    "1-D delta factor": (
+        _bundle({"cross.W_K.down": lambda a: a.reshape(-1)}), "delta factors must be matrices"),
+    "delta ranks differ": (
+        _bundle({"cross.W_K.down": lambda a: a[:3]}), "rank mismatch"),
+    "1-D prompt_embed": (
+        _bundle({"prompt_embed": lambda a: a.reshape(-1)}),
+        "prompt_embed must be (tokens, d_text)"),
+    "K and V widths differ": (
+        _bundle({"cross.W_V.up": lambda a: a[:12]}), "deltas disagree on output dim"),
+    "two-element token_index": (
+        _bundle({"token_index": lambda a: np.array([1.0, 1.0])}),
+        "token_index must hold one element"),
+    "fractional token_index": (
+        _bundle({"token_index": lambda a: np.array([1.5])}), "token_index 1.5 is not integral"),
+    "zero steps": (
+        lambda raw, tmp_path: {**raw, "steps": 0}, "steps must be positive"),
+    "global embed without prompt_embed": (
+        _container_edit("global_prompt_embed", lambda t: {"embedding": t["prompt_embed"]}),
+        "holds no 'prompt_embed' tensor"),
+    "1-D global prompt_embed": (
+        _container_edit("global_prompt_embed",
+                        lambda t: {"prompt_embed": t["prompt_embed"].reshape(-1)}),
+        "global prompt embedding must be 2-D"),
+    "negative alpha": (
+        lambda raw, tmp_path: {**raw, "guidance": {**raw["guidance"], "alpha": -0.25}},
+        "loss weights must be non-negative"),
+    "delta width is not d_model": (
+        _bundle({"cross.W_K.up": lambda a: a[:12], "cross.W_V.up": lambda a: a[:12]}),
+        "delta cross.W_K targets width 12, model expects 16"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_compose_rejects_malformed_input(asset_dir, tmp_path, capsys, case):
+    edit, message = MALFORMED[case]
+    config = tmp_path / "malformed.json"
+    config.write_text(json.dumps(edit(_absolute(asset_dir, "config.json"), tmp_path)))
+    rc = compose_main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

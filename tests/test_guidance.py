@@ -104,7 +104,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
     record = record_from_maps({"a": amap}, uniform_self_map())
     # |M| = 4, s_ratio 0.5 -> S = 2
     loss = summed(concept_enhancement_terms(record, geo, s_ratio=0.5))
-    weighted = amap * geo.masks["a"] * geo.gaussians["a"]
+    weighted = amap * geo.masks["a"] * geo.pixels.concepts["a"].weight.data
     top2 = np.sort(weighted.reshape(-1))[::-1][:2]
     assert abs(loss - (1.0 - top2.mean())) < 1e-12
 

@@ -21,6 +21,7 @@ from loracanvas.attention import (
     LayoutCondition,
     RegionGeometry,
     RegionSpec,
+    gaussian_weight,
     rasterize_mask,
 )
 from loracanvas.autodiff import Tensor, finite_difference_gradient, grad
@@ -282,7 +283,7 @@ def test_selection_kernel_vjps_match_finite_differences(kind, data):
 
 # every finite float64, the extremes included
 any_finite = st.floats(allow_nan=False, allow_infinity=False)
-MOVEMENTS = ("transpose2d", "reshape", "neg", "take", "take2d", "column", "slice_cols",
+MOVEMENTS = ("transpose2d", "reshape", "take", "take2d", "column", "slice_cols",
              "axis_max_project", "concat", "upsample_nearest_2x")
 
 
@@ -300,8 +301,6 @@ def movement_cases(draw):
         return x, ad.transpose2d
     if kind == "reshape":
         return x, lambda t: ad.reshape(t, (t.size,))
-    if kind == "neg":
-        return x, ad.neg
     if kind == "take":
         idx = distinct(x.size)
         return x, lambda t: ad.take(ad.reshape(t, (t.size,)), idx)
@@ -316,7 +315,8 @@ def movement_cases(draw):
         axis = draw(st.sampled_from(("rows", "cols")))
         return x, lambda t: ad.axis_max_project(t, axis)
     if kind == "concat":
-        return x, lambda t: ad.concat([t, ad.neg(t)], axis=draw(st.integers(0, 1)))
+        flipped, axis = list(range(2 * rows))[::-1], draw(st.integers(0, 1))
+        return x, lambda t: ad.concat([t, ad.take2d(t, flipped, range(2 * cols))], axis=axis)
     return x, lambda t: ad.upsample_nearest_2x(t, rows, 2)
 
 
@@ -511,6 +511,7 @@ CORNER_AT_EDGE = LayoutCondition(
 @example((CORNER_AT_EDGE, 16, 16))
 def test_geometry_masks_equal_rasterized_boxes(case):
     layout, height, width = case
+    boxes = {r.concept_id: r.box for r in layout.regions}
     for h, w in ((height, width), (height // 2, width // 2)):
         try:
             expected = {r.concept_id: rasterize_mask(r.box, h, w) for r in layout.regions}
@@ -523,7 +524,6 @@ def test_geometry_masks_equal_rasterized_boxes(case):
         for cid, mask in expected.items():
             assert geometry.masks[cid].dtype == mask.dtype
             assert np.array_equal(geometry.masks[cid], mask)
-            assert np.array_equal(geometry.gaussians[cid] > 0, mask > 0)
         table = geometry.pixels
         shares = np.zeros(h * w)
         for cid, mask in expected.items():
@@ -533,7 +533,8 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert np.array_equal(box.rows, np.flatnonzero(mask.any(axis=1)))
             assert np.array_equal(box.cols, np.flatnonzero(mask.any(axis=0)))
             assert np.array_equal(box.query.data, flat[:, None])
-            assert np.array_equal(box.weight.data, geometry.gaussians[cid])
+            assert np.array_equal(box.weight.data, gaussian_weight(boxes[cid], h, w))
+            assert np.array_equal(box.weight.data > 0, mask > 0)
             shares += box.share.data[:, 0]
         background = table.background.data[:, 0]
         assert np.max(np.abs(background + shares - 1.0)) <= 1e-15
