@@ -52,18 +52,14 @@ class LayoutCondition:
         if self.global_prompt_embed.ndim != 2:
             raise ArgumentError("global prompt embedding must be (tokens, d_text)")
 
-    @property
-    def concept_ids(self) -> tuple[str, ...]:
-        return tuple(r.concept_id for r in self.regions)
-
 
 @dataclass
 class LayerRecord:
     """Attention maps captured by one composer block."""
 
-    resolution: tuple[int, int]          # (height, width)
-    cross_maps: dict[str, Tensor]        # concept id -> (h, w), heads averaged
-    self_map: Tensor                     # (h*w, h*w), heads averaged
+    resolution: tuple[int, int]   # (height, width)
+    cross_maps: Tensor            # (concepts, h, w) in layout order, heads averaged
+    self_map: Tensor              # (h*w, h*w), heads averaged
 
 
 @dataclass
@@ -81,12 +77,9 @@ class AttnRecord:
         res = self.loss_resolution
         return [l for l in self.layers if l.resolution == res]
 
-    def averaged_cross_map(self, concept_id: str) -> np.ndarray:
-        """Concept-token map averaged over the loss-resolution layers."""
-        maps = [l.cross_maps[concept_id].data for l in self.loss_layers()]
-        if not maps:
-            raise ArgumentError(f"no cross map recorded for {concept_id!r}")
-        return np.mean(maps, axis=0)
+    def averaged_cross_maps(self) -> np.ndarray:
+        """(concepts, h, w) concept-token maps averaged over the loss-resolution layers."""
+        return np.mean([l.cross_maps.data for l in self.loss_layers()], axis=0)
 
 
 def rasterize_mask(box: Box, height: int, width: int) -> np.ndarray:
@@ -168,48 +161,35 @@ class RegionGeometry:
         ``prepare``'s two geometries. The index lists are validated here, once,
         for every gather that reads them."""
         h, w = self.height, self.width
-        count = sum(map(self.flat_mask, self.concept_ids), np.zeros(h * w))
+        flat = np.reshape(list(self.masks.values()), (-1, h * w))
+        count = flat.sum(axis=0)
         safe = np.maximum(count, 1.0)
-        concepts = {}
-        for r in self.regions:
-            mask = self.masks[r.concept_id]
-            flat = mask.reshape(-1)
-            concepts[r.concept_id] = ConceptPixels(
-                inside=ad.distinct_indices(np.flatnonzero(flat), h * w),
-                outside=ad.distinct_indices(np.flatnonzero(flat == 0), h * w),
-                rows=ad.distinct_indices(np.flatnonzero(mask.any(axis=1)), h),
-                cols=ad.distinct_indices(np.flatnonzero(mask.any(axis=0)), w),
-                query=Tensor(flat[:, None]), share=Tensor((flat / safe)[:, None]),
-                weight=Tensor(gaussian_weight(r.box, h, w)))
-        return PixelTable(concepts, background=Tensor((count == 0)[:, None]))
-
-
-@dataclass(frozen=True)
-class ConceptPixels:
-    """One concept's box at one resolution, in the form each reader needs."""
-
-    inside: ad.DistinctIndices    # flat indices of the box's pixels
-    outside: ad.DistinctIndices   # flat indices of every other pixel
-    rows: ad.DistinctIndices      # rows the box covers
-    cols: ad.DistinctIndices      # columns the box covers
-    query: Tensor                 # (h*w, 1) mask on the concept branch's queries
-    share: Tensor                 # (h*w, 1) compose weight: mask / boxes covering the pixel
-    weight: Tensor                # (h, w) Gaussian weight, in-box maximum 1
+        grid = flat.reshape(-1, h, w)
+        return PixelTable(
+            inside=tuple(ad.distinct_indices(np.flatnonzero(f), h * w) for f in flat),
+            outside=tuple(ad.distinct_indices(np.flatnonzero(f == 0), h * w) for f in flat),
+            rows=tuple(ad.distinct_indices(np.flatnonzero(r), h) for r in grid.any(axis=2)),
+            cols=tuple(ad.distinct_indices(np.flatnonzero(c), w) for c in grid.any(axis=1)),
+            area=flat.sum(axis=1).astype(np.intp),
+            query=Tensor(flat[:, :, None]), share=Tensor((flat / safe)[:, :, None]),
+            weight=Tensor(np.reshape([gaussian_weight(r.box, h, w) for r in self.regions],
+                                     (-1, h, w))),
+            background=Tensor((count == 0)[:, None]))
 
 
 @dataclass(frozen=True)
 class PixelTable:
-    """A geometry's pixel constants: one entry per concept, plus h0's weight."""
+    """A geometry's pixel constants, per concept in layout order, plus h0's weight."""
 
-    concepts: dict[str, ConceptPixels]
+    inside: tuple[ad.DistinctIndices, ...]    # flat indices of each box's pixels
+    outside: tuple[ad.DistinctIndices, ...]   # flat indices of every other pixel
+    rows: tuple[ad.DistinctIndices, ...]      # rows each box covers
+    cols: tuple[ad.DistinctIndices, ...]      # columns each box covers
+    area: np.ndarray      # (concepts,) pixels each box covers
+    query: Tensor         # (concepts, h*w, 1) mask on each concept branch's queries
+    share: Tensor         # (concepts, h*w, 1) compose weight: mask / boxes covering the pixel
+    weight: Tensor        # (concepts, h, w) Gaussian weight, in-box maximum 1
     background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
-
-
-def _check_concepts(what: str, concept_ids, geometry: RegionGeometry) -> None:
-    """Reject inputs built for another layout than the geometry was."""
-    if set(concept_ids) != set(geometry.concept_ids):
-        raise ArgumentError(f"{what} list concepts {list(concept_ids)}, the geometry "
-                            f"{list(geometry.concept_ids)}")
 
 
 def _heads_out(probs: Tensor, v: Tensor, wo_t: Tensor) -> Tensor:
@@ -217,40 +197,31 @@ def _heads_out(probs: Tensor, v: Tensor, wo_t: Tensor) -> Tensor:
     return ad.matmul(ad.apply_heads(probs, v), wo_t)
 
 
-def compose_hidden(h0: Tensor, hiddens_by_concept: dict[str, Tensor],
-                   geometry: RegionGeometry) -> Tensor:
-    """Merge per-concept hidden states over the background hidden state.
+def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Tensor:
+    """Merge the concepts' (concepts, h*w, d) hidden states over the background one.
 
     Pixels covered by no box keep h0; pixels covered by k boxes take the
-    arithmetic mean of the k covering states.
+    arithmetic mean of the k covering states. The masks are 0/1 and the
+    background and the shares never overlap, so this rounds as adding each
+    concept's share to h0's in layout order.
     """
-    if not hiddens_by_concept:
-        return h0
-    _check_concepts("hidden states", hiddens_by_concept, geometry)
+    if hiddens.data.ndim != 3 or len(hiddens.data) != len(geometry.regions):
+        raise ArgumentError(f"hidden states of shape {hiddens.shape} do not hold the "
+                            f"geometry's {len(geometry.regions)} concepts")
     table = geometry.pixels
-    out = ad.mul(h0, table.background)
-    for cid in geometry.concept_ids:
-        out = out + ad.mul(hiddens_by_concept[cid], table.concepts[cid].share)
-    return out
-
-
-@dataclass(frozen=True)
-class ConceptBranch:
-    """One concept's cross-attention branch, as ``cross_branches`` builds it."""
-
-    concept_id: str
-    token_index: int    # the concept token, whose map the branch records
-    k: Tensor           # (tokens, d) prompt keys through the concept-merged W_K
-    v: Tensor           # (tokens, d) prompt values through the concept-merged W_V
+    return ad.mul(h0, table.background) + ad.sum_leading(ad.mul(hiddens, table.share))
 
 
 @dataclass(frozen=True)
 class CrossBranches:
     """Every cross-attention branch of one block, as ``cross_branches`` builds it."""
 
-    k: Tensor                             # global prompt keys, base weights
-    v: Tensor                             # global prompt values, base weights
-    concepts: tuple[ConceptBranch, ...]   # one per region, in layout order
+    k: Tensor                     # global prompt keys, base weights
+    v: Tensor                     # global prompt values, base weights
+    concept_ids: tuple[str, ...]  # one per region, in layout order
+    tokens: np.ndarray            # (concepts,) the concept token, whose map a branch records
+    concept_k: Tensor             # (concepts, tokens, d) prompt keys, concept-merged W_K
+    concept_v: Tensor             # (concepts, tokens, d) prompt values, concept-merged W_V
 
 
 def cross_branches(layout: LayoutCondition, bundles: dict[str, ConceptBundle],
@@ -260,31 +231,25 @@ def cross_branches(layout: LayoutCondition, bundles: dict[str, ConceptBundle],
     The global branch projects the global prompt through the base weights,
     each region's branch its concept's prompt through the base weights merged
     with the concept's deltas. They depend on no latent: a run builds them once.
+    The concept prompts must share a token count (``build_context`` checks it).
     """
     prompt = Tensor(layout.global_prompt_embed)
     k0, v0 = apply_projection(prompt, weights.wk), apply_projection(prompt, weights.wv)
-    concepts = []
+    tokens, keys, values = [], [], []
     for region in layout.regions:
         bundle = bundles.get(region.concept_id)
         if bundle is None:
             raise ConfigurationError(f"no bundle for concept {region.concept_id!r}")
         prompt = Tensor(bundle.prompt_embed)
-        concepts.append(ConceptBranch(
-            concept_id=region.concept_id, token_index=bundle.token_index,
-            k=apply_projection(prompt, weights.wk, bundle.deltas.get("cross.W_K")),
-            v=apply_projection(prompt, weights.wv, bundle.deltas.get("cross.W_V"))))
-    return CrossBranches(k=k0, v=v0, concepts=tuple(concepts))
-
-
-@dataclass(frozen=True)
-class CrossQueries:
-    """Region cross-attention run as far as its concept maps.
-
-    ``region_cross_output`` finishes it from here.
-    """
-
-    query: Tensor                 # (h*w, d) unmasked queries, for the global branch
-    probs: dict[str, Tensor]      # concept id -> (heads, h*w, tokens) branch attention
+        tokens.append(bundle.token_index)
+        keys.append(apply_projection(prompt, weights.wk, bundle.deltas.get("cross.W_K")).data)
+        values.append(apply_projection(prompt, weights.wv, bundle.deltas.get("cross.W_V")).data)
+    # with no concepts, one token leaves the empty branches' softmax an axis to normalize
+    shape = (len(keys), keys[0].shape[0] if keys else 1, k0.shape[1])
+    return CrossBranches(k=k0, v=v0, concept_ids=tuple(r.concept_id for r in layout.regions),
+                         tokens=np.array(tokens, dtype=np.intp),
+                         concept_k=Tensor(np.reshape(keys, shape)),
+                         concept_v=Tensor(np.reshape(values, shape)))
 
 
 def region_cross_attention(
@@ -293,14 +258,15 @@ def region_cross_attention(
     n_heads: int,
     geometry: RegionGeometry,
     branches: CrossBranches,
-) -> tuple[Tensor, dict[str, Tensor]]:
+) -> tuple[Tensor, Tensor]:
     """Cross-attention with one LoRA-injected branch per concept region.
 
     Each concept branch masks its queries with its region and attends its own
-    keys and values; returns the composed hidden state and the concept maps.
+    keys and values; returns the composed hidden state and the (concepts, h, w)
+    concept maps.
     """
-    queries, cross_maps = region_cross_maps(z_flat, weights, n_heads, geometry, branches)
-    return region_cross_output(queries, weights, n_heads, geometry, branches), cross_maps
+    query, probs, maps = region_cross_maps(z_flat, weights, n_heads, geometry, branches)
+    return region_cross_output(query, probs, weights, n_heads, geometry, branches), maps
 
 
 def region_cross_maps(
@@ -309,30 +275,30 @@ def region_cross_maps(
     n_heads: int,
     geometry: RegionGeometry,
     branches: CrossBranches,
-) -> tuple[CrossQueries, dict[str, Tensor]]:
+) -> tuple[Tensor, Tensor, Tensor]:
     """The first half of ``region_cross_attention``: everything its maps read.
 
-    Projects the queries, runs each concept branch's attention and records
-    its concept-token map (heads averaged). No hidden state is computed.
+    Projects the queries and runs every concept branch's attention at once.
+    Returns the unmasked (h*w, d) queries, the (concepts, heads, h*w, tokens)
+    branch attention and each branch's concept-token map, heads averaged, as
+    (concepts, h, w). No hidden state is computed.
     """
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
         raise ShapeError(f"hidden rows {z_flat.shape[0]} != {h}x{w}")
-    _check_concepts("branches", [b.concept_id for b in branches.concepts], geometry)
-    q_full = ad.matmul(z_flat, weights.wq_t)
-    probs: dict[str, Tensor] = {}
-    cross_maps: dict[str, Tensor] = {}
-    for branch in branches.concepts:
-        cid = branch.concept_id
-        qn = ad.mul(q_full, geometry.pixels.concepts[cid].query)
-        probs[cid] = ad.attention_probs(qn, branch.k, n_heads)
-        concept_col = ad.column(ad.mean_heads(probs[cid]), branch.token_index)
-        cross_maps[cid] = ad.reshape(concept_col, (h, w))
-    return CrossQueries(query=q_full, probs=probs), cross_maps
+    if branches.concept_ids != geometry.concept_ids:
+        raise ArgumentError(f"branches list concepts {list(branches.concept_ids)}, the "
+                            f"geometry {list(geometry.concept_ids)}")
+    query = ad.matmul(z_flat, weights.wq_t)
+    probs = ad.attention_probs(ad.mul(query, geometry.pixels.query), branches.concept_k,
+                               n_heads)
+    columns = ad.column(ad.mean_heads(probs), branches.tokens)
+    return query, probs, ad.reshape(columns, (len(branches.tokens), h, w))
 
 
 def region_cross_output(
-    queries: CrossQueries,
+    query: Tensor,
+    probs: Tensor,
     weights: AttentionWeights,
     n_heads: int,
     geometry: RegionGeometry,
@@ -340,13 +306,12 @@ def region_cross_output(
 ) -> Tensor:
     """The second half of ``region_cross_attention``: its composed hidden state.
 
-    Runs the global branch, applies each concept branch's attention to its
-    values and merges the branches with ``compose_hidden``.
+    Runs the global branch on ``region_cross_maps``' queries, applies the
+    concept branches' attention to their values and merges the branches with
+    ``compose_hidden``.
     """
-    h0 = _heads_out(ad.attention_probs(queries.query, branches.k, n_heads), branches.v,
-                    weights.wo_t)
-    hiddens = {b.concept_id: _heads_out(queries.probs[b.concept_id], b.v, weights.wo_t)
-               for b in branches.concepts}
+    h0 = _heads_out(ad.attention_probs(query, branches.k, n_heads), branches.v, weights.wo_t)
+    hiddens = _heads_out(probs, branches.concept_v, weights.wo_t)
     return compose_hidden(h0, hiddens, geometry)
 
 

@@ -3,12 +3,13 @@
 Every kernel needed to differentiate the attention constraint losses with
 respect to a latent is implemented here: matrix products, row softmax
 (plain and key-masked), batched multi-head attention (probabilities, head
-outputs, head mean), top-k means, axis max-projections, row layer
-normalization, 2x2 average pooling, nearest-neighbour upsampling, gathers,
-concatenation, and the three constraint terms fused into one kernel each
-(top-k enhancement, box fill, region leakage). Each traced tensor doubles
-as its own tape node: it remembers the kernel that produced it (``op``),
-its ``parents`` and a vector-Jacobian closure. ``grad`` replays the tape once in reverse
+outputs, head mean, over any leading axes), top-k means, axis max-projections,
+row layer normalization, 2x2 average pooling, nearest-neighbour upsampling,
+gathers, concatenation, a sum over the leading (concept) axis, and the three
+constraint terms, each one kernel for all concepts (top-k enhancement, box
+fill, region leakage). Each traced tensor doubles as its own tape node: it
+remembers the kernel that produced it (``op``), its ``parents`` and a
+vector-Jacobian closure. ``grad`` replays the tape once in reverse
 topological order. ``finite_difference_gradient`` is the independent
 oracle used to cross-check every backward rule.
 
@@ -215,14 +216,15 @@ def div_scalar(a: Tensor, scalar) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 2-D ``b`` and an ``a`` with any leading axes before its rows."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError("matmul expects a 2-D right operand and a left one of 2-D or more")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ ({a.shape} x {b.shape})")
-    data = a.data @ b.data
-    return _result(data, "matmul", (a, b),
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+    # b's cotangent sums over every row of every leading slice: one product
+    return _result(a.data @ b.data, "matmul", (a, b), lambda g: (
+        g @ b.data.T, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])))
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -320,18 +322,20 @@ def _softmax_rows(logits: np.ndarray, owned: bool = False):
 #
 # Head h owns feature columns [h*d_h, (h+1)*d_h). Each head's operands are
 # laid out exactly as a 2-D kernel chain (slice, transpose, matmul) would
-# lay them out, so the batched products round the same way.
+# lay them out, so the batched products round the same way. Leading axes
+# before the rows (one per concept branch) batch the same products again.
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(rows, d) -> contiguous (heads, rows, d_h)."""
-    rows, d = x.shape
-    return np.ascontiguousarray(x.reshape(rows, n_heads, d // n_heads).transpose(1, 0, 2))
+    """(..., rows, d) -> contiguous (..., heads, rows, d_h)."""
+    *lead, rows, d = x.shape
+    return np.ascontiguousarray(x.reshape(*lead, rows, n_heads, d // n_heads).swapaxes(-3, -2))
 
 
 def _join_heads(x: np.ndarray) -> np.ndarray:
-    """(heads, rows, d_h) -> (rows, heads * d_h)."""
-    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    """(..., heads, rows, d_h) -> (..., rows, heads * d_h)."""
+    *lead, heads, rows, d_h = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, rows, heads * d_h)
 
 
 def _check_heads(d: int, n_heads: int) -> None:
@@ -341,20 +345,21 @@ def _check_heads(d: int, n_heads: int) -> None:
 
 def attention_probs(q: Tensor, k: Tensor, n_heads: int,
                     blocked: np.ndarray | None = None) -> Tensor:
-    """Per-head softmax(q_h @ k_h^T / sqrt(d_h)) as one (heads, n, m) tensor.
+    """Per-head softmax(q_h @ k_h^T / sqrt(d_h)) as one (..., heads, n, m) tensor.
 
+    ``q`` is (..., n, d) and ``k`` (..., m, d), with the same leading axes.
     ``blocked`` is an optional (n, m) ``checked_block`` mask shared by every
-    head; those keys get exactly 0, as in ``masked_softmax_rows``.
+    head and leading slice; those keys get exactly 0, as in ``masked_softmax_rows``.
     """
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
+    if (q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or k.data.ndim != q.data.ndim
+            or q.shape[-1] != k.shape[-1]):
         raise ShapeError(f"attention_probs: cannot attend {q.shape} to {k.shape}")
     n_heads = int(n_heads)
-    _check_heads(q.shape[1], n_heads)
-    m, d = k.shape
-    scale = math.sqrt(d // n_heads)
+    _check_heads(q.shape[-1], n_heads)
+    scale = math.sqrt(k.shape[-1] // n_heads)
     qh = _split_heads(q.data, n_heads)
-    kt = np.ascontiguousarray(k.data.reshape(m, n_heads, d // n_heads).transpose(1, 2, 0))
+    kt = np.ascontiguousarray(_split_heads(k.data, n_heads).swapaxes(-1, -2))
     logits = np.matmul(qh, kt)
     logits /= scale
     if blocked is not None:
@@ -364,50 +369,47 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     def vjp(g):
         gl = softmax_vjp(g)
         gl /= scale
-        gq = np.matmul(gl, kt.transpose(0, 2, 1))
-        gk = np.matmul(qh.transpose(0, 2, 1), gl)
-        return (_join_heads(gq), gk.transpose(2, 0, 1).reshape(m, d))
+        gq = np.matmul(gl, kt.swapaxes(-1, -2))
+        gk = np.matmul(qh.swapaxes(-1, -2), gl)
+        return _join_heads(gq), _join_heads(gk.swapaxes(-1, -2))
 
     return _result(y, "attention_probs", (q, k), vjp)
 
 
 def apply_heads(p: Tensor, v: Tensor) -> Tensor:
-    """Each head's p_h @ v_h, joined into one (n, d) tensor.
+    """Each head's p_h @ v_h, joined into one (..., n, d) tensor.
 
-    ``p`` is (heads, n, m) attention, ``v`` the (m, d) values.
+    ``p`` is (..., heads, n, m) attention, ``v`` the (..., m, d) values.
     """
     p, v = _as_tensor(p), _as_tensor(v)
-    if p.data.ndim != 3 or v.data.ndim != 2 or p.shape[2] != v.shape[0]:
+    if (p.data.ndim < 3 or v.data.ndim != p.data.ndim - 1 or p.shape[:-3] != v.shape[:-2]
+            or p.shape[-1] != v.shape[-2]):
         raise ShapeError(f"apply_heads: cannot apply {p.shape} to {v.shape}")
-    n_heads, n, _ = p.shape
-    d = v.shape[1]
+    n_heads = p.shape[-3]
+    d = v.shape[-1]
     _check_heads(d, n_heads)
     vh = _split_heads(v.data, n_heads)
 
     def vjp(g):
-        gh = g.reshape(n, n_heads, d // n_heads).transpose(1, 0, 2)
-        return (np.matmul(gh, vh.transpose(0, 2, 1)),
-                _join_heads(np.matmul(p.data.transpose(0, 2, 1), gh)))
+        gh = g.reshape(*g.shape[:-1], n_heads, d // n_heads).swapaxes(-3, -2)
+        return (np.matmul(gh, vh.swapaxes(-1, -2)),
+                _join_heads(np.matmul(p.data.swapaxes(-1, -2), gh)))
 
     return _result(_join_heads(np.matmul(p.data, vh)), "apply_heads", (p, v), vjp)
 
 
 def mean_heads(p: Tensor) -> Tensor:
-    """Average a (heads, n, m) tensor over heads, summing heads in order."""
+    """Average a (..., heads, n, m) tensor over heads, summing heads in order."""
     p = _as_tensor(p)
-    if p.data.ndim != 3:
-        raise ShapeError("mean_heads expects a (heads, n, m) tensor")
-    n_heads = p.shape[0]
-    data = p.data[0].copy()
+    if p.data.ndim < 3:
+        raise ShapeError("mean_heads expects a (..., heads, n, m) tensor")
+    n_heads = p.shape[-3]
+    data = p.data[..., 0, :, :].copy()
     for h in range(1, n_heads):
-        data += p.data[h]
+        data += p.data[..., h, :, :]
     data /= float(n_heads)
-    shape = p.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g / float(n_heads), shape),)
-
-    return _result(data, "mean_heads", (p,), vjp)
+    return _result(data, "mean_heads", (p,), lambda g: (
+        np.broadcast_to(np.expand_dims(g / float(n_heads), -3), p.shape),))
 
 
 def layernorm_rows(x: Tensor) -> Tensor:
@@ -515,14 +517,17 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _select(x, (slice(None), slice(start, stop)), "slice_cols")
 
 
-def column(x: Tensor, j: int) -> Tensor:
-    """Extract column j of a 2-D tensor as a 1-D vector."""
+def column(x: Tensor, j) -> Tensor:
+    """Column ``j`` of a (..., n, m) tensor as (..., n); ``j`` has one index per leading slice."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError("column expects a 2-D tensor")
-    if not (0 <= j < x.shape[1]):
-        raise ArgumentError(f"column {j} out of range for {x.shape}")
-    return _select(x, (slice(None), j), "column")
+    if x.data.ndim < 2:
+        raise ShapeError("column expects a tensor of 2-D or more")
+    j = np.asarray(j)
+    if (j.shape != x.shape[:-2] or j.dtype.kind not in "iu"
+            or not ((0 <= j) & (j < x.shape[-1])).all()):
+        raise ArgumentError(f"column needs an index in [0, {x.shape[-1]}) per slice of {x.shape}")
+    lead = [i[..., None] for i in np.indices(j.shape, sparse=True)]
+    return _select(x, (*lead, np.arange(x.shape[-2]), j[..., None]), "column")
 
 
 class DistinctIndices(np.ndarray):
@@ -611,21 +616,40 @@ def mean_all(x: Tensor) -> Tensor:
                    lambda g: (np.full(shape, float(g) / n),))
 
 
+def sum_leading(x: Tensor) -> Tensor:
+    """Sum over the leading axis slice after slice, rounding as the chain
+    ``x[0] + x[1] + ...`` of ``add`` kernels would; an empty axis sums to zeros."""
+    x = _as_tensor(x)
+    if x.data.ndim < 1:
+        raise ShapeError("sum_leading needs a leading axis")
+    data = x.data[0].copy() if len(x.data) else np.zeros(x.shape[1:])
+    for part in x.data[1:]:
+        data += part
+    return _result(data, "sum_leading", (x,), lambda g: (np.broadcast_to(g, x.shape),))
+
+
 # -- fused constraint terms ---------------------------------------------------
 #
-# Each kernel is one concept's constraint term over its loss layers: it takes
-# one map per layer and returns the mean of the per-map terms as one node.
-# Values and gradients round exactly as the chain of small kernels that each
-# docstring names, followed by add and div_scalar for the layer mean.
+# Each kernel is every concept's constraint term over the loss layers: it takes
+# one map per layer, per-concept boxes, weights and top-k counts, and returns
+# one (concepts,) node whose entry c is the mean of concept c's per-map terms.
+# Each entry rounds exactly as the chain of small kernels its docstring names,
+# run on that concept alone and followed by add and div_scalar for the layer
+# mean. Each backward writes a layer's picks with one flat-index scatter.
 
 
-def _layer_maps(maps: Sequence[Tensor], op: str, ndim: int | None = None) -> tuple[Tensor, ...]:
+def _layer_maps(maps: Sequence[Tensor], op: str, ndim: int) -> tuple[Tensor, ...]:
     maps = tuple(_as_tensor(m) for m in maps)
     if not maps:
         raise ArgumentError(f"{op} needs at least one map")
-    if ndim is not None and any(m.data.ndim != ndim for m in maps):
-        raise ShapeError(f"{op} expects {ndim}-D maps")
+    if any(m.data.ndim != ndim or m.shape != maps[0].shape for m in maps):
+        raise ShapeError(f"{op} expects {ndim}-D maps of one shape")
     return maps
+
+
+def _per_concept(count: int, op: str, *lists) -> None:
+    if any(len(entries) != count for entries in lists):
+        raise ArgumentError(f"{op} needs one entry per concept, {count} in all")
 
 
 def _layer_mean(terms: list) -> np.ndarray:
@@ -633,6 +657,12 @@ def _layer_mean(terms: list) -> np.ndarray:
     for term in terms[1:]:
         total = total + term
     return np.asarray(total / float(len(terms)))
+
+
+def _flat_picks(picks: list, stride: int) -> np.ndarray:
+    """Concept c's flat picks, offset by c * stride, joined in concept order."""
+    return np.concatenate([np.zeros(0, np.intp)]
+                          + [c * stride + idx for c, idx in enumerate(picks)])
 
 
 def _box_indices(rows, cols, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -643,41 +673,43 @@ def _box_indices(rows, cols, shape: tuple[int, ...], op: str) -> tuple[np.ndarra
     return ri, ci
 
 
-def topk_shortfall(maps: Sequence[Tensor], weight, k: int) -> Tensor:
-    """Mean over maps of ``1 - topk_mean(map * weight, k)``.
+def topk_shortfall(maps: Sequence[Tensor], weight, ks) -> Tensor:
+    """Per concept c, the mean over maps of ``1 - topk_mean(map[c] * weight[c], ks[c])``.
 
     Attend-and-Excite's top-k enhancement term (chain: mul, topk_mean, sub).
-    ``weight`` is a constant; no gradient flows to it.
+    Each map is (concepts, h, w); ``weight`` is a constant of the same shape,
+    to which no gradient flows.
     """
-    maps = _layer_maps(maps, "topk_shortfall")
+    maps = _layer_maps(maps, "topk_shortfall", 3)
     weight = _as_tensor(weight)
     if weight.requires_grad:
         raise ArgumentError("topk_shortfall needs a constant weight")
+    if weight.shape != maps[0].shape:
+        raise ShapeError(f"topk_shortfall: {maps[0].shape} vs {weight.shape}")
     w = weight.data
-    k = int(k)
+    ks = np.array([int(k) for k in ks], dtype=np.intp)
+    _per_concept(len(w), "topk_shortfall", ks)
     picks, terms = [], []
     for m in maps:
-        try:
-            product = m.data * w
-        except ValueError as exc:
-            raise ShapeError(f"topk_shortfall: {m.shape} vs {w.shape}") from exc
+        product = m.data * w
         _check_finite(product, "topk_shortfall")
-        idx, top = _top_k(product.reshape(-1), k)
-        picks.append((idx, product.shape))
-        terms.append(1.0 - top)
+        tops = [_top_k(p.reshape(-1), k) for p, k in zip(product, ks.tolist())]
+        picks.append([idx for idx, _ in tops])
+        terms.append(1.0 - np.array([top for _, top in tops]))
     n = float(len(maps))
 
     def vjp(g):
-        share = -(float(g) / n) / k
-        return tuple(
-            _unbroadcast(_scatter(math.prod(shape), idx, share).reshape(shape) * w, m.shape)
-            for m, (idx, shape) in zip(maps, picks))
+        share = np.repeat(-(g / n) / ks, ks)
+        stride = math.prod(w.shape[1:])
+        return tuple(_scatter(w.size, _flat_picks(at, stride), share).reshape(w.shape) * w
+                     for at in picks)
 
     return _result(_layer_mean(terms), "topk_shortfall", maps, vjp)
 
 
 def box_fill(maps: Sequence[Tensor], rows, cols) -> Tensor:
-    """Mean over maps of ``mean(1 - [column maxima at cols, row maxima at rows])``.
+    """Per concept c, the mean over maps of
+    ``mean(1 - [map[c]'s column maxima at cols[c], row maxima at rows[c]])``.
 
     BoxDiff's box-axis max-projection fill term (chain: axis_max_project,
     take, concat, sub, mean_all). Each maximum's gradient routes to its
@@ -686,47 +718,55 @@ def box_fill(maps: Sequence[Tensor], rows, cols) -> Tensor:
     ``grad`` adds them to the map's other cotangents in the chain's order.
     Summing the two here would reassociate that sum.
     """
-    maps = _layer_maps(maps, "box_fill", 2)
+    maps = _layer_maps(maps, "box_fill", 3)
+    concepts, height, width = maps[0].shape
+    _per_concept(concepts, "box_fill", rows, cols)
+    boxes = [_box_indices(r, c, (height, width), "box_fill") for r, c in zip(rows, cols)]
+    sizes = np.array([ri.size + ci.size for ri, ci in boxes], dtype=np.intp)
     picks, terms = [], []
     for m in maps:
-        ri, ci = _box_indices(rows, cols, m.shape, "box_fill")
-        at_cols = (m.data.argmax(axis=0)[ci], ci)
-        at_rows = (ri, m.data.argmax(axis=1)[ri])
-        projected = np.concatenate([m.data[at_cols], m.data[at_rows]])
-        terms.append((1.0 - projected).mean())
-        picks.append((at_cols, at_rows, projected.size))
+        at_cols = [s.argmax(axis=0)[ci] * width + ci for s, (_, ci) in zip(m.data, boxes)]
+        at_rows = [ri * width + s.argmax(axis=1)[ri] for s, (ri, _) in zip(m.data, boxes)]
+        terms.append(np.array([(1.0 - s.reshape(-1)[np.concatenate(at)]).mean()
+                               for s, *at in zip(m.data, at_cols, at_rows)]))
+        picks += [at_cols, at_rows]
     n = float(len(maps))
+    parents = tuple(m for m in maps for _ in range(2))
 
     def vjp(g):
-        out = []
-        for m, (at_cols, at_rows, size) in zip(maps, picks):
-            share = -(float(g) / n / size)
-            out += [_scatter(m.shape, at_cols, share), _scatter(m.shape, at_rows, share)]
-        return tuple(out)
+        share = -(g / n / sizes)
+        return tuple(_scatter(m.size, _flat_picks(at, height * width),
+                              np.repeat(share, [i.size for i in at])).reshape(m.shape)
+                     for m, at in zip(parents, picks))
 
-    parents = tuple(m for m in maps for _ in range(2))
     return _result(_layer_mean(terms), "box_fill", parents, vjp)
 
 
-def submatrix_topk_mean(maps: Sequence[Tensor], rows, cols, k: int) -> Tensor:
-    """Mean over maps of ``topk_mean(map[rows][:, cols], k)``.
+def submatrix_topk_mean(maps: Sequence[Tensor], rows, cols, ks) -> Tensor:
+    """Per concept c, the mean over maps of ``topk_mean(map[rows[c]][:, cols[c]], ks[c])``.
 
-    The isolation term's leakage (chain: take2d, topk_mean). The VJP writes
-    the k selected entries straight into each map's shape.
+    The isolation term's leakage (chain: take2d, topk_mean). The maps are
+    2-D and shared by every concept, so two concepts may pick one entry: the
+    VJP sums each map's picks into its shape, in concept order.
     """
     maps = _layer_maps(maps, "submatrix_topk_mean", 2)
-    k = int(k)
+    ks = np.array([int(k) for k in ks], dtype=np.intp)
+    _per_concept(len(ks), "submatrix_topk_mean", rows, cols)
+    boxes = [_box_indices(r, c, maps[0].shape, "submatrix_topk_mean") for r, c in zip(rows, cols)]
+    # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
+    subs = [(ri[:, None] * maps[0].shape[1] + ci).reshape(-1) for ri, ci in boxes]
     picks, terms = [], []
     for m in maps:
-        ri, ci = _box_indices(rows, cols, m.shape, "submatrix_topk_mean")
-        idx, top = _top_k(m.data[np.ix_(ri, ci)].reshape(-1), k)
-        picks.append((ri[idx // ci.size], ci[idx % ci.size]))
-        terms.append(top)
+        tops = [_top_k(m.data.reshape(-1)[sub], k) for sub, k in zip(subs, ks.tolist())]
+        picks.append([sub[idx] for sub, (idx, _) in zip(subs, tops)])
+        terms.append(np.array([top for _, top in tops]))
     n = float(len(maps))
 
     def vjp(g):
-        share = float(g) / n / k
-        return tuple(_scatter(m.shape, at, share) for m, at in zip(maps, picks))
+        share = np.repeat(g / n / ks, ks)
+        # the maps are shared: no concept offset, and a pick two concepts share adds up
+        return tuple(np.bincount(_flat_picks(at, 0), share, minlength=m.size).reshape(m.shape)
+                     for m, at in zip(maps, picks))
 
     return _result(_layer_mean(terms), "submatrix_topk_mean", maps, vjp)
 

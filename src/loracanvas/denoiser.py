@@ -28,7 +28,6 @@ from .assets import BaseWeights, ConceptBundle, ModelDims
 from .attention import (
     AttnRecord,
     CrossBranches,
-    CrossQueries,
     LayerRecord,
     LayoutCondition,
     RegionGeometry,
@@ -86,6 +85,10 @@ def build_context(weights: BaseWeights, layout: LayoutCondition,
                 raise ConfigurationError(
                     f"bundle {region.concept_id!r} delta {name} targets width "
                     f"{delta.up.shape[0]}, model expects {dims.d_model}")
+    # the concept branches run stacked along one axis
+    tokens = sorted({bundles[r.concept_id].prompt_embed.shape[0] for r in layout.regions})
+    if len(tokens) > 1:
+        raise ConfigurationError(f"concept prompts must share a token count, got {tokens}")
     if layout.global_prompt_embed.shape[1] != dims.d_text:
         raise ConfigurationError(
             f"global prompt d_text {layout.global_prompt_embed.shape[1]} "
@@ -114,8 +117,9 @@ def sinusoidal_embedding(t: int, width: int) -> np.ndarray:
 class Encoded:
     """``encode``'s output: block 1 stopped once its attention maps exist."""
 
-    residual: Tensor        # (h*w, d_model) stream after block 1's self-attention
-    cross: CrossQueries     # block 1's cross-attention, up to its maps
+    residual: Tensor   # (h*w, d_model) stream after block 1's self-attention
+    query: Tensor      # (h*w, d_model) block 1's unmasked cross-attention queries
+    probs: Tensor      # (concepts, heads, h*w, tokens) block 1's concept-branch attention
 
 
 def _self_attention(x: Tensor, ctx: DenoiserContext, block_index: int,
@@ -160,11 +164,11 @@ def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Encoded, AttnRecord
 
     x, layer0 = _composer_block(x, ctx, 0, full)
     x, self_map = _self_attention(x, ctx, 1, full)
-    cross, cross_maps = region_cross_maps(
+    query, probs, cross_maps = region_cross_maps(
         ad.layernorm_rows(x), ctx.weights.blocks[1].cross_attn, dims.n_heads, full,
         ctx.cross_branches[1])
     layer1 = LayerRecord(resolution=(h, w), cross_maps=cross_maps, self_map=self_map)
-    return Encoded(residual=x, cross=cross), AttnRecord(layers=[layer0, layer1])
+    return Encoded(residual=x, query=query, probs=probs), AttnRecord(layers=[layer0, layer1])
 
 
 def decode(state: Encoded, record: AttnRecord,
@@ -176,7 +180,7 @@ def decode(state: Encoded, record: AttnRecord,
     dims = ctx.dims
     h, w = dims.height, dims.width
     x = state.residual + region_cross_output(
-        state.cross, ctx.weights.blocks[1].cross_attn, dims.n_heads,
+        state.query, state.probs, ctx.weights.blocks[1].cross_attn, dims.n_heads,
         ctx.geometries[(h, w)], ctx.cross_branches[1])
 
     down = ad.avg_pool_2x2(x, h, w)

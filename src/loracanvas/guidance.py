@@ -99,42 +99,33 @@ def _check_resolution(record: AttnRecord, geometry: RegionGeometry) -> None:
 
 
 def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
-                              s_ratio: float) -> dict[str, Tensor]:
-    """Per-concept enhancement terms, averaged over contributing layers."""
+                              s_ratio: float) -> Tensor:
+    """Every concept's enhancement term, averaged over contributing layers: (concepts,)."""
     _check_resolution(record, geometry)
-    layers = record.loss_layers()
-    return {cid: ad.topk_shortfall([layer.cross_maps[cid] for layer in layers], box.weight,
-                                   math.ceil(s_ratio * box.inside.size))
-            for cid, box in geometry.pixels.concepts.items()}
+    table = geometry.pixels
+    return ad.topk_shortfall([layer.cross_maps for layer in record.loss_layers()],
+                             table.weight, np.ceil(s_ratio * table.area))
 
 
-def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> dict[str, Tensor]:
-    """Per-concept axis-projection fill terms, averaged over layers."""
+def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
+    """Every concept's axis-projection fill term, averaged over layers: (concepts,)."""
     _check_resolution(record, geometry)
-    layers = record.loss_layers()
-    return {cid: ad.box_fill([layer.cross_maps[cid] for layer in layers], box.rows, box.cols)
-            for cid, box in geometry.pixels.concepts.items()}
+    table = geometry.pixels
+    return ad.box_fill([layer.cross_maps for layer in record.loss_layers()],
+                       table.rows, table.cols)
 
 
-def region_terms(record: AttnRecord, geometry: RegionGeometry,
-                 p_ratio: float) -> dict[str, Tensor]:
-    """Per-concept foreground-to-complement leakage terms."""
+def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -> Tensor:
+    """Every concept's foreground-to-complement leakage term: (concepts,)."""
     _check_resolution(record, geometry)
-    self_maps = [layer.self_map for layer in record.loss_layers()]
-    out: dict[str, Tensor] = {}
-    for cid, box in geometry.pixels.concepts.items():
-        if box.outside.size == 0:
-            raise ArgumentError(f"concept {cid!r} covers the whole map")
-        top_p = math.ceil(p_ratio * (box.inside.size * box.outside.size))
-        out[cid] = ad.submatrix_topk_mean(self_maps, box.inside, box.outside, top_p)
-    return out
-
-
-def _sum_terms(terms) -> Tensor:
-    acc: Tensor | None = None
-    for t in terms:
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else Tensor(0.0)
+    table = geometry.pixels
+    outside = geometry.height * geometry.width - table.area
+    if not outside.all():
+        whole = geometry.concept_ids[int(np.argmin(outside))]
+        raise ArgumentError(f"concept {whole!r} covers the whole map")
+    return ad.submatrix_topk_mean([layer.self_map for layer in record.loss_layers()],
+                                  table.inside, table.outside,
+                                  np.ceil(p_ratio * (table.area * outside)))
 
 
 def composite_loss(record: AttnRecord, geometry: RegionGeometry,
@@ -143,14 +134,11 @@ def composite_loss(record: AttnRecord, geometry: RegionGeometry,
     ce = concept_enhancement_terms(record, geometry, config.s_ratio)
     fill = fill_terms(record, geometry)
     region = region_terms(record, geometry, config.p_ratio)
-    l_ce = _sum_terms(ce.values())
-    l_fill = _sum_terms(fill.values())
-    l_region = _sum_terms(region.values())
+    l_ce, l_fill, l_region = ad.sum_leading(ce), ad.sum_leading(fill), ad.sum_leading(region)
     total = l_ce + config.alpha * l_fill + config.beta * l_region
     per_concept = {
-        cid: {"ce": float(ce[cid]), "fill": float(fill[cid]),
-              "region": float(region[cid])}
-        for cid in geometry.concept_ids
+        cid: {"ce": float(c), "fill": float(f), "region": float(r)}
+        for cid, c, f, r in zip(geometry.concept_ids, ce.data, fill.data, region.data)
     }
     breakdown = LossBreakdown(l_ce=float(l_ce), l_fill=float(l_fill),
                               l_region=float(l_region), total=float(total),
@@ -265,5 +253,5 @@ def guided_update(
 def inbox_mass_fraction(record: AttnRecord, geometry: RegionGeometry,
                         concept_id: str) -> float:
     """Share of a concept's attention mass falling inside its box."""
-    averaged = record.averaged_cross_map(concept_id)
+    averaged = record.averaged_cross_maps()[geometry.concept_ids.index(concept_id)]
     return float((averaged * geometry.masks[concept_id]).sum() / averaged.sum())

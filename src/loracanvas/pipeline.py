@@ -288,8 +288,11 @@ def sample(config: RunConfig) -> SampleResult:
 
                 z, rows = guided_update(z, forward, geometry, guidance_cfg, t, total)
                 trace.extend(rows)
-            eps, record = denoiser_forward(Tensor(z), t, ctx)
-            z = ddim_step(z, eps.data, t, schedule)
+            try:
+                eps, record = denoiser_forward(Tensor(z), t, ctx)
+                z = ddim_step(z, eps.data, t, schedule)
+            except NumericError as exc:
+                raise NumericError(f"denoising step diverged at t={t}: {exc}") from exc
     except NumericError:
         write_trace(out_dir / "trace.csv", trace)
         raise
@@ -301,9 +304,8 @@ def sample(config: RunConfig) -> SampleResult:
     }
     tensorio.write_container(outputs["latent"], {"latent": z})
     if config.dump_attention:
-        dump: dict[str, np.ndarray] = {}
-        for cid in geometry.concept_ids:
-            dump[f"cross.{cid}"] = record.averaged_cross_map(cid)
+        dump = {f"cross.{cid}": amap
+                for cid, amap in zip(geometry.concept_ids, record.averaged_cross_maps())}
         for i, layer in enumerate(record.loss_layers()):
             dump[f"self.layer{i}"] = layer.self_map.data
         outputs["attention"] = out_dir / "attention.lcb"

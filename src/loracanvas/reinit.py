@@ -135,9 +135,9 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
 
     crops: list[CropResult] = []
     boxes: list[tuple[int, int, int, int]] = []
-    for cid, box in geometry.pixels.concepts.items():
-        box_h, box_w = box.rows.size, box.cols.size
-        amap = record.averaged_cross_map(cid)
-        crops.append(best_crop(amap, (box_w, box_h), concept_id=cid))
-        boxes.append((int(box.rows[0]), int(box.cols[0]), box_h, box_w))
+    table = geometry.pixels
+    for cid, rows, cols, amap in zip(geometry.concept_ids, table.rows, table.cols,
+                                     record.averaged_cross_maps()):
+        crops.append(best_crop(amap, (cols.size, rows.size), concept_id=cid))
+        boxes.append((int(rows[0]), int(cols[0]), rows.size, cols.size))
     return standardize(transplant(z1, crops, boxes)), trace

@@ -80,12 +80,13 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: truncated payload for tensor {name!r}")
         payload = np.frombuffer(raw, dtype="<f4", count=numel, offset=offset)
         offset += nbytes
+        # checked before the cast, which warns on a signalling NaN
+        if not np.all(np.isfinite(payload)):
+            raise DataError(f"{path}: non-finite values in tensor {name!r}")
         try:
             arr = payload.astype(np.float64).reshape(dims)
         except ValueError as exc:
             raise DataError(f"{path}: cannot shape tensor {name!r} as {dims}: {exc}") from exc
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"{path}: non-finite values in tensor {name!r}")
         out[name] = arr
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes after last tensor")

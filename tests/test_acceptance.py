@@ -170,7 +170,7 @@ def test_criterion_7_loss_arithmetic():
     layout = LayoutCondition(regions=(RegionSpec((0.0, 0.0, 0.5, 0.5), "a"),),
                              global_prompt_embed=np.zeros((2, 4)))
     geometry = RegionGeometry.build(layout, 4, 4)
-    layer = LayerRecord(resolution=(4, 4), cross_maps={"a": Tensor(np.zeros((4, 4)))},
+    layer = LayerRecord(resolution=(4, 4), cross_maps=Tensor(np.zeros((1, 4, 4))),
                         self_map=Tensor(np.ones((16, 16))))
     _, breakdown = composite_loss(AttnRecord(layers=[layer]), geometry,
                                   GuidanceConfig(alpha=0.25, beta=0.8))

@@ -119,6 +119,15 @@ def _one_tensor_container(name: bytes, dims: tuple[int, ...], payload: bytes) ->
             + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + payload)
 
 
+def test_container_rejects_a_signalling_nan_without_a_warning(tmp_path):
+    p = tmp_path / "snan.lcb"
+    p.write_bytes(_one_tensor_container(b"quiet", (2,), struct.pack("<2I", 0, 0x7F800001)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the float64 cast warns on a signalling NaN
+        with pytest.raises(DataError, match="non-finite values in tensor 'quiet'"):
+            tensorio.read_container(p)
+
+
 def test_container_rejects_name_that_is_not_utf8(tmp_path):
     p = tmp_path / "name.lcb"
     p.write_bytes(_one_tensor_container(b"\xffx", (1,), bytes(4)))

@@ -190,9 +190,9 @@ def test_layout_rejects_duplicate_ids():
 
 def test_attn_record_loss_layers_pick_highest_resolution():
     rec = AttnRecord(layers=[
-        LayerRecord((4, 4), {}, Tensor(np.eye(16))),
-        LayerRecord((2, 2), {}, Tensor(np.eye(4))),
-        LayerRecord((4, 4), {}, Tensor(np.eye(16))),
+        LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16))),
+        LayerRecord((2, 2), Tensor(np.zeros((0, 2, 2))), Tensor(np.eye(4))),
+        LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16))),
     ])
     assert rec.loss_resolution == (4, 4)
     assert len(rec.loss_layers()) == 2
@@ -209,8 +209,8 @@ def _geometry(boxes, height, width):
 
 def test_compose_empty_regional_is_identity():
     h0 = Tensor(np.arange(8.0).reshape(4, 2))
-    for boxes in ((), ((0.0, 0.0, 1.0, 0.5),)):
-        assert compose_hidden(h0, {}, _geometry(boxes, 2, 2)) is h0
+    out = compose_hidden(h0, Tensor(np.zeros((0, 4, 2))), _geometry((), 2, 2))
+    assert out.data.tobytes() == h0.data.tobytes()
 
 
 def test_compose_disjoint_masks_select_piecewise():
@@ -219,7 +219,7 @@ def test_compose_disjoint_masks_select_piecewise():
     h0 = Tensor(np.zeros((4, 2)))
     ha = Tensor(np.full((4, 2), 1.0))
     hb = Tensor(np.full((4, 2), 2.0))
-    out = compose_hidden(h0, {"c0": ha, "c1": hb}, geometry)
+    out = compose_hidden(h0, Tensor(np.stack([ha.data, hb.data])), geometry)
     assert np.array_equal(out.data,
                           np.array([[1, 1], [1, 1], [2, 2], [0, 0]], dtype=float))
 
@@ -229,7 +229,7 @@ def test_compose_overlap_takes_mean():
     h0 = Tensor(np.zeros((2, 1)))
     ha = Tensor(np.array([[1.0], [3.0]]))
     hb = Tensor(np.array([[2.0], [5.0]]))
-    out = compose_hidden(h0, {"c0": ha, "c1": hb}, geometry)
+    out = compose_hidden(h0, Tensor(np.stack([ha.data, hb.data])), geometry)
     assert np.array_equal(out.data, np.array([[1.5], [4.0]]))
 
 
@@ -239,7 +239,7 @@ def test_compose_background_keeps_h0_exactly():
     rng = np.random.default_rng(4)
     h0 = Tensor(rng.standard_normal((6, 3)))
     ha = Tensor(rng.standard_normal((6, 3)))
-    out = compose_hidden(h0, {"c0": ha}, geometry)
+    out = compose_hidden(h0, Tensor(ha.data[None]), geometry)
     background = geometry.flat_mask("c0") == 0
     assert np.array_equal(background, [False, True, True, False, True, True])
     assert np.array_equal(out.data[background], h0.data[background])
@@ -278,9 +278,10 @@ def test_region_cross_attention_matches_scripted_oracle():
         expected_hidden, expected_cross = region_cross_oracle(
             z, layout, bundles, weights, n_heads, 4, 4)
         assert np.max(np.abs(hidden.data - expected_hidden)) < 1e-12
-        for cid, amap in cross.items():
-            assert np.max(np.abs(amap.data - expected_cross[cid])) < 1e-12
-            assert amap.data.min() >= 0.0 and amap.data.max() <= 1.0
+        assert cross.shape == (2, 4, 4)
+        for region, amap in zip(layout.regions, cross.data):
+            assert np.max(np.abs(amap - expected_cross[region.concept_id])) < 1e-12
+            assert amap.min() >= 0.0 and amap.max() <= 1.0
 
 
 def test_region_cross_attention_neutral_single_full_region():
@@ -308,7 +309,7 @@ def test_region_cross_attention_uniform_rows_outside_mask():
     outside = geometry.masks["c0"] == 0
     tokens = bundles["c0"].prompt_embed.shape[0]
     assert outside.any()
-    assert np.max(np.abs(cross["c0"].data[outside] - 1.0 / tokens)) <= 1e-12
+    assert np.max(np.abs(cross.data[0][outside] - 1.0 / tokens)) <= 1e-12
 
 
 def test_region_cross_attention_missing_bundle():
@@ -321,21 +322,24 @@ def test_cross_branches_follow_the_layout():
     _, layout, bundles, weights, _, _ = _small_setup(2)
     bundles["c1"] = dataclasses.replace(bundles["c1"], token_index=2)
     branches = cross_branches(layout, bundles, weights)
-    assert [(b.concept_id, b.token_index) for b in branches.concepts] == [
-        ("c0", 1), ("c1", 2)]
+    assert branches.concept_ids == ("c0", "c1")
+    assert branches.tokens.tolist() == [1, 2]
     reversed_layout = dataclasses.replace(layout, regions=layout.regions[::-1])
     flipped = cross_branches(reversed_layout, bundles, weights)
-    assert [(b.concept_id, b.token_index) for b in flipped.concepts] == [
-        ("c1", 2), ("c0", 1)]
-    assert _kv_bytes(flipped.concepts[::-1]) == _kv_bytes(branches.concepts)
+    assert flipped.concept_ids == ("c1", "c0")
+    assert flipped.tokens.tolist() == [2, 1]
+    assert _concept_bytes(flipped, [1, 0]) == _concept_bytes(branches, [0, 1])
 
 
-def _kv_bytes(branches):
-    return [(b.k.data.tobytes(), b.v.data.tobytes()) for b in branches]
+def _concept_bytes(table, order):
+    return [(table.concept_k.data[i].tobytes(), table.concept_v.data[i].tobytes())
+            for i in order]
 
 
 def _table_bytes(table):
-    return _kv_bytes((table, *table.concepts))  # global branch first
+    # global branch first
+    return ([table.k.data.tobytes(), table.v.data.tobytes(), table.tokens.tobytes()]
+            + _concept_bytes(table, range(len(table.concept_ids))))
 
 
 def test_context_kv_cache_belongs_to_the_instance():
@@ -401,7 +405,7 @@ def test_gaussian_weights_are_computed_with_the_pixel_table(monkeypatch):
     for (h, w), geometry in ctx.geometries.items():
         for r in ctx.layout.regions:
             assert np.array_equal(geometry.masks[r.concept_id], rasterize_mask(r.box, h, w))
-            weight = geometry.pixels.concepts[r.concept_id].weight.data
+            weight = geometry.pixels.weight.data[geometry.concept_ids.index(r.concept_id)]
             assert np.array_equal(weight, real(r.box, h, w))
 
 
@@ -415,10 +419,14 @@ def test_region_cross_attention_rejects_a_geometry_of_another_layout():
     with pytest.raises(ArgumentError, match=re.escape(
             "branches list concepts ['c0'], the geometry ['c0', 'c1']")):
         _cross(z, one, bundles, weights, n_heads, geometry)
+    flipped = dataclasses.replace(layout, regions=layout.regions[::-1])
+    with pytest.raises(ArgumentError, match=re.escape(
+            "branches list concepts ['c1', 'c0'], the geometry ['c0', 'c1']")):
+        _cross(z, flipped, bundles, weights, n_heads, geometry)
     h0 = Tensor(z)
     with pytest.raises(ArgumentError, match=re.escape(
-            "hidden states list concepts ['c0'], the geometry ['c0', 'c1']")):
-        compose_hidden(h0, {"c0": h0}, geometry)
+            "hidden states of shape (1, 16, 4) do not hold the geometry's 2 concepts")):
+        compose_hidden(h0, Tensor(z[None]), geometry)
 
 
 # ------------------------------------------------------------------ self attention

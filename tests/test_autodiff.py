@@ -152,6 +152,66 @@ def test_attention_probs_zeroes_blocked_keys_and_rejects_other_masks():
 # ---------------------------------------------------------------- topk_mean
 
 
+# ---------------------------------------------------------------- leading axes
+
+
+def stacked_attention(q, k, v, wo):
+    """Probabilities, their head mean, the token-1 column, and the projected output."""
+    probs = ad.attention_probs(q, k, 2)
+    columns = ad.column(ad.mean_heads(probs), np.ones(q.shape[:-2], dtype=np.intp))
+    return probs, columns, ad.matmul(ad.apply_heads(probs, v), wo)
+
+
+def test_leading_axes_give_each_slice_the_bits_of_its_2d_call():
+    # three concept branches against one 2-D call per branch: values and the
+    # gradients of a loss that reads every output agree bit for bit
+    rng = np.random.default_rng(8)
+    q, k, v = (rng.standard_normal((3, rows, 4)) for rows in (6, 5, 5))
+    wo, cot = Tensor(rng.standard_normal((4, 4))), rng.standard_normal((3, 6, 4))
+
+    def loss(outputs, c=slice(None)):
+        probs, columns, hidden = outputs
+        return (sum_of(probs) + sum_of(columns * Tensor(cot[c, :, 0]))
+                + sum_of(hidden * Tensor(cot[c])))
+
+    leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    stacked = stacked_attention(*leaves, wo)
+    grads = [grad(loss(stacked), leaf).data for leaf in leaves]
+    for c in range(3):
+        mine = [Tensor(x[c], requires_grad=True) for x in (q, k, v)]
+        alone = stacked_attention(*mine, wo)
+        for s, a in zip(stacked, alone):
+            assert s.data[c].tobytes() == a.data.tobytes()
+        for g, leaf in zip(grads, mine):
+            assert g[c].tobytes() == grad(loss(alone, c), leaf).data.tobytes()
+
+
+def test_column_takes_one_index_per_leading_slice():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    picked = ad.column(x, [1, 3])
+    assert picked.data.tolist() == [[1.0, 5.0, 9.0], [15.0, 19.0, 23.0]]
+    expected = np.zeros((2, 3, 4))
+    expected[0, :, 1] = expected[1, :, 3] = 1.0
+    assert np.array_equal(grad(sum_of(picked), x).data, expected)
+    for bad in ([1], [1, 4], [-1, 0], [0.0, 1.0]):
+        with pytest.raises(ArgumentError):
+            ad.column(x, bad)
+
+
+def test_sum_leading_adds_slices_in_order_like_add():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((4, 3, 2)) * 10.0 ** rng.integers(-8, 8, (4, 3, 2)),
+               requires_grad=True)
+    chain = ad.add(ad.add(ad.add(x.data[0], x.data[1]), x.data[2]), x.data[3])
+    total = ad.sum_leading(x)
+    assert total.data.tobytes() == chain.data.tobytes()
+    assert np.array_equal(grad(sum_of(total), x).data, np.ones((4, 3, 2)))
+    empty = ad.sum_leading(Tensor(np.zeros((0, 3))))
+    assert empty.shape == (3,) and not empty.data.any()
+    with pytest.raises(ShapeError):
+        ad.sum_leading(Tensor(1.0))
+
+
 def test_topk_mean_hand_value():
     out = topk_mean(Tensor([0.9, 0.5, 0.1]), 2)
     assert abs(float(out) - 0.7) < 1e-15

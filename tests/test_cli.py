@@ -242,6 +242,9 @@ MALFORMED = {
         "token_index must hold one element"),
     "fractional token_index": (
         _bundle({"token_index": lambda a: np.array([1.5])}), "token_index 1.5 is not integral"),
+    "concept prompts of different token counts": (
+        _bundle({"prompt_embed": lambda a: np.vstack([a, a[:1]])}),
+        "concept prompts must share a token count, got [2, 3]"),
     "zero steps": (
         lambda raw, tmp_path: {**raw, "steps": 0}, "steps must be positive"),
     "global embed without prompt_embed": (

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from conftest import SMALL_DIMS, build_test_context, empty_layout_context
+from conftest import SMALL_DIMS, TWO_BOXES, build_test_context, empty_layout_context
 from loracanvas import autodiff as ad
 from loracanvas.assets import ModelDims, synth_bundle
 from loracanvas.attention import LayoutCondition, RegionSpec
@@ -17,13 +18,17 @@ from loracanvas.denoiser import (
     sinusoidal_embedding,
 )
 from loracanvas.errors import ConfigurationError
-from loracanvas.guidance import GuidanceConfig, composite_loss
+from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fraction
 
 # traced nodes of one forward plus composite_loss on the conftest stack,
 # counted from the loss root as perfbench counts them (latent leaf included);
-# splitting attention back into per-head kernels (204 nodes) or the constraint
-# terms back into chains of small kernels (127 nodes) fails this
-FORWARD_PLUS_LOSS_NODES = 73
+# splitting attention back into per-head kernels (204 nodes), the constraint
+# terms back into chains of small kernels (127 nodes) or the concept branches
+# and terms back into one kernel chain per concept (73 nodes) fails this
+FORWARD_PLUS_LOSS_NODES = 57
+# the conftest boxes, then two more in the band they leave free
+FOUR_BOXES = ((0.05, 0.1, 0.45, 0.5), (0.55, 0.1, 0.95, 0.5),
+              (0.05, 0.55, 0.45, 0.9), (0.55, 0.55, 0.95, 0.9))
 
 
 def test_sinusoidal_embedding_shape_and_determinism():
@@ -44,7 +49,7 @@ def test_denoiser_records_three_layers_two_resolutions():
     assert record.loss_resolution == (8, 8)
     assert len(record.loss_layers()) == 2
     for layer in record.layers:
-        assert set(layer.cross_maps) == {"concept_a", "concept_b"}
+        assert layer.cross_maps.shape == (2, *layer.resolution)
         n = layer.resolution[0] * layer.resolution[1]
         assert layer.self_map.shape == (n, n)
 
@@ -55,21 +60,21 @@ def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
     _, full = denoiser_forward(Tensor(z), 5, ctx)
     state, record = encode(Tensor(z), 5, ctx)
     assert state.residual.shape == (64, ctx.dims.d_model)
-    assert state.cross.query.shape == (64, ctx.dims.d_model)
-    assert list(state.cross.probs) == ["concept_a", "concept_b"]
+    assert state.query.shape == (64, ctx.dims.d_model)
+    assert state.probs.shape == (2, ctx.dims.n_heads, 64, 4)
     assert len(record.layers) == 2
     for mine, theirs in zip(record.layers, full.layers[:2]):
         assert mine.resolution == theirs.resolution
         assert mine.self_map.data.tobytes() == theirs.self_map.data.tobytes()
-        assert mine.cross_maps.keys() == theirs.cross_maps.keys()
-        for cid, amap in mine.cross_maps.items():
-            assert amap.data.tobytes() == theirs.cross_maps[cid].data.tobytes()
+        assert mine.cross_maps.shape == theirs.cross_maps.shape
+        assert mine.cross_maps.data.tobytes() == theirs.cross_maps.data.tobytes()
 
 
 def test_encode_stops_block_one_at_its_maps(monkeypatch):
-    # per block: one self-attention head output plus the global and two concept
-    # branches; encode stops block 1 after self-attention, and only attention
-    # maps that are recorded take a head mean (the global branch records none)
+    # per block: one self-attention head output plus the global branch and the
+    # concept branches, which run as one stacked call; encode stops block 1
+    # after self-attention, and only attention maps that are recorded take a
+    # head mean (the global branch records none)
     ctx = build_test_context()
     z = Tensor(np.random.default_rng(4).standard_normal((4, 8, 8)))
     calls = {"apply_heads": 0, "mean_heads": 0}
@@ -79,10 +84,10 @@ def test_encode_stops_block_one_at_its_maps(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(ad, name, counted)
     encode(z, 5, ctx)
-    assert calls == {"apply_heads": 5, "mean_heads": 6}
+    assert calls == {"apply_heads": 4, "mean_heads": 4}
     calls.update(apply_heads=0, mean_heads=0)
     denoiser_forward(z, 5, ctx)
-    assert calls == {"apply_heads": 12, "mean_heads": 9}
+    assert calls == {"apply_heads": 9, "mean_heads": 6}
 
 
 def test_denoiser_zero_output_head_gives_zero_noise():
@@ -139,9 +144,8 @@ def test_build_context_validates_bundle_dims():
 def test_loss_reads_pixel_lists_without_revalidating(monkeypatch):
     ctx = build_test_context()
     table = ctx.loss_geometry.pixels
-    for box in table.concepts.values():
-        assert box.inside.bound == box.outside.bound == 64
-        assert box.rows.bound == box.cols.bound == 8
+    assert [i.bound for i in table.inside + table.outside] == [64] * 4
+    assert [i.bound for i in table.rows + table.cols] == [8] * 4
     z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)))
     expected = composite_loss(encode(z, 5, ctx)[1], ctx.loss_geometry, GuidanceConfig())[1]
 
@@ -167,9 +171,9 @@ def test_build_context_requires_all_bundles():
         build_context(ctx.weights, ctx.layout, missing)
 
 
-def taped_loss_nodes(forward) -> int:
+def taped_loss_nodes(forward, boxes=TWO_BOXES) -> int:
     """Traced nodes reachable from the loss of one forward on the conftest stack."""
-    ctx = build_test_context()
+    ctx = build_test_context(boxes=boxes)
     z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)), requires_grad=True)
     _, record = forward(z, 5, ctx)
     total, _ = composite_loss(record, ctx.loss_geometry, GuidanceConfig())
@@ -190,6 +194,12 @@ def test_tape_size_of_forward_plus_loss():
     assert taped_loss_nodes(denoiser_forward) == FORWARD_PLUS_LOSS_NODES
 
 
+@pytest.mark.parametrize("forward", [encode, denoiser_forward])
+def test_tape_size_does_not_grow_with_the_concept_count(forward):
+    assert taped_loss_nodes(forward, FOUR_BOXES) == taped_loss_nodes(forward)
+    assert taped_loss_nodes(forward, FOUR_BOXES) <= FORWARD_PLUS_LOSS_NODES
+
+
 @pytest.mark.parametrize("t", [10, 6, 3])
 def test_gradient_on_overlapping_layout_matches_finite_differences(t):
     # the boxes share 4 of the 16 pixels, so the backward pass runs through
@@ -197,7 +207,7 @@ def test_gradient_on_overlapping_layout_matches_finite_differences(t):
     dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
     ctx = build_test_context(dims=dims, boxes=((0.0, 0.0, 0.75, 0.75), (0.25, 0.25, 1.0, 1.0)),
                              tokens=3)
-    a, b = (ctx.loss_geometry.masks[cid] for cid in ctx.layout.concept_ids)
+    a, b = ctx.loss_geometry.masks.values()
     assert (a * b).sum() == 4
 
     def loss_of(z: Tensor) -> Tensor:
@@ -209,3 +219,34 @@ def test_gradient_on_overlapping_layout_matches_finite_differences(t):
     analytic = grad(loss_of(traced), traced)
     numeric = finite_difference_gradient(loss_of, Tensor(z0), eps=1e-6)
     assert max_relative_error(analytic, numeric) < 1e-5
+
+
+def test_swapping_the_regions_keeps_every_concept_bit_for_bit():
+    # the conftest boxes do not overlap, so no sum over concepts depends on
+    # their order: each concept's values are the same, wherever its slice is
+    ctx = build_test_context()
+    swapped = build_context(ctx.weights, dataclasses.replace(
+        ctx.layout, regions=ctx.layout.regions[::-1]), ctx.bundles)
+    z0 = np.random.default_rng(6).standard_normal((4, 8, 8))
+    seen = []
+    for context in (ctx, swapped):
+        z = Tensor(z0, requires_grad=True)
+        _, record = denoiser_forward(z, 5, context)
+        total, breakdown = composite_loss(record, context.loss_geometry, GuidanceConfig())
+        geometry = context.loss_geometry
+        maps = {cid: [layer.cross_maps.data[i].tobytes() for layer in record.layers]
+                for i, cid in enumerate(geometry.concept_ids)}
+        masses = {cid: inbox_mass_fraction(record, geometry, cid)
+                  for cid in geometry.concept_ids}
+        seen.append((maps, breakdown.per_concept, masses, grad(total, z).data.tobytes()))
+    assert ctx.loss_geometry.concept_ids == swapped.loss_geometry.concept_ids[::-1]
+    assert seen[0] == seen[1]
+
+
+def test_build_context_rejects_concept_prompts_of_different_token_counts():
+    ctx = build_test_context()
+    longer = synth_bundle(1, tokens=5, d_text=SMALL_DIMS.d_text, d_model=SMALL_DIMS.d_model,
+                          rank=4, concept_id="concept_b")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "concept prompts must share a token count, got [4, 5]")):
+        build_context(ctx.weights, ctx.layout, {**ctx.bundles, "concept_b": longer})

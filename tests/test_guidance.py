@@ -49,8 +49,9 @@ def geometry_two_concepts():
 
 
 def record_from_maps(cross: dict[str, np.ndarray], self_map: np.ndarray) -> AttnRecord:
+    """One layer whose cross maps are stacked in the dict's (layout) order."""
     layer = LayerRecord(resolution=(H, W),
-                        cross_maps={k: Tensor(v) for k, v in cross.items()},
+                        cross_maps=Tensor(np.reshape(list(cross.values()), (-1, H, W))),
                         self_map=Tensor(self_map))
     return AttnRecord(layers=[layer])
 
@@ -70,9 +71,9 @@ def leak_free_self_map(geo: RegionGeometry) -> np.ndarray:
     return self_map
 
 
-def summed(terms: dict[str, Tensor]) -> float:
+def summed(terms: Tensor) -> float:
     """Sum over concepts, as composite_loss adds them."""
-    return sum(float(t) for t in terms.values())
+    return sum(float(t) for t in terms.data)
 
 
 # ------------------------------------------------------------------ CE loss
@@ -104,7 +105,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
     record = record_from_maps({"a": amap}, uniform_self_map())
     # |M| = 4, s_ratio 0.5 -> S = 2
     loss = summed(concept_enhancement_terms(record, geo, s_ratio=0.5))
-    weighted = amap * geo.masks["a"] * geo.pixels.concepts["a"].weight.data
+    weighted = amap * geo.masks["a"] * geo.pixels.weight.data[0]
     top2 = np.sort(weighted.reshape(-1))[::-1][:2]
     assert abs(loss - (1.0 - top2.mean())) < 1e-12
 
@@ -135,7 +136,7 @@ def test_fill_loss_single_lit_row_hand_value():
     assert geo.masks["a"].sum() == 6
     amap = np.zeros((8, 8))
     amap[0, 0:3] = 1.0
-    record = AttnRecord(layers=[LayerRecord((8, 8), {"a": Tensor(amap)},
+    record = AttnRecord(layers=[LayerRecord((8, 8), Tensor(amap[None]),
                                             Tensor(np.full((64, 64), 1.0 / 64)))])
     # row projection covers all 3 box columns; column projection covers 1 of 2
     # box rows: sum(1 - entries) = 1 over K = 5
@@ -309,18 +310,18 @@ def test_adaptive_stopper_keeps_a_gain_below_tolerance_but_counts_it_stale():
 class MiniModel:
     """Tiny differentiable record generator standing in for the denoiser."""
 
-    def __init__(self, seed=0, channels=3):
+    def __init__(self, seed=0, channels=3, concepts=2):
         rng = np.random.default_rng(seed)
-        self.w_cross = {"a": rng.standard_normal((channels, 2)),
-                        "b": rng.standard_normal((channels, 2))}
+        self.w_cross = [rng.standard_normal((channels, 2)) for _ in range(2)][:concepts]
         self.channels = channels
 
     def __call__(self, zt: Tensor) -> AttnRecord:
-        cross = {}
-        for cid, w in self.w_cross.items():
+        maps = []
+        for w in self.w_cross:
             logits = ad.matmul(zt, Tensor(w))
             amap = ad.softmax_rows(logits)
-            cross[cid] = ad.reshape(ad.column(amap, 0), (H, W))
+            maps.append(ad.reshape(ad.column(amap, 0), (1, H, W)))
+        cross = ad.concat(maps) if maps else Tensor(np.zeros((0, H, W)))
         self_map = ad.softmax_rows(ad.matmul(zt, ad.transpose2d(zt)) / self.channels)
         return AttnRecord(layers=[LayerRecord((H, W), cross, self_map)])
 
@@ -328,7 +329,7 @@ class MiniModel:
 def test_guided_update_zero_concepts_leaves_latent_unchanged():
     layout = LayoutCondition(regions=(), global_prompt_embed=np.zeros((2, 4)))
     geo = RegionGeometry.build(layout, H, W)
-    model = MiniModel()
+    model = MiniModel(concepts=0)
     z = np.random.default_rng(1).standard_normal((N, 3))
     out, rows = guided_update(z, model, geo, GuidanceConfig(max_iters=2), 10, 10)
     assert np.array_equal(out, z)

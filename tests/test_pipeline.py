@@ -306,7 +306,17 @@ def test_sample_guidance_fraction_zero_ignores_guidance_knobs(small_config, tmp_
     assert np.array_equal(results[0].final.z, results[1].final.z)
 
 
-def test_sample_writes_all_artifacts(small_config, tmp_path):
+def test_sample_writes_all_artifacts(small_config, tmp_path, monkeypatch):
+    from loracanvas import pipeline as pipeline_module
+
+    records = []
+
+    def recording(z, t, ctx):
+        eps, record = denoiser_forward(z, t, ctx)
+        records.append(record)
+        return eps, record
+
+    monkeypatch.setattr(pipeline_module, "denoiser_forward", recording)
     config = dataclasses.replace(small_config, output_dir=tmp_path / "art",
                                  dump_attention=True)
     result = sample(config)
@@ -318,9 +328,22 @@ def test_sample_writes_all_artifacts(small_config, tmp_path):
     assert set(latent) == {"latent"}
     assert latent["latent"].shape == (4, 8, 8)
     dumped = tensorio.read_container(result.outputs["attention"])
-    assert "cross.gradcheck_concept_a" in dumped
     preview = result.outputs["preview"].read_bytes()
     assert preview.startswith(b"P5\n8 8\n255\n")
+    # the dump holds the last denoising forward's maps: each concept's averaged
+    # over the loss layers, in float32, and each loss layer's self map
+    last = records[-1]
+    layers = last.loss_layers()
+    ids = [r.concept_id for r in prepare(config)[0].layout.regions]
+    assert set(dumped) == ({f"cross.{cid}" for cid in ids}
+                           | {f"self.layer{i}" for i in range(len(layers))})
+    for i, cid in enumerate(ids):
+        expected = np.mean([layer.cross_maps.data[i] for layer in layers], axis=0)
+        assert dumped[f"cross.{cid}"].tobytes() == expected.astype(np.float32).astype(
+            np.float64).tobytes()
+    for i, layer in enumerate(layers):
+        assert np.array_equal(dumped[f"self.layer{i}"],
+                              layer.self_map.data.astype(np.float32))
 
 
 def test_sample_deterministic_artifacts(small_config, tmp_path):
@@ -392,6 +415,25 @@ def test_sample_flushes_trace_on_numeric_error(small_config, tmp_path, monkeypat
     trace = (tmp_path / "crash" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("timestep,")
     assert len(trace) > 1  # rows collected before the failure were kept
+
+
+def test_sample_names_the_timestep_of_a_failed_denoising_step(small_config, tmp_path,
+                                                              monkeypatch):
+    from loracanvas import pipeline as pipeline_module
+    from loracanvas.errors import NumericError
+
+    def failing_at_one(z, t, ctx):
+        if t == 1:
+            raise NumericError("synthetic blowup")
+        return denoiser_forward(z, t, ctx)
+
+    monkeypatch.setattr(pipeline_module, "denoiser_forward", failing_at_one)
+    config = dataclasses.replace(small_config, output_dir=tmp_path / "crash")
+    with pytest.raises(NumericError, match="^denoising step diverged at t=1: synthetic blowup$"):
+        sample(config)
+    trace = (tmp_path / "crash" / "trace.csv").read_text().splitlines()
+    assert trace[0].startswith("timestep,")
+    assert len(trace) > 1  # the guided rows before the failure were kept
 
 
 # ------------------------------------------------------------ loss-only forwards

@@ -526,16 +526,17 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert np.array_equal(geometry.masks[cid], mask)
         table = geometry.pixels
         shares = np.zeros(h * w)
-        for cid, mask in expected.items():
-            box, flat = table.concepts[cid], mask.reshape(-1)
-            assert np.array_equal(box.inside, np.flatnonzero(flat))
-            assert np.array_equal(box.outside, np.flatnonzero(flat == 0))
-            assert np.array_equal(box.rows, np.flatnonzero(mask.any(axis=1)))
-            assert np.array_equal(box.cols, np.flatnonzero(mask.any(axis=0)))
-            assert np.array_equal(box.query.data, flat[:, None])
-            assert np.array_equal(box.weight.data, gaussian_weight(boxes[cid], h, w))
-            assert np.array_equal(box.weight.data > 0, mask > 0)
-            shares += box.share.data[:, 0]
+        for i, (cid, mask) in enumerate(expected.items()):
+            flat = mask.reshape(-1)
+            assert np.array_equal(table.inside[i], np.flatnonzero(flat))
+            assert np.array_equal(table.outside[i], np.flatnonzero(flat == 0))
+            assert np.array_equal(table.rows[i], np.flatnonzero(mask.any(axis=1)))
+            assert np.array_equal(table.cols[i], np.flatnonzero(mask.any(axis=0)))
+            assert table.area[i] == flat.sum()
+            assert np.array_equal(table.query.data[i], flat[:, None])
+            assert np.array_equal(table.weight.data[i], gaussian_weight(boxes[cid], h, w))
+            assert np.array_equal(table.weight.data[i] > 0, mask > 0)
+            shares += table.share.data[i, :, 0]
         background = table.background.data[:, 0]
         assert np.max(np.abs(background + shares - 1.0)) <= 1e-15
         uncovered = sum(m.reshape(-1) for m in expected.values()) == 0
@@ -565,7 +566,7 @@ def test_breakdown_total_is_weighted_sum_bit_for_bit(cross_a, cross_b, self_map,
                                                      alpha, beta, s_ratio, p_ratio):
     geometry = RegionGeometry.build(TWO_CONCEPTS, H, W)
     layer = LayerRecord(resolution=(H, W),
-                        cross_maps={"a": Tensor(cross_a), "b": Tensor(cross_b)},
+                        cross_maps=Tensor(np.stack([cross_a, cross_b])),
                         self_map=Tensor(self_map))
     config = GuidanceConfig(alpha=alpha, beta=beta, s_ratio=s_ratio, p_ratio=p_ratio)
     total, bd = composite_loss(AttnRecord(layers=[layer]), geometry, config)
