@@ -139,9 +139,6 @@ class RegionGeometry:
     def concept_ids(self) -> tuple[str, ...]:
         return tuple(r.concept_id for r in self.regions)
 
-    def flat_mask(self, concept_id: str) -> np.ndarray:
-        return self.masks[concept_id].reshape(-1)
-
     @cached_property
     def blocked_self(self) -> np.ndarray | None:
         """(h*w, h*w) read-only bool: the self-attention pairs concept isolation
@@ -158,18 +155,17 @@ class RegionGeometry:
     def pixels(self) -> PixelTable:
         """Every concept's pixel constants, its Gaussian weight included, computed
         on first use: building them in ``build`` would add to the cost of
-        ``prepare``'s two geometries. The index lists are validated here, once,
-        for every gather that reads them."""
+        ``prepare``'s two geometries."""
         h, w = self.height, self.width
         flat = np.reshape(list(self.masks.values()), (-1, h * w))
         count = flat.sum(axis=0)
         safe = np.maximum(count, 1.0)
         grid = flat.reshape(-1, h, w)
         return PixelTable(
-            inside=tuple(ad.distinct_indices(np.flatnonzero(f), h * w) for f in flat),
-            outside=tuple(ad.distinct_indices(np.flatnonzero(f == 0), h * w) for f in flat),
-            rows=tuple(ad.distinct_indices(np.flatnonzero(r), h) for r in grid.any(axis=2)),
-            cols=tuple(ad.distinct_indices(np.flatnonzero(c), w) for c in grid.any(axis=1)),
+            inside=tuple(np.flatnonzero(f) for f in flat),
+            outside=tuple(np.flatnonzero(f == 0) for f in flat),
+            rows=tuple(np.flatnonzero(r) for r in grid.any(axis=2)),
+            cols=tuple(np.flatnonzero(c) for c in grid.any(axis=1)),
             area=flat.sum(axis=1).astype(np.intp),
             query=Tensor(flat[:, :, None]), share=Tensor((flat / safe)[:, :, None]),
             weight=Tensor(np.reshape([gaussian_weight(r.box, h, w) for r in self.regions],
@@ -181,10 +177,10 @@ class RegionGeometry:
 class PixelTable:
     """A geometry's pixel constants, per concept in layout order, plus h0's weight."""
 
-    inside: tuple[ad.DistinctIndices, ...]    # flat indices of each box's pixels
-    outside: tuple[ad.DistinctIndices, ...]   # flat indices of every other pixel
-    rows: tuple[ad.DistinctIndices, ...]      # rows each box covers
-    cols: tuple[ad.DistinctIndices, ...]      # columns each box covers
+    inside: tuple[np.ndarray, ...]    # flat indices of each box's pixels
+    outside: tuple[np.ndarray, ...]   # flat indices of every other pixel
+    rows: tuple[np.ndarray, ...]      # rows each box covers
+    cols: tuple[np.ndarray, ...]      # columns each box covers
     area: np.ndarray      # (concepts,) pixels each box covers
     query: Tensor         # (concepts, h*w, 1) mask on each concept branch's queries
     share: Tensor         # (concepts, h*w, 1) compose weight: mask / boxes covering the pixel

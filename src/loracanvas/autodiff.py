@@ -1,17 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Every kernel needed to differentiate the attention constraint losses with
-respect to a latent is implemented here: matrix products, row softmax
-(plain and key-masked), batched multi-head attention (probabilities, head
-outputs, head mean, over any leading axes), top-k means, axis max-projections,
-row layer normalization, 2x2 average pooling, nearest-neighbour upsampling,
-gathers, concatenation, a sum over the leading (concept) axis, and the three
-constraint terms, each one kernel for all concepts (top-k enhancement, box
-fill, region leakage). Each traced tensor doubles as its own tape node: it
-remembers the kernel that produced it (``op``), its ``parents`` and a
-vector-Jacobian closure. ``grad`` replays the tape once in reverse
-topological order. ``finite_difference_gradient`` is the independent
-oracle used to cross-check every backward rule.
+A generic engine: matrix products, row softmax (plain and key-masked),
+batched multi-head attention (probabilities, head outputs, head mean, over
+any leading axes), top-k selection and means, axis max-projections, row
+layer normalization, 2x2 average pooling, nearest-neighbour upsampling,
+gathers, concatenation and a sum over the leading axis. A caller's own
+kernel builds its result with ``Tensor.node``. Each traced tensor doubles as
+its own tape node: it remembers the kernel that produced it (``op``), its
+``parents`` and a vector-Jacobian closure. ``grad`` replays the tape once
+in reverse topological order. ``finite_difference_gradient`` is the
+independent oracle used to cross-check every backward rule.
 
 Tensors are immutable values (the underlying arrays are write-protected),
 so they are safe to share across threads; a tape only ever lives inside a
@@ -95,6 +93,44 @@ class Tensor:
             raise ShapeError(f"cannot convert shape {self.data.shape} to a scalar")
         return float(self.data.reshape(()))
 
+    @staticmethod
+    def node(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: _VJP,
+             checked: bool = True) -> Tensor:
+        """A kernel's result: ``data``, recorded as ``op`` with its ``parents``
+        and VJP when a parent is traced.
+
+        Every tensor holds only finite entries: the constructor and each kernel
+        that does arithmetic check their output. A kernel that only moves
+        entries (transpose, reshape, gathers, concatenation, nearest upsampling)
+        cannot turn finite inputs into a non-finite output, so it passes
+        ``checked=False`` and skips the scan.
+        """
+        if checked:
+            _check_finite(data, op)
+        out = Tensor.__new__(Tensor)
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim and not data.flags.c_contiguous:
+            data = np.ascontiguousarray(data)
+        if data.flags.writeable:
+            data.flags.writeable = False
+        out.data = data
+        traced = False
+        for p in parents:
+            if p.requires_grad:
+                traced = True
+                break
+        out.requires_grad = traced
+        if traced:
+            out.op = op
+            out.parents = tuple(parents)
+            out._vjp = vjp
+        else:
+            # constants drop their lineage so dead subgraphs can be collected
+            out.op = None
+            out.parents = ()
+            out._vjp = None
+        return out
+
     # -- arithmetic sugar ------------------------------------------------
 
     def __add__(self, other):
@@ -121,42 +157,6 @@ def _as_tensor(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-# Every tensor holds only finite entries: the constructor and each kernel that
-# does arithmetic check their output. A kernel that only moves entries
-# (transpose, reshape, gathers, concatenation, nearest upsampling) cannot
-# turn finite inputs into a non-finite output, so it passes ``checked=False``
-# and skips the scan.
-
-
-def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], vjp: _VJP,
-            checked: bool = True) -> Tensor:
-    if checked:
-        _check_finite(data, op)
-    out = Tensor.__new__(Tensor)
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim and not data.flags.c_contiguous:
-        data = np.ascontiguousarray(data)
-    if data.flags.writeable:
-        data.flags.writeable = False
-    out.data = data
-    traced = False
-    for p in parents:
-        if p.requires_grad:
-            traced = True
-            break
-    out.requires_grad = traced
-    if traced:
-        out.op = op
-        out.parents = tuple(parents)
-        out._vjp = vjp
-    else:
-        # constants drop their lineage so dead subgraphs can be collected
-        out.op = None
-        out.parents = ()
-        out._vjp = None
-    return out
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -178,8 +178,8 @@ def add(a: Tensor, b) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from exc
-    return _result(data, "add", (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return Tensor.node(data, "add", (a, b),
+                       lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -188,8 +188,8 @@ def sub(a: Tensor, b) -> Tensor:
         data = a.data - b.data
     except ValueError as exc:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}") from exc
-    return _result(data, "sub", (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return Tensor.node(data, "sub", (a, b),
+                       lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -199,9 +199,9 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from exc
-    return _result(data, "mul", (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.shape),
-                              _unbroadcast(g * a.data, b.shape)))
+    return Tensor.node(data, "mul", (a, b),
+                       lambda g: (_unbroadcast(g * b.data, a.shape),
+                                  _unbroadcast(g * a.data, b.shape)))
 
 
 def div_scalar(a: Tensor, scalar) -> Tensor:
@@ -209,7 +209,7 @@ def div_scalar(a: Tensor, scalar) -> Tensor:
     s = float(scalar)
     if s == 0.0:
         raise ArgumentError("division by zero")
-    return _result(a.data / s, "div_scalar", (a,), lambda g: (g / s,))
+    return Tensor.node(a.data / s, "div_scalar", (a,), lambda g: (g / s,))
 
 
 # -- linear algebra --------------------------------------------------------
@@ -223,7 +223,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ ({a.shape} x {b.shape})")
     # b's cotangent sums over every row of every leading slice: one product
-    return _result(a.data @ b.data, "matmul", (a, b), lambda g: (
+    return Tensor.node(a.data @ b.data, "matmul", (a, b), lambda g: (
         g @ b.data.T, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])))
 
 
@@ -231,7 +231,7 @@ def transpose2d(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError("transpose2d expects a 2-D tensor")
-    return _result(a.data.T, "transpose2d", (a,), lambda g: (g.T,), checked=False)
+    return Tensor.node(a.data.T, "transpose2d", (a,), lambda g: (g.T,), checked=False)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -240,8 +240,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     old = a.shape
-    return _result(a.data.reshape(shape), "reshape", (a,),
-                   lambda g: (g.reshape(old),), checked=False)
+    return Tensor.node(a.data.reshape(shape), "reshape", (a,),
+                       lambda g: (g.reshape(old),), checked=False)
 
 
 # -- softmax family ---------------------------------------------------------
@@ -285,7 +285,7 @@ def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
         logits = x.data.copy()  # a tensor's data is read-only
         _block(logits, checked_block(~np.asarray(allowed, dtype=bool)))
         y, vjp = _softmax_rows(logits, owned=True)
-    return _result(y, op, (x,), lambda g: (vjp(g),))
+    return Tensor.node(y, op, (x,), lambda g: (vjp(g),))
 
 
 def _block(logits: np.ndarray, blocked: np.ndarray) -> None:
@@ -323,7 +323,7 @@ def _softmax_rows(logits: np.ndarray, owned: bool = False):
 # Head h owns feature columns [h*d_h, (h+1)*d_h). Each head's operands are
 # laid out exactly as a 2-D kernel chain (slice, transpose, matmul) would
 # lay them out, so the batched products round the same way. Leading axes
-# before the rows (one per concept branch) batch the same products again.
+# before the rows batch the same products again.
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -373,7 +373,7 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
         gk = np.matmul(qh.swapaxes(-1, -2), gl)
         return _join_heads(gq), _join_heads(gk.swapaxes(-1, -2))
 
-    return _result(y, "attention_probs", (q, k), vjp)
+    return Tensor.node(y, "attention_probs", (q, k), vjp)
 
 
 def apply_heads(p: Tensor, v: Tensor) -> Tensor:
@@ -395,7 +395,7 @@ def apply_heads(p: Tensor, v: Tensor) -> Tensor:
         return (np.matmul(gh, vh.swapaxes(-1, -2)),
                 _join_heads(np.matmul(p.data.swapaxes(-1, -2), gh)))
 
-    return _result(_join_heads(np.matmul(p.data, vh)), "apply_heads", (p, v), vjp)
+    return Tensor.node(_join_heads(np.matmul(p.data, vh)), "apply_heads", (p, v), vjp)
 
 
 def mean_heads(p: Tensor) -> Tensor:
@@ -408,7 +408,7 @@ def mean_heads(p: Tensor) -> Tensor:
     for h in range(1, n_heads):
         data += p.data[..., h, :, :]
     data /= float(n_heads)
-    return _result(data, "mean_heads", (p,), lambda g: (
+    return Tensor.node(data, "mean_heads", (p,), lambda g: (
         np.broadcast_to(np.expand_dims(g / float(n_heads), -3), p.shape),))
 
 
@@ -427,17 +427,17 @@ def layernorm_rows(x: Tensor) -> Tensor:
         gym = (g * y).mean(axis=1, keepdims=True)
         return (inv * (g - gm - y * gym),)
 
-    return _result(y, "layernorm_rows", (x,), vjp)
+    return Tensor.node(y, "layernorm_rows", (x,), vjp)
 
 
 # -- selection kernels -------------------------------------------------------
 
 
-def _top_k(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.float64]:
+def top_k(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.float64]:
     """Positions of the k largest entries of a 1-D array, and their mean.
 
     Ties are resolved by ascending index. This is the one selection rule
-    behind ``topk_mean`` and the fused constraint kernels.
+    behind ``topk_mean`` and every caller that fuses a top-k into its own kernel.
     """
     if k < 1 or k > flat.size:
         raise ArgumentError(f"k={k} outside [1, {flat.size}]")
@@ -461,13 +461,13 @@ def topk_mean(x: Tensor, k: int) -> Tensor:
     x = _as_tensor(x)
     k = int(k)
     flat = x.data.reshape(-1)
-    idx, top = _top_k(flat, k)
+    idx, top = top_k(flat, k)
     shape = x.shape
 
     def vjp(g):
         return (_scatter(flat.size, idx, float(g) / k).reshape(shape),)
 
-    return _result(np.asarray(top), "topk_mean", (x,), vjp)
+    return Tensor.node(np.asarray(top), "topk_mean", (x,), vjp)
 
 
 def axis_max_project(x: Tensor, axis: str) -> Tensor:
@@ -493,7 +493,7 @@ def take(x: Tensor, indices) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeError("take expects a 1-D tensor")
-    return _select(x, _valid_indices(indices, x.size, "take"), "take")
+    return _select(x, _distinct_indices(indices, x.size, "take"), "take")
 
 
 def take2d(x: Tensor, rows, cols) -> Tensor:
@@ -501,8 +501,8 @@ def take2d(x: Tensor, rows, cols) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("take2d expects a 2-D tensor")
-    ri = _valid_indices(rows, x.shape[0], "take2d row")
-    ci = _valid_indices(cols, x.shape[1], "take2d column")
+    ri = _distinct_indices(rows, x.shape[0], "take2d row")
+    ci = _distinct_indices(cols, x.shape[1], "take2d column")
     if ri.size == 0 or ci.size == 0:
         raise ArgumentError("take2d needs non-empty index lists")
     return _select(x, np.ix_(ri, ci), "take2d")
@@ -530,31 +530,6 @@ def column(x: Tensor, j) -> Tensor:
     return _select(x, (*lead, np.arange(x.shape[-2]), j[..., None]), "column")
 
 
-class DistinctIndices(np.ndarray):
-    """Read-only index list already checked against an axis of length ``bound``.
-
-    ``take`` and ``take2d`` skip re-validating it on an axis of that length.
-    Arrays derived from one (slices, sums) are plain arrays, validated as usual.
-    """
-
-    bound: int | None = None
-
-
-def distinct_indices(indices, n: int, what: str = "index list") -> DistinctIndices:
-    """Validate an index list into an axis of length n once, for repeated gathers."""
-    idx = np.array(_distinct_indices(indices, n, what), dtype=np.intp)
-    idx.flags.writeable = False
-    out = idx.view(DistinctIndices)
-    out.bound = n
-    return out
-
-
-def _valid_indices(indices, n: int, what: str) -> np.ndarray:
-    if isinstance(indices, DistinctIndices) and indices.bound == n:
-        return indices
-    return _distinct_indices(indices, n, what)
-
-
 def _distinct_indices(indices, n: int, what: str) -> np.ndarray:
     """Index list into an axis of length n, each entry in range and unique."""
     idx = np.asarray(indices)
@@ -577,8 +552,8 @@ def _select(x: Tensor, index, op: str) -> Tensor:
     each entry of ``x`` at most once.
     """
     shape = x.shape
-    return _result(x.data[index], op, (x,), lambda g: (_scatter(shape, index, g),),
-                   checked=False)
+    return Tensor.node(x.data[index], op, (x,), lambda g: (_scatter(shape, index, g),),
+                       checked=False)
 
 
 def _scatter(shape, index, values) -> np.ndarray:
@@ -602,7 +577,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _result(data, "concat", parts, vjp, checked=False)
+    return Tensor.node(data, "concat", parts, vjp, checked=False)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -612,8 +587,8 @@ def mean_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     shape = x.shape
     n = x.size
-    return _result(np.asarray(x.data.mean()), "mean_all", (x,),
-                   lambda g: (np.full(shape, float(g) / n),))
+    return Tensor.node(np.asarray(x.data.mean()), "mean_all", (x,),
+                       lambda g: (np.full(shape, float(g) / n),))
 
 
 def sum_leading(x: Tensor) -> Tensor:
@@ -625,150 +600,7 @@ def sum_leading(x: Tensor) -> Tensor:
     data = x.data[0].copy() if len(x.data) else np.zeros(x.shape[1:])
     for part in x.data[1:]:
         data += part
-    return _result(data, "sum_leading", (x,), lambda g: (np.broadcast_to(g, x.shape),))
-
-
-# -- fused constraint terms ---------------------------------------------------
-#
-# Each kernel is every concept's constraint term over the loss layers: it takes
-# one map per layer, per-concept boxes, weights and top-k counts, and returns
-# one (concepts,) node whose entry c is the mean of concept c's per-map terms.
-# Each entry rounds exactly as the chain of small kernels its docstring names,
-# run on that concept alone and followed by add and div_scalar for the layer
-# mean. Each backward writes a layer's picks with one flat-index scatter.
-
-
-def _layer_maps(maps: Sequence[Tensor], op: str, ndim: int) -> tuple[Tensor, ...]:
-    maps = tuple(_as_tensor(m) for m in maps)
-    if not maps:
-        raise ArgumentError(f"{op} needs at least one map")
-    if any(m.data.ndim != ndim or m.shape != maps[0].shape for m in maps):
-        raise ShapeError(f"{op} expects {ndim}-D maps of one shape")
-    return maps
-
-
-def _per_concept(count: int, op: str, *lists) -> None:
-    if any(len(entries) != count for entries in lists):
-        raise ArgumentError(f"{op} needs one entry per concept, {count} in all")
-
-
-def _layer_mean(terms: list) -> np.ndarray:
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return np.asarray(total / float(len(terms)))
-
-
-def _flat_picks(picks: list, stride: int) -> np.ndarray:
-    """Concept c's flat picks, offset by c * stride, joined in concept order."""
-    return np.concatenate([np.zeros(0, np.intp)]
-                          + [c * stride + idx for c, idx in enumerate(picks)])
-
-
-def _box_indices(rows, cols, shape: tuple[int, ...], op: str) -> tuple[np.ndarray, np.ndarray]:
-    ri = _valid_indices(rows, shape[0], f"{op} row")
-    ci = _valid_indices(cols, shape[1], f"{op} column")
-    if ri.size == 0 or ci.size == 0:
-        raise ArgumentError(f"{op} needs non-empty index lists")
-    return ri, ci
-
-
-def topk_shortfall(maps: Sequence[Tensor], weight, ks) -> Tensor:
-    """Per concept c, the mean over maps of ``1 - topk_mean(map[c] * weight[c], ks[c])``.
-
-    Attend-and-Excite's top-k enhancement term (chain: mul, topk_mean, sub).
-    Each map is (concepts, h, w); ``weight`` is a constant of the same shape,
-    to which no gradient flows.
-    """
-    maps = _layer_maps(maps, "topk_shortfall", 3)
-    weight = _as_tensor(weight)
-    if weight.requires_grad:
-        raise ArgumentError("topk_shortfall needs a constant weight")
-    if weight.shape != maps[0].shape:
-        raise ShapeError(f"topk_shortfall: {maps[0].shape} vs {weight.shape}")
-    w = weight.data
-    ks = np.array([int(k) for k in ks], dtype=np.intp)
-    _per_concept(len(w), "topk_shortfall", ks)
-    picks, terms = [], []
-    for m in maps:
-        product = m.data * w
-        _check_finite(product, "topk_shortfall")
-        tops = [_top_k(p.reshape(-1), k) for p, k in zip(product, ks.tolist())]
-        picks.append([idx for idx, _ in tops])
-        terms.append(1.0 - np.array([top for _, top in tops]))
-    n = float(len(maps))
-
-    def vjp(g):
-        share = np.repeat(-(g / n) / ks, ks)
-        stride = math.prod(w.shape[1:])
-        return tuple(_scatter(w.size, _flat_picks(at, stride), share).reshape(w.shape) * w
-                     for at in picks)
-
-    return _result(_layer_mean(terms), "topk_shortfall", maps, vjp)
-
-
-def box_fill(maps: Sequence[Tensor], rows, cols) -> Tensor:
-    """Per concept c, the mean over maps of
-    ``mean(1 - [map[c]'s column maxima at cols[c], row maxima at rows[c]])``.
-
-    BoxDiff's box-axis max-projection fill term (chain: axis_max_project,
-    take, concat, sub, mean_all). Each maximum's gradient routes to its
-    first argmax. Each map is listed twice in ``parents``: the VJP hands
-    back its column-max and row-max scatters as separate cotangents, so
-    ``grad`` adds them to the map's other cotangents in the chain's order.
-    Summing the two here would reassociate that sum.
-    """
-    maps = _layer_maps(maps, "box_fill", 3)
-    concepts, height, width = maps[0].shape
-    _per_concept(concepts, "box_fill", rows, cols)
-    boxes = [_box_indices(r, c, (height, width), "box_fill") for r, c in zip(rows, cols)]
-    sizes = np.array([ri.size + ci.size for ri, ci in boxes], dtype=np.intp)
-    picks, terms = [], []
-    for m in maps:
-        at_cols = [s.argmax(axis=0)[ci] * width + ci for s, (_, ci) in zip(m.data, boxes)]
-        at_rows = [ri * width + s.argmax(axis=1)[ri] for s, (ri, _) in zip(m.data, boxes)]
-        terms.append(np.array([(1.0 - s.reshape(-1)[np.concatenate(at)]).mean()
-                               for s, *at in zip(m.data, at_cols, at_rows)]))
-        picks += [at_cols, at_rows]
-    n = float(len(maps))
-    parents = tuple(m for m in maps for _ in range(2))
-
-    def vjp(g):
-        share = -(g / n / sizes)
-        return tuple(_scatter(m.size, _flat_picks(at, height * width),
-                              np.repeat(share, [i.size for i in at])).reshape(m.shape)
-                     for m, at in zip(parents, picks))
-
-    return _result(_layer_mean(terms), "box_fill", parents, vjp)
-
-
-def submatrix_topk_mean(maps: Sequence[Tensor], rows, cols, ks) -> Tensor:
-    """Per concept c, the mean over maps of ``topk_mean(map[rows[c]][:, cols[c]], ks[c])``.
-
-    The isolation term's leakage (chain: take2d, topk_mean). The maps are
-    2-D and shared by every concept, so two concepts may pick one entry: the
-    VJP sums each map's picks into its shape, in concept order.
-    """
-    maps = _layer_maps(maps, "submatrix_topk_mean", 2)
-    ks = np.array([int(k) for k in ks], dtype=np.intp)
-    _per_concept(len(ks), "submatrix_topk_mean", rows, cols)
-    boxes = [_box_indices(r, c, maps[0].shape, "submatrix_topk_mean") for r, c in zip(rows, cols)]
-    # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
-    subs = [(ri[:, None] * maps[0].shape[1] + ci).reshape(-1) for ri, ci in boxes]
-    picks, terms = [], []
-    for m in maps:
-        tops = [_top_k(m.data.reshape(-1)[sub], k) for sub, k in zip(subs, ks.tolist())]
-        picks.append([sub[idx] for sub, (idx, _) in zip(subs, tops)])
-        terms.append(np.array([top for _, top in tops]))
-    n = float(len(maps))
-
-    def vjp(g):
-        share = np.repeat(g / n / ks, ks)
-        # the maps are shared: no concept offset, and a pick two concepts share adds up
-        return tuple(np.bincount(_flat_picks(at, 0), share, minlength=m.size).reshape(m.shape)
-                     for m, at in zip(maps, picks))
-
-    return _result(_layer_mean(terms), "submatrix_topk_mean", maps, vjp)
+    return Tensor.node(data, "sum_leading", (x,), lambda g: (np.broadcast_to(g, x.shape),))
 
 
 # -- spatial kernels ----------------------------------------------------------
@@ -790,7 +622,7 @@ def avg_pool_2x2(x: Tensor, height: int, width: int) -> Tensor:
         out = np.broadcast_to(g4, (height // 2, 2, width // 2, 2, d))
         return (out.reshape(height * width, d),)
 
-    return _result(data, "avg_pool_2x2", (x,), vjp)
+    return Tensor.node(data, "avg_pool_2x2", (x,), vjp)
 
 
 def upsample_nearest_2x(x: Tensor, height: int, width: int) -> Tensor:
@@ -805,7 +637,7 @@ def upsample_nearest_2x(x: Tensor, height: int, width: int) -> Tensor:
     def vjp(g):
         return (g.reshape(height, 2, width, 2, d).sum(axis=(1, 3)).reshape(height * width, d),)
 
-    return _result(data, "upsample_nearest_2x", (x,), vjp, checked=False)
+    return Tensor.node(data, "upsample_nearest_2x", (x,), vjp, checked=False)
 
 
 # -- reverse-mode driver --------------------------------------------------------

@@ -9,6 +9,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import tensorio
 from .assets import gen_prompt_embedding, gen_synthetic_bundle
 from .autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
@@ -96,9 +98,10 @@ def run_gradcheck(config: RunConfig, eps: float = 1e-6) -> float:
         total, _ = composite_loss(record, geometry, config.guidance)
         return total
 
-    traced = Tensor(z0, requires_grad=True)
-    analytic = grad(loss_of(traced), traced)
-    numeric = finite_difference_gradient(loss_of, Tensor(z0), eps=eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
+        traced = Tensor(z0, requires_grad=True)
+        analytic = grad(loss_of(traced), traced)
+        numeric = finite_difference_gradient(loss_of, Tensor(z0), eps=eps)
     return max_relative_error(analytic, numeric)
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttnRecord, RegionGeometry
+from .attention import AttnRecord, LayerRecord, RegionGeometry
 from .autodiff import Tensor, grad
 from .errors import ArgumentError, NumericError
 
@@ -91,41 +91,144 @@ class TraceRow:
                    total=breakdown.total, phi_t=phi_t, accepted=int(accepted))
 
 
-def _check_resolution(record: AttnRecord, geometry: RegionGeometry) -> None:
-    if record.loss_resolution != (geometry.height, geometry.width):
+def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerRecord]:
+    """The record's loss layers, checked to fit the geometry: its resolution,
+    (concepts, h, w) cross maps of its concepts and (h*w, h*w) self maps."""
+    h, w = geometry.height, geometry.width
+    if record.loss_resolution != (h, w):
         raise ArgumentError(
-            f"geometry {geometry.height}x{geometry.width} does not match "
-            f"loss resolution {record.loss_resolution}")
+            f"geometry {h}x{w} does not match loss resolution {record.loss_resolution}")
+    layers = record.loss_layers()
+    cross = (len(geometry.regions), h, w)
+    for layer in layers:
+        if layer.cross_maps.shape != cross or layer.self_map.shape != (h * w, h * w):
+            raise ArgumentError(
+                f"cross maps {layer.cross_maps.shape} and self map {layer.self_map.shape} "
+                f"do not fit the geometry's {cross} and {(h * w, h * w)}")
+    return layers
+
+
+# Each term is every concept's constraint term over the loss layers, one
+# (concepts,) node whose entry c is the mean of concept c's per-layer terms.
+# Each entry rounds exactly as the chain of autodiff kernels its docstring
+# names, run on that concept alone and followed by add and div_scalar for the
+# layer mean. Each backward writes a layer's picks with one flat-index scatter.
+
+
+def _layer_mean(terms: list) -> np.ndarray:
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return np.asarray(total / float(len(terms)))
+
+
+def _flat_picks(picks: list, stride: int) -> np.ndarray:
+    """Concept c's flat picks, offset by c * stride, joined in concept order."""
+    return np.concatenate([np.zeros(0, np.intp)]
+                          + [c * stride + idx for c, idx in enumerate(picks)])
+
+
+def _assign_picks(shape: tuple[int, ...], picks: list, values: np.ndarray) -> np.ndarray:
+    """Zeros of a (concepts, ...) shape with ``values`` assigned at concept c's
+    flat picks into slice c. No two picks meet, so assignment is the adjoint."""
+    out = np.zeros(math.prod(shape))
+    out[_flat_picks(picks, math.prod(shape[1:]))] = values
+    return out.reshape(shape)
 
 
 def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
                               s_ratio: float) -> Tensor:
-    """Every concept's enhancement term, averaged over contributing layers: (concepts,)."""
-    _check_resolution(record, geometry)
+    """Every concept's enhancement term, averaged over contributing layers: (concepts,).
+
+    Attend-and-Excite's top-k term: per concept c, ``1 - topk_mean(map[c] *
+    weight[c], k[c])`` with ``k = ceil(s_ratio * area)`` (chain: mul,
+    topk_mean, sub). The Gaussian weight is a constant in [0, 1]: no gradient
+    flows to it, and a finite map times it stays finite.
+    """
+    maps = [layer.cross_maps for layer in _loss_layers(record, geometry)]
     table = geometry.pixels
-    return ad.topk_shortfall([layer.cross_maps for layer in record.loss_layers()],
-                             table.weight, np.ceil(s_ratio * table.area))
+    w = table.weight.data
+    ks = np.ceil(s_ratio * table.area).astype(np.intp)
+    picks, terms = [], []
+    for m in maps:
+        tops = [ad.top_k(p.reshape(-1), k) for p, k in zip(m.data * w, ks.tolist())]
+        picks.append([idx for idx, _ in tops])
+        terms.append(1.0 - np.array([top for _, top in tops]))
+    n = float(len(maps))
+
+    def vjp(g):
+        share = np.repeat(-(g / n) / ks, ks)
+        return tuple(_assign_picks(w.shape, at, share) * w for at in picks)
+
+    return Tensor.node(_layer_mean(terms), "concept_enhancement_terms", maps, vjp)
 
 
 def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
-    """Every concept's axis-projection fill term, averaged over layers: (concepts,)."""
-    _check_resolution(record, geometry)
+    """Every concept's axis-projection fill term, averaged over layers: (concepts,).
+
+    BoxDiff's box-axis max-projection term: per concept c, ``mean(1 -
+    [map[c]'s column maxima at its box columns, row maxima at its box rows])``
+    (chain: axis_max_project, take, concat, sub, mean_all). Each maximum's
+    gradient routes to its first argmax. Each map is listed twice in
+    ``parents``: the VJP hands back its column-max and row-max scatters as
+    separate cotangents, so ``grad`` adds them to the map's other cotangents
+    in the chain's order. Summing the two here would reassociate that sum.
+    """
+    maps = [layer.cross_maps for layer in _loss_layers(record, geometry)]
     table = geometry.pixels
-    return ad.box_fill([layer.cross_maps for layer in record.loss_layers()],
-                       table.rows, table.cols)
+    width = geometry.width
+    sizes = np.array([ri.size + ci.size for ri, ci in zip(table.rows, table.cols)],
+                     dtype=np.intp)
+    picks, terms = [], []
+    for m in maps:
+        at_cols = [s.argmax(axis=0)[ci] * width + ci for s, ci in zip(m.data, table.cols)]
+        at_rows = [ri * width + s.argmax(axis=1)[ri] for s, ri in zip(m.data, table.rows)]
+        terms.append(np.array([(1.0 - s.reshape(-1)[np.concatenate(at)]).mean()
+                               for s, *at in zip(m.data, at_cols, at_rows)]))
+        picks += [at_cols, at_rows]
+    n = float(len(maps))
+    parents = tuple(m for m in maps for _ in range(2))
+
+    def vjp(g):
+        share = -(g / n / sizes)
+        return tuple(_assign_picks(m.shape, at, np.repeat(share, [i.size for i in at]))
+                     for m, at in zip(parents, picks))
+
+    return Tensor.node(_layer_mean(terms), "fill_terms", parents, vjp)
 
 
 def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -> Tensor:
-    """Every concept's foreground-to-complement leakage term: (concepts,)."""
-    _check_resolution(record, geometry)
+    """Every concept's foreground-to-complement leakage term: (concepts,).
+
+    Per concept c, ``topk_mean(self_map[inside[c]][:, outside[c]], k[c])`` with
+    ``k = ceil(p_ratio * area * (h*w - area))`` (chain: take2d, topk_mean).
+    The self maps are shared by every concept, so two concepts may pick one
+    entry: the VJP sums each map's picks into its shape, in concept order.
+    """
+    maps = [layer.self_map for layer in _loss_layers(record, geometry)]
     table = geometry.pixels
-    outside = geometry.height * geometry.width - table.area
+    size = geometry.height * geometry.width
+    outside = size - table.area
     if not outside.all():
         whole = geometry.concept_ids[int(np.argmin(outside))]
         raise ArgumentError(f"concept {whole!r} covers the whole map")
-    return ad.submatrix_topk_mean([layer.self_map for layer in record.loss_layers()],
-                                  table.inside, table.outside,
-                                  np.ceil(p_ratio * (table.area * outside)))
+    ks = np.ceil(p_ratio * (table.area * outside)).astype(np.intp)
+    # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
+    subs = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
+    picks, terms = [], []
+    for m in maps:
+        tops = [ad.top_k(m.data.reshape(-1)[sub], k) for sub, k in zip(subs, ks.tolist())]
+        picks.append([sub[idx] for sub, (idx, _) in zip(subs, tops)])
+        terms.append(np.array([top for _, top in tops]))
+    n = float(len(maps))
+
+    def vjp(g):
+        share = np.repeat(g / n / ks, ks)
+        # the maps are shared: no concept offset, and a pick two concepts share adds up
+        return tuple(np.bincount(_flat_picks(at, 0), share, minlength=m.size).reshape(m.shape)
+                     for m, at in zip(maps, picks))
+
+    return Tensor.node(_layer_mean(terms), "region_terms", maps, vjp)
 
 
 def composite_loss(record: AttnRecord, geometry: RegionGeometry,
@@ -162,14 +265,13 @@ class AdaptiveStopper:
     """Tracks loss improvement; trips after `patience` stale iterations.
 
     An iteration is stale unless its loss beats the best so far by more
-    than ``min_delta * |best|``; the first observation always improves.
+    than ``MIN_DELTA * |best|``; the first observation always improves.
     """
 
-    def __init__(self, patience: int, min_delta: float = MIN_DELTA):
+    def __init__(self, patience: int):
         if patience < 1:
             raise ArgumentError("patience must be at least 1")
         self.patience = patience
-        self.min_delta = min_delta
         self.best: float = math.inf
         self.stale = 0
 
@@ -182,7 +284,7 @@ class AdaptiveStopper:
         if loss >= self.best:
             self.stale += 1
             return False
-        if self.best == math.inf or self.best - loss > self.min_delta * abs(self.best):
+        if self.best == math.inf or self.best - loss > MIN_DELTA * abs(self.best):
             self.stale = 0
         else:
             self.stale += 1
@@ -234,15 +336,18 @@ def guided_update(
     rows: list[TraceRow] = []
     for iteration in range(config.max_iters):
         try:
-            breakdown, gradient = taped_loss(z, forward, geometry, config)
-            improved = stopper.observe(breakdown.total)
-            rows.append(TraceRow.of(t, iteration, breakdown, phi, improved))
-            if improved:
-                best_z = z
-            if stopper.should_stop or iteration + 1 == config.max_iters:
-                break  # no later iteration would evaluate another step
-            if phi != 0.0:
-                z = z - phi * gradient()
+            # an overflow must reach the finite checks as a NumericError with
+            # this context, not stop earlier as a warning turned error
+            with np.errstate(over="ignore", invalid="ignore"):
+                breakdown, gradient = taped_loss(z, forward, geometry, config)
+                improved = stopper.observe(breakdown.total)
+                rows.append(TraceRow.of(t, iteration, breakdown, phi, improved))
+                if improved:
+                    best_z = z
+                if stopper.should_stop or iteration + 1 == config.max_iters:
+                    break  # no later iteration would evaluate another step
+                if phi != 0.0:
+                    z = z - phi * gradient()
         except NumericError as exc:
             raise NumericError(
                 f"guidance diverged at t={t} iteration={iteration}: {exc}") from exc

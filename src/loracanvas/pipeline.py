@@ -289,8 +289,9 @@ def sample(config: RunConfig) -> SampleResult:
                 z, rows = guided_update(z, forward, geometry, guidance_cfg, t, total)
                 trace.extend(rows)
             try:
-                eps, record = denoiser_forward(Tensor(z), t, ctx)
-                z = ddim_step(z, eps.data, t, schedule)
+                with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
+                    eps, record = denoiser_forward(Tensor(z), t, ctx)
+                    z = ddim_step(z, eps.data, t, schedule)
             except NumericError as exc:
                 raise NumericError(f"denoising step diverged at t={t}: {exc}") from exc
     except NumericError:

@@ -125,8 +125,9 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
 
     phi = step_size(total_steps, total_steps, config.phi0)
     try:
-        breakdown, gradient = taped_loss(z0, forward, geometry, config)
-        z1 = z0 - phi * gradient()
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite checks report it
+            breakdown, gradient = taped_loss(z0, forward, geometry, config)
+            z1 = z0 - phi * gradient()
     except NumericError as exc:
         raise NumericError(f"re-init step diverged at t={total_steps}: {exc}") from exc
     del gradient

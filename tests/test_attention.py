@@ -240,7 +240,7 @@ def test_compose_background_keeps_h0_exactly():
     h0 = Tensor(rng.standard_normal((6, 3)))
     ha = Tensor(rng.standard_normal((6, 3)))
     out = compose_hidden(h0, Tensor(ha.data[None]), geometry)
-    background = geometry.flat_mask("c0") == 0
+    background = geometry.masks["c0"].reshape(-1) == 0
     assert np.array_equal(background, [False, True, True, False, True, True])
     assert np.array_equal(out.data[background], h0.data[background])
 
@@ -451,8 +451,8 @@ def test_masked_self_attention_blocks_cross_region_pairs():
     dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
     weights = generate_base_weights(7, dims).blocks[0].self_attn
     _, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
-    m0 = geometry.flat_mask("c0") > 0
-    m1 = geometry.flat_mask("c1") > 0
+    m0 = geometry.masks["c0"].reshape(-1) > 0
+    m1 = geometry.masks["c1"].reshape(-1) > 0
     assert np.all(self_map.data[np.ix_(m0, m1)] == 0.0)
     assert np.all(self_map.data[np.ix_(m1, m0)] == 0.0)
 
@@ -463,7 +463,7 @@ def test_blocked_self_forbids_only_foreground_pairs_sharing_no_box():
         regions=(RegionSpec((0, 0, 0.5, 0.75), "a"), RegionSpec((0.25, 0, 0.75, 0.75), "b")),
         global_prompt_embed=np.zeros((2, 6)))
     geometry = RegionGeometry.build(layout, 4, 4)
-    boxes = [set(np.flatnonzero(geometry.flat_mask(cid))) for cid in ("a", "b")]
+    boxes = [set(np.flatnonzero(geometry.masks[cid].reshape(-1))) for cid in ("a", "b")]
     expected = np.array([[any(p in box for box in boxes) and any(q in box for box in boxes)
                           and not any(p in box and q in box for box in boxes)
                           for q in range(16)] for p in range(16)])

@@ -289,7 +289,9 @@ def test_axis_max_tie_routing_deterministic():
 @pytest.mark.parametrize("indices, reason", [
     ([5], "out of range"), ([3], "out of range"), ([-1], "out of range"),
     ([0, 2, 0], "repeat"), ([1.7], "integers"),
-], ids=["past_end", "at_end", "negative", "repeated", "fractional"])
+    (np.array([2, 2]), "repeat"), (np.array([2, 0]) + 1, "out of range"),
+], ids=["past_end", "at_end", "negative", "repeated", "fractional",
+        "repeated_array", "shifted_array_past_end"])
 def test_take_rejects_bad_indices(indices, reason):
     with pytest.raises(ArgumentError, match=reason):
         ad.take(Tensor([1.0, 2.0, 3.0]), indices)
@@ -305,31 +307,6 @@ def test_take_rejects_bad_indices(indices, reason):
 def test_take2d_rejects_bad_indices(rows, cols, reason):
     with pytest.raises(ArgumentError, match=reason):
         ad.take2d(Tensor(np.zeros((2, 3))), rows, cols)
-
-
-def test_distinct_indices_are_validated_once_per_axis_length(monkeypatch):
-    idx = ad.distinct_indices([2, 0], 3)
-    assert idx.bound == 3 and not idx.flags.writeable
-    x = Tensor([1.0, 2.0, 3.0])
-
-    def revalidated(*args):
-        raise AssertionError("validated again")
-
-    with monkeypatch.context() as m:
-        m.setattr(ad, "_distinct_indices", revalidated)
-        assert np.array_equal(ad.take(x, idx).data, [3.0, 1.0])
-        assert np.array_equal(ad.take2d(Tensor(np.eye(3)), idx, idx).data,
-                              [[1.0, 0.0], [0.0, 1.0]])
-    # a list checked against another length, or derived from a checked one,
-    # is validated as usual
-    with pytest.raises(ArgumentError, match="out of range"):
-        ad.take(Tensor([1.0, 2.0]), idx)
-    with pytest.raises(ArgumentError, match="repeat"):
-        ad.take(x, idx[[0, 0]])
-    with pytest.raises(ArgumentError, match="out of range"):
-        ad.take(x, idx + 1)
-    with pytest.raises(ArgumentError, match="repeat"):
-        ad.distinct_indices([1, 1], 3)
 
 
 # ---------------------------------------------------------------- grad basics

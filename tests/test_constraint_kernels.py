@@ -1,16 +1,20 @@
-"""The fused constraint kernels against the chains of small kernels they replace.
+"""The three constraint terms against the chains of small kernels they fuse.
 
-Each of ``topk_shortfall``, ``box_fill`` and ``submatrix_topk_mean`` is every
-concept's constraint term over its loss layers, one entry per concept. The
-oracle builds each concept's term from the public kernels (mul, topk_mean,
-sub, axis_max_project, take, concat, mean_all, take2d) on that concept's own
-maps, averages the layers with add and div_scalar and sums the concepts with
-add, as the losses did before the concept axis. Values and gradients must
-agree bit for bit, slice by slice, and bad arguments must raise the same named
-errors. Hypothesis runs derandomized, so every run checks the same examples.
+Each of ``concept_enhancement_terms``, ``fill_terms`` and ``region_terms``
+is every concept's constraint term over a record's loss layers, one entry
+per concept. The oracle builds each concept's term from the public kernels
+(mul, topk_mean, sub, axis_max_project, take, concat, mean_all, take2d) on
+that concept's own maps, with the pixel table's rows, columns, index lists,
+Gaussian weight and top-k count, averages the layers with add and div_scalar
+and sums the concepts with add, as the losses did before the concept axis.
+Values and gradients must agree bit for bit, slice by slice, and a failing
+term must raise what its chain raises. Hypothesis runs derandomized, so
+every run checks the same examples.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +23,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from loracanvas import autodiff as ad
+from loracanvas.attention import (
+    AttnRecord,
+    LayerRecord,
+    LayoutCondition,
+    RegionGeometry,
+    RegionSpec,
+)
 from loracanvas.autodiff import Tensor, grad
-from loracanvas.errors import ArgumentError, NumericError, ShapeError
+from loracanvas.errors import ArgumentError, NumericError
+from loracanvas.guidance import (
+    GuidanceConfig,
+    composite_loss,
+    concept_enhancement_terms,
+    fill_terms,
+    region_terms,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -28,6 +46,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 tied = st.integers(0, 8).map(lambda n: n / 8.0)
 fine = st.floats(0.0, 1.0)
 entries = st.one_of(tied, fine)
+ratios = st.floats(0.0, 1.0, exclude_min=True)
+weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
 
 
 # ------------------------------------------------------------------ oracles
@@ -57,55 +77,71 @@ def chain_submatrix(maps, rows, cols, k) -> Tensor:
     return layer_mean([ad.topk_mean(ad.take2d(m, rows, cols), k) for m in maps])
 
 
-FUSED = {"shortfall": ad.topk_shortfall, "fill": ad.box_fill,
-         "submatrix": ad.submatrix_topk_mean}
-CHAIN = {"shortfall": chain_shortfall, "fill": chain_fill, "submatrix": chain_submatrix}
+def top_s(geometry: RegionGeometry, c: int, s_ratio: float) -> int:
+    return math.ceil(s_ratio * int(geometry.pixels.area[c]))
+
+
+def top_p(geometry: RegionGeometry, c: int, p_ratio: float) -> int:
+    area = int(geometry.pixels.area[c])
+    return math.ceil(p_ratio * (area * (geometry.height * geometry.width - area)))
+
+
+def chain_terms(geometry, concept_maps, selfs, s_ratio, p_ratio):
+    """Per concept, its three chained terms on its own list of layer maps."""
+    table = geometry.pixels
+    return [(chain_shortfall(maps, Tensor(table.weight.data[c]), top_s(geometry, c, s_ratio)),
+             chain_fill(maps, table.rows[c], table.cols[c]),
+             chain_submatrix(selfs, table.inside[c], table.outside[c],
+                             top_p(geometry, c, p_ratio)))
+            for c, maps in enumerate(concept_maps)]
 
 
 # ------------------------------------------------------------------ cases
 
 
-def distinct(draw, n: int) -> list[int]:
-    return draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+def geometry_of(rects, h: int, w: int) -> RegionGeometry:
+    """Concept c covers pixel rows [r0, r1) and columns [c0, c1) of an h x w map."""
+    regions = tuple(RegionSpec((c0 / w, r0 / h, c1 / w, r1 / h), f"c{i}")
+                    for i, (r0, c0, r1, c1) in enumerate(rects))
+    return RegionGeometry.build(LayoutCondition(regions, np.zeros((1, 1))), h, w)
+
+
+def record_of(cross, selfs, h: int, w: int) -> AttnRecord:
+    return AttnRecord([LayerRecord((h, w), c, s) for c, s in zip(cross, selfs)])
+
+
+@st.composite
+def rectangles(draw, h: int, w: int):
+    r0, c0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    return r0, c0, draw(st.integers(r0 + 1, h)), draw(st.integers(c0 + 1, w))
 
 
 @st.composite
 def loss_cases(draw):
-    """1-3 concepts over 1-3 layers: stacked cross maps, shared self maps, each
-    concept's boxes and top-k counts, and the loss knobs."""
+    """1-3 concepts, each a pixel rectangle (they may overlap, none covers the
+    map), over 1-3 loss layers of stacked cross maps and self maps, and the
+    loss knobs."""
     concepts, layers = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    n = draw(st.integers(2, 9))
+    h, w = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rects = [draw(rectangles(h, w).filter(lambda r: r != (0, 0, h, w)))
+             for _ in range(concepts)]
     cross = [draw(arrays(np.float64, (concepts, h, w), elements=entries))
              for _ in range(layers)]
-    selfs = [draw(arrays(np.float64, (n, n), elements=entries)) for _ in range(layers)]
-    weight = draw(arrays(np.float64, (concepts, h, w),
-                         elements=st.one_of(tied, st.floats(0.0, 3.0))))
-    rows = [distinct(draw, h) for _ in range(concepts)]
-    cols = [distinct(draw, w) for _ in range(concepts)]
-    inside = [distinct(draw, n) for _ in range(concepts)]
-    outside = [distinct(draw, n) for _ in range(concepts)]
-    top_s = [draw(st.integers(1, h * w)) for _ in range(concepts)]
-    top_p = [draw(st.integers(1, len(i) * len(o))) for i, o in zip(inside, outside)]
-    alpha, beta = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
-    return dict(cross=cross, selfs=selfs, weight=weight, rows=rows, cols=cols,
-                inside=inside, outside=outside, top_s=top_s, top_p=top_p,
-                alpha=alpha, beta=beta)
+    # (h*w)^2 entries per self map are too many to draw one by one
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    selfs = [np.where(rng.random((h * w, h * w)) < 0.5,
+                      rng.integers(0, 9, (h * w, h * w)) / 8.0, rng.random((h * w, h * w)))
+             for _ in range(layers)]
+    config = GuidanceConfig(alpha=draw(weights), beta=draw(weights),
+                            s_ratio=draw(ratios), p_ratio=draw(ratios))
+    return dict(h=h, w=w, rects=rects, cross=cross, selfs=selfs, config=config)
 
 
-def fused_terms(case, cross, selfs):
-    """The three fused nodes, each (concepts,)."""
-    return (ad.topk_shortfall(cross, Tensor(case["weight"]), case["top_s"]),
-            ad.box_fill(cross, case["rows"], case["cols"]),
-            ad.submatrix_topk_mean(selfs, case["inside"], case["outside"], case["top_p"]))
-
-
-def chain_terms(case, concept_maps, selfs):
-    """Per concept, its three chained terms on its own list of layer maps."""
-    return [(chain_shortfall(maps, Tensor(case["weight"][c]), case["top_s"][c]),
-             chain_fill(maps, case["rows"][c], case["cols"][c]),
-             chain_submatrix(selfs, case["inside"][c], case["outside"][c], case["top_p"][c]))
-            for c, maps in enumerate(concept_maps)]
+def terms_of(record, geometry, config):
+    """The three terms' nodes, each (concepts,)."""
+    return (concept_enhancement_terms(record, geometry, config.s_ratio),
+            fill_terms(record, geometry),
+            region_terms(record, geometry, config.p_ratio))
 
 
 # ------------------------------------------------------------------ values
@@ -114,14 +150,21 @@ def chain_terms(case, concept_maps, selfs):
 @PROPERTY
 @given(loss_cases())
 def test_fused_terms_equal_their_chains_bit_for_bit(case):
+    h, w, config = case["h"], case["w"], case["config"]
+    geometry = geometry_of(case["rects"], h, w)
+    table = geometry.pixels
+    for c, (r0, c0, r1, c1) in enumerate(case["rects"]):
+        assert table.rows[c].tolist() == list(range(r0, r1))
+        assert table.cols[c].tolist() == list(range(c0, c1))
     cross = [Tensor(m) for m in case["cross"]]
     selfs = [Tensor(m) for m in case["selfs"]]
-    concept_maps = [[Tensor(m[c]) for m in case["cross"]] for c in range(len(case["rows"]))]
-    fused = fused_terms(case, cross, selfs)
-    for node in fused:
-        assert node.shape == (len(concept_maps),)
-    for c, chained in enumerate(chain_terms(case, concept_maps, selfs)):
-        for node, term in zip(fused, chained):
+    nodes = terms_of(record_of(cross, selfs, h, w), geometry, config)
+    for node in nodes:
+        assert node.shape == (len(case["rects"]),)
+    concept_maps = [[Tensor(m[c]) for m in case["cross"]] for c in range(len(case["rects"]))]
+    chained = chain_terms(geometry, concept_maps, selfs, config.s_ratio, config.p_ratio)
+    for c, terms in enumerate(chained):
+        for node, term in zip(nodes, terms):
             assert term.shape == ()
             assert node.data[c].tobytes() == term.data.tobytes()
 
@@ -136,30 +179,33 @@ def summed(terms: list[Tensor]) -> Tensor:
     return total
 
 
-def fused_loss(case):
-    """sum(ce) + alpha * sum(fill) + beta * sum(region), with the cross maps read
-    by two terms, and the traced stacked cross maps and self maps."""
+def fused_loss(case, geometry):
+    """``composite_loss`` with the cross maps read by two terms, and its traced
+    stacked cross maps and self maps."""
     cross = [Tensor(m, requires_grad=True) for m in case["cross"]]
     selfs = [Tensor(m, requires_grad=True) for m in case["selfs"]]
-    ce, fill, region = map(ad.sum_leading, fused_terms(case, cross, selfs))
-    return ce + case["alpha"] * fill + case["beta"] * region, cross, selfs
+    record = record_of(cross, selfs, case["h"], case["w"])
+    return composite_loss(record, geometry, case["config"])[0], cross, selfs
 
 
-def chain_loss(case):
+def chain_loss(case, geometry):
     """The same loss summed concept by concept with add, and its traced leaves:
     one list of layer maps per concept, then the shared self maps."""
+    config = case["config"]
     concept_maps = [[Tensor(m[c], requires_grad=True) for m in case["cross"]]
-                    for c in range(len(case["rows"]))]
+                    for c in range(len(geometry.regions))]
     selfs = [Tensor(m, requires_grad=True) for m in case["selfs"]]
-    ce, fill, region = (summed(list(t)) for t in zip(*chain_terms(case, concept_maps, selfs)))
-    return ce + case["alpha"] * fill + case["beta"] * region, concept_maps, selfs
+    ce, fill, region = (summed(list(t)) for t in zip(*chain_terms(
+        geometry, concept_maps, selfs, config.s_ratio, config.p_ratio)))
+    return ce + config.alpha * fill + config.beta * region, concept_maps, selfs
 
 
 @PROPERTY
 @given(loss_cases())
 def test_fused_terms_give_the_chains_gradients_bit_for_bit(case):
-    fused, cross, fused_selfs = fused_loss(case)
-    chained, concept_maps, chain_selfs = chain_loss(case)
+    geometry = geometry_of(case["rects"], case["h"], case["w"])
+    fused, cross, fused_selfs = fused_loss(case, geometry)
+    chained, concept_maps, chain_selfs = chain_loss(case, geometry)
     assert fused.data.tobytes() == chained.data.tobytes()
     for layer, stacked in enumerate(cross):
         slices = grad(fused, stacked).data
@@ -170,28 +216,33 @@ def test_fused_terms_give_the_chains_gradients_bit_for_bit(case):
 
 
 def test_fill_hands_back_its_two_scatters_separately():
-    # the map's maximum is both a column and a row maximum and one of the
-    # three enhancement picks: three cotangents land on one entry, and only
-    # the chain's order, (ce + column) + row, reproduces the chain's bits
-    amap = np.array([[0.2, 0.9], [0.1, 0.3]])
-    case = dict(cross=[amap[None]], selfs=[np.eye(2)], weight=np.ones((1, 2, 2)),
-                rows=[[0, 1]], cols=[[0, 1]], inside=[[0]], outside=[[1]], top_s=[3],
-                top_p=[1], alpha=0.3, beta=0.8)
-    fused, cross, _ = fused_loss(case)
-    chained, concept_maps, _ = chain_loss(case)
-    node = ad.box_fill(cross, [[0, 1]], [[0, 1]])
+    # the map's in-box maximum is both a column and a row maximum and one of
+    # the three enhancement picks (the box's Gaussian weight is 1 on all four
+    # pixels): three cotangents land on one entry, and only the chain's
+    # order, (ce + column) + row, reproduces the chain's bits
+    amap = np.array([[0.2, 0.9, 0.0], [0.1, 0.3, 0.0]])
+    case = dict(h=2, w=3, rects=[(0, 0, 2, 2)], cross=[amap[None]], selfs=[np.eye(6)],
+                config=GuidanceConfig(alpha=0.3, beta=0.8, s_ratio=0.75, p_ratio=0.2))
+    geometry = geometry_of(case["rects"], 2, 3)
+    fused, cross, selfs = fused_loss(case, geometry)
+    chained, concept_maps, _ = chain_loss(case, geometry)
+    node = fill_terms(record_of(cross, selfs, 2, 3), geometry)
     assert len(node.parents) == 2 and node.parents[0] is node.parents[1]
     assert (grad(fused, cross[0]).data[0].tobytes()
             == grad(chained, concept_maps[0][0]).data.tobytes())
 
 
 def test_region_picks_shared_by_two_concepts_add_up():
-    # both concepts' top entry is (0, 2): its cotangent is the sum of their shares
-    self_map = np.array([[0.1, 0.2, 0.9], [0.3, 0.1, 0.4], [0.2, 0.2, 0.2]])
+    # concept 0 is pixel 0, concept 1 pixels 0 and 1 (the top row); both
+    # concepts' top entry is (0, 2): its cotangent is the sum of their shares
+    self_map = np.full((4, 4), 0.1)
+    self_map[0, 2], self_map[1, 2], self_map[0, 3], self_map[1, 3] = 0.9, 0.4, 0.2, 0.2
+    geometry = geometry_of([(0, 0, 1, 1), (0, 0, 1, 2)], 2, 2)
     traced = Tensor(self_map, requires_grad=True)
-    node = ad.submatrix_topk_mean([traced], [[0], [0, 1]], [[1, 2], [2]], [1, 2])
+    record = record_of([Tensor(np.zeros((2, 2, 2)))], [traced], 2, 2)
+    node = region_terms(record, geometry, 0.3)  # top 1 of 1x3 and top 2 of 2x2
     assert node.data.tolist() == [0.9, (0.9 + 0.4) / 2]
-    expected = np.zeros((3, 3))
+    expected = np.zeros((4, 4))
     expected[0, 2], expected[1, 2] = 1.0 + 0.5, 0.5
     assert np.array_equal(grad(ad.sum_leading(node), traced).data, expected)
 
@@ -199,11 +250,11 @@ def test_region_picks_shared_by_two_concepts_add_up():
 def test_no_concepts_give_empty_terms_and_zero_gradients():
     cross = Tensor(np.zeros((0, 3, 4)), requires_grad=True)
     self_map = Tensor(np.eye(12), requires_grad=True)
-    nodes = (ad.topk_shortfall([cross], np.zeros((0, 3, 4)), []),
-             ad.box_fill([cross], [], []),
-             ad.submatrix_topk_mean([self_map], [], [], []))
+    geometry = geometry_of([], 3, 4)
+    record = record_of([cross], [self_map], 3, 4)
+    nodes = terms_of(record, geometry, GuidanceConfig())
     assert [node.shape for node in nodes] == [(0,)] * 3
-    total = summed([ad.sum_leading(node) for node in nodes])
+    total, _ = composite_loss(record, geometry, GuidanceConfig())
     assert float(total) == 0.0
     assert grad(total, cross).shape == (0, 3, 4)
     assert not grad(total, self_map).data.any()
@@ -211,88 +262,99 @@ def test_no_concepts_give_empty_terms_and_zero_gradients():
 
 # ------------------------------------------------------------------ errors
 
-MAP = np.arange(12.0).reshape(3, 4) / 12.0
-WEIGHT = np.ones((3, 4))
-HUGE = np.full((3, 4), 1e300)
+# one concept on rows 0-1 and columns 0-1 of a 3 x 4 map: 4 box pixels, each
+# of Gaussian weight 1, and a 4 x 8 leakage submatrix
+BOX = geometry_of([(0, 0, 2, 2)], 3, 4)
+MAP = np.arange(12.0).reshape(1, 3, 4) / 12.0
+SELF = np.arange(144.0).reshape(12, 12) / 144.0
+HUGE = 1e308
+
+
+def term_and_chain(term, ratio):
+    """The term on BOX's one concept and its chain, both as functions of the
+    (cross maps, self map) of one layer."""
+    table = BOX.pixels
+    if term == "shortfall":
+        k = top_s(BOX, 0, ratio)
+        return (lambda m, s: concept_enhancement_terms(record_of([m], [s], 3, 4), BOX, ratio),
+                lambda m, s: chain_shortfall([Tensor(m.data[0])], table.weight.data[0], k))
+    if term == "fill":
+        return (lambda m, s: fill_terms(record_of([m], [s], 3, 4), BOX),
+                lambda m, s: chain_fill([Tensor(m.data[0])], table.rows[0], table.cols[0]))
+    k = top_p(BOX, 0, ratio)
+    return (lambda m, s: region_terms(record_of([m], [s], 3, 4), BOX, ratio),
+            lambda m, s: chain_submatrix([s], table.inside[0], table.outside[0], k))
+
 
 ERROR_CASES = {
-    # k outside [1, size]
-    "shortfall k=0": ("shortfall", ([MAP], WEIGHT, 0), ArgumentError),
-    "shortfall k>size": ("shortfall", ([MAP], WEIGHT, 13), ArgumentError),
-    "submatrix k=0": ("submatrix", ([MAP], [0, 1], [2], 0), ArgumentError),
-    "submatrix k>size": ("submatrix", ([MAP], [0, 1], [2], 3), ArgumentError),
-    # bad or repeated indices
-    "fill row out of range": ("fill", ([MAP], [3], [0]), ArgumentError),
-    "fill negative column": ("fill", ([MAP], [0], [-1]), ArgumentError),
-    "fill repeated row": ("fill", ([MAP], [1, 1], [0]), ArgumentError),
-    "fill float column": ("fill", ([MAP], [0], [0.5]), ArgumentError),
-    "submatrix repeated column": ("submatrix", ([MAP], [0], [2, 2], 1), ArgumentError),
-    "submatrix row out of range": ("submatrix", ([MAP], [5], [0], 1), ArgumentError),
-    "submatrix empty rows": ("submatrix", ([MAP], [], [0], 1), ArgumentError),
-    # shapes
-    "shortfall weight shape": ("shortfall", ([MAP], np.ones((2, 4)), 1), ShapeError),
-    "fill 1-D map": ("fill", ([MAP.reshape(-1)], [0], [0]), ShapeError),
-    "submatrix 1-D map": ("submatrix", ([MAP.reshape(-1)], [0], [0], 1), ShapeError),
-    # non-finite arithmetic
-    "shortfall product overflows": ("shortfall", ([HUGE], HUGE, 1), NumericError),
-    "shortfall top-k sum overflows": ("shortfall", ([HUGE * 1e8], WEIGHT, 2), NumericError),
-    "fill mean overflows": ("fill", ([-HUGE * 1e8], [0, 1], [0]), NumericError),
-    "submatrix top-k sum overflows": ("submatrix", ([HUGE * 1e8], [0], [0, 1], 2),
+    # a ratio that gives a top-k count outside [1, size]
+    "shortfall k=0": ("shortfall", 0.0, MAP, SELF, ArgumentError),
+    "shortfall k>size": ("shortfall", 3.5, MAP, SELF, ArgumentError),  # k = 14 > 12
+    "submatrix k=0": ("submatrix", 0.0, MAP, SELF, ArgumentError),
+    "submatrix k>size": ("submatrix", 1.1, MAP, SELF, ArgumentError),  # k = 36 > 32
+    # huge maps: a sum overflows
+    "shortfall top-k sum overflows": ("shortfall", 0.5, np.full((1, 3, 4), HUGE), SELF,
+                                      NumericError),
+    "fill mean overflows": ("fill", None, np.full((1, 3, 4), -HUGE), SELF, NumericError),
+    "submatrix top-k sum overflows": ("submatrix", 0.1, MAP, np.full((12, 12), HUGE),
                                       NumericError),
 }
 
 
-def fused_single(term, maps, *args):
-    """The fused kernel on one concept: each map gets a concept axis (the region
-    term's self maps are shared and keep theirs), each argument becomes a list."""
-    if term == "shortfall":
-        weight, k = args
-        return ad.topk_shortfall([Tensor(m[None]) for m in maps], np.asarray(weight)[None], [k])
-    if term == "fill":
-        return ad.box_fill([Tensor(m[None]) for m in maps], *([a] for a in args))
-    return ad.submatrix_topk_mean([Tensor(m) for m in maps], *([a] for a in args))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))
 def test_fused_terms_raise_what_their_chains_raise(name):
-    term, args, error = ERROR_CASES[name]
-    maps, *rest = args
-    with pytest.raises(error):
-        CHAIN[term]([Tensor(m) for m in maps], *rest)
-    with pytest.raises(error):
-        fused_single(term, maps, *rest)
+    term, ratio, cross, self_map, error = ERROR_CASES[name]
+    fused, chain = term_and_chain(term, ratio)
+    maps = (Tensor(cross), Tensor(self_map))
+    # as the sampler does: an overflow reaches the finite checks, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error):
+            chain(*maps)
+        with pytest.raises(error):
+            fused(*maps)
 
 
-@pytest.mark.parametrize("term", sorted(FUSED))
+TERMS = {"shortfall": lambda r: concept_enhancement_terms(r, BOX, 0.2),
+         "fill": lambda r: fill_terms(r, BOX),
+         "submatrix": lambda r: region_terms(r, BOX, 0.2)}
+
+
+@pytest.mark.parametrize("term", sorted(TERMS))
 def test_fused_terms_need_a_map(term):
-    args = {"shortfall": (WEIGHT[None], [1]), "fill": ([[0]], [[0]]),
-            "submatrix": ([[0]], [[1]], [1])}[term]
-    with pytest.raises(ArgumentError):
-        FUSED[term]([], *args)
+    with pytest.raises(ArgumentError, match="empty attention record"):
+        TERMS[term](AttnRecord())
 
 
-@pytest.mark.parametrize("term", sorted(FUSED))
+@pytest.mark.parametrize("term", sorted(TERMS))
 def test_fused_terms_need_one_entry_per_concept(term):
-    stacked = [Tensor(np.stack([MAP, MAP]))]
-    call = {"shortfall": lambda: ad.topk_shortfall(stacked, np.stack([WEIGHT, WEIGHT]), [1]),
-            "fill": lambda: ad.box_fill(stacked, [[0], [1]], [[0]]),
-            "submatrix": lambda: ad.submatrix_topk_mean([Tensor(MAP)], [[0], [1]], [[2]],
-                                                        [1, 1])}[term]
-    with pytest.raises(ArgumentError):
-        call()
+    record = record_of([Tensor(np.concatenate([MAP, MAP]))], [Tensor(SELF)], 3, 4)
+    with pytest.raises(ArgumentError, match="do not fit the geometry"):
+        TERMS[term](record)
 
 
 def test_fused_terms_need_layer_maps_of_one_shape():
-    with pytest.raises(ShapeError):
-        ad.box_fill([Tensor(MAP[None]), Tensor(np.stack([MAP, MAP]))], [[0]], [[0]])
+    record = record_of([Tensor(MAP), Tensor(np.concatenate([MAP, MAP]))],
+                       [Tensor(SELF), Tensor(SELF)], 3, 4)
+    with pytest.raises(ArgumentError, match="do not fit the geometry"):
+        fill_terms(record, BOX)
 
 
-def test_fill_needs_both_index_lists():
-    with pytest.raises(ArgumentError):
-        ad.box_fill([Tensor(MAP[None])], [[0]], [[]])
+MISFITS = {
+    # a record of another resolution
+    "resolution": (lambda: record_of([Tensor(MAP)], [Tensor(SELF)], 4, 3),
+                   "does not match loss resolution"),
+    "self map size": (lambda: record_of([Tensor(MAP)], [Tensor(SELF[:6, :6])], 3, 4),
+                      "do not fit the geometry"),
+    "cross maps 1-D": (lambda: record_of([Tensor(MAP.reshape(-1))], [Tensor(SELF)], 3, 4),
+                       "do not fit the geometry"),
+    "self map 1-D": (lambda: record_of([Tensor(MAP)], [Tensor(SELF.reshape(-1))], 3, 4),
+                     "do not fit the geometry"),
+}
 
 
-def test_shortfall_takes_no_gradient_for_its_weight():
-    with pytest.raises(ArgumentError):
-        ad.topk_shortfall([Tensor(MAP[None])], Tensor(WEIGHT[None], requires_grad=True), [1])
+@pytest.mark.parametrize("term", sorted(TERMS))
+@pytest.mark.parametrize("misfit", sorted(MISFITS))
+def test_terms_reject_a_record_that_does_not_fit_the_geometry(misfit, term):
+    record, message = MISFITS[misfit]
+    with pytest.raises(ArgumentError, match=message):
+        TERMS[term](record())

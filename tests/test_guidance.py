@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -64,9 +65,9 @@ def leak_free_self_map(geo: RegionGeometry) -> np.ndarray:
     """Self map whose concept rows attend only inside their own box."""
     self_map = np.zeros((N, N))
     for cid in geo.concept_ids:
-        inside = np.flatnonzero(geo.flat_mask(cid))
+        inside = np.flatnonzero(geo.masks[cid].reshape(-1))
         self_map[np.ix_(inside, inside)] = 1.0 / inside.size
-    rest = np.flatnonzero(sum(geo.flat_mask(c) for c in geo.concept_ids) == 0)
+    rest = np.flatnonzero(sum(geo.masks[c].reshape(-1) for c in geo.concept_ids) == 0)
     self_map[np.ix_(rest, rest)] = 1.0 / rest.size
     return self_map
 
@@ -171,8 +172,8 @@ def test_region_loss_matches_slice_sort_oracle():
     p_ratio = 0.1
     expected = 0.0
     for cid in geo.concept_ids:
-        inside = np.flatnonzero(geo.flat_mask(cid))
-        outside = np.flatnonzero(geo.flat_mask(cid) == 0)
+        inside = np.flatnonzero(geo.masks[cid].reshape(-1))
+        outside = np.flatnonzero(geo.masks[cid].reshape(-1) == 0)
         sub = self_map[np.ix_(inside, outside)].reshape(-1)
         k = math.ceil(p_ratio * sub.size)
         expected += np.sort(sub)[::-1][:k].mean()
@@ -290,8 +291,9 @@ def test_adaptive_stopper_resets_on_improvement():
     assert fresh.stale == 0
 
 
-def test_adaptive_stopper_keeps_a_gain_below_tolerance_but_counts_it_stale():
-    stopper = AdaptiveStopper(patience=2, min_delta=1e-2)
+def test_adaptive_stopper_keeps_a_gain_below_tolerance_but_counts_it_stale(monkeypatch):
+    monkeypatch.setattr(guidance_module, "MIN_DELTA", 1e-2)
+    stopper = AdaptiveStopper(patience=2)
     assert stopper.observe(-4.0)  # the first observation always improves
     assert stopper.stale == 0
     # a new minimum, but by 0.03 <= 1e-2 * |-4.0|
@@ -401,14 +403,15 @@ def test_guided_update_outside_window_rejected():
                       GuidanceConfig(guidance_fraction=0.5), 2, 10)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_guided_update_numeric_error_carries_context():
     geo = geometry_two_concepts()
 
     def exploding(zt):
         Tensor([1e308]) * Tensor([1e308])
 
-    with pytest.raises(NumericError, match="t=10"):
+    # the overflow warning, made an error, must not pre-empt the NumericError
+    with warnings.catch_warnings(), pytest.raises(NumericError, match="t=10"):
+        warnings.simplefilter("error")
         guided_update(np.zeros((N, 3)), exploding, geo, GuidanceConfig(), 10, 10)
 
 

@@ -6,6 +6,7 @@ import platform
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +435,27 @@ def test_sample_names_the_timestep_of_a_failed_denoising_step(small_config, tmp_
     trace = (tmp_path / "crash" / "trace.csv").read_text().splitlines()
     assert trace[0].startswith("timestep,")
     assert len(trace) > 1  # the guided rows before the failure were kept
+
+
+def test_sample_reports_an_overflowing_denoising_step_with_warnings_as_errors(
+        small_config, tmp_path, monkeypatch):
+    from loracanvas import pipeline as pipeline_module
+    from loracanvas.errors import NumericError
+
+    def overflowing_at_one(z, t, ctx):
+        if t == 1:
+            Tensor([1e308]) * Tensor([1e308])
+        return denoiser_forward(z, t, ctx)
+
+    monkeypatch.setattr(pipeline_module, "denoiser_forward", overflowing_at_one)
+    config = dataclasses.replace(small_config, output_dir=tmp_path / "crash")
+    # the overflow warning, made an error, must not pre-empt the NumericError
+    with warnings.catch_warnings(), pytest.raises(NumericError,
+                                                  match="^denoising step diverged at t=1"):
+        warnings.simplefilter("error")
+        sample(config)
+    trace = (tmp_path / "crash" / "trace.csv").read_text().splitlines()
+    assert trace[0].startswith("timestep,") and len(trace) > 1
 
 
 # ------------------------------------------------------------ loss-only forwards

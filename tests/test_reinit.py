@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,11 +216,12 @@ def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
     assert seen[0].tobytes() == expected.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_reinitialize_numeric_error_carries_context(monkeypatch):
     def exploding(zt, t, ctx):
         return None, Tensor([1e308]) * Tensor([1e308])
 
     monkeypatch.setattr(reinit_module, "encode", exploding)
-    with pytest.raises(NumericError, match="re-init step diverged at t=10"):
+    with warnings.catch_warnings(), pytest.raises(NumericError,
+                                                  match="re-init step diverged at t=10"):
+        warnings.simplefilter("error")
         reinitialize(3, build_test_context(), GuidanceConfig(), total_steps=10)
