@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttnRecord, LayerRecord, RegionGeometry
 from .autodiff import Tensor, grad
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError, NumericError, ShapeError
 
 # a new minimum that beats the best loss by no more than this share of it is stale
 MIN_DELTA = 2e-4
@@ -101,10 +101,14 @@ def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerReco
     layers = record.loss_layers()
     cross = (len(geometry.regions), h, w)
     for layer in layers:
-        if layer.cross_maps.shape != cross or layer.self_map.shape != (h * w, h * w):
-            raise ArgumentError(
-                f"cross maps {layer.cross_maps.shape} and self map {layer.self_map.shape} "
+        shape, self_shape = layer.cross_maps.shape, layer.self_map.shape
+        if shape[1:] != (h, w) or self_shape != (h * w, h * w):
+            raise ShapeError(
+                f"cross maps {shape} and self map {self_shape} "
                 f"do not fit the geometry's {cross} and {(h * w, h * w)}")
+        if shape[0] != cross[0]:
+            raise ArgumentError(
+                f"cross maps {shape} do not fit the geometry's {cross[0]} concepts")
     return layers
 
 

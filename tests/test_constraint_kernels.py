@@ -31,7 +31,7 @@ from loracanvas.attention import (
     RegionSpec,
 )
 from loracanvas.autodiff import Tensor, grad
-from loracanvas.errors import ArgumentError, NumericError
+from loracanvas.errors import ArgumentError, NumericError, ShapeError
 from loracanvas.guidance import (
     GuidanceConfig,
     composite_loss,
@@ -292,6 +292,10 @@ ERROR_CASES = {
     "shortfall k>size": ("shortfall", 3.5, MAP, SELF, ArgumentError),  # k = 14 > 12
     "submatrix k=0": ("submatrix", 0.0, MAP, SELF, ArgumentError),
     "submatrix k>size": ("submatrix", 1.1, MAP, SELF, ArgumentError),  # k = 36 > 32
+    # a 1-D map: the chain's axis projection and top-k fail on it, the terms
+    # reject a record holding it
+    "fill 1-D map": ("fill", None, MAP.reshape(1, -1), SELF, ShapeError),
+    "submatrix 1-D map": ("submatrix", 0.1, MAP, SELF.reshape(-1), ShapeError),
     # huge maps: a sum overflows
     "shortfall top-k sum overflows": ("shortfall", 0.5, np.full((1, 3, 4), HUGE), SELF,
                                       NumericError),
@@ -342,19 +346,19 @@ def test_fused_terms_need_layer_maps_of_one_shape():
 MISFITS = {
     # a record of another resolution
     "resolution": (lambda: record_of([Tensor(MAP)], [Tensor(SELF)], 4, 3),
-                   "does not match loss resolution"),
+                   ArgumentError, "does not match loss resolution"),
     "self map size": (lambda: record_of([Tensor(MAP)], [Tensor(SELF[:6, :6])], 3, 4),
-                      "do not fit the geometry"),
+                      ShapeError, "do not fit the geometry"),
     "cross maps 1-D": (lambda: record_of([Tensor(MAP.reshape(-1))], [Tensor(SELF)], 3, 4),
-                       "do not fit the geometry"),
+                       ShapeError, "do not fit the geometry"),
     "self map 1-D": (lambda: record_of([Tensor(MAP)], [Tensor(SELF.reshape(-1))], 3, 4),
-                     "do not fit the geometry"),
+                     ShapeError, "do not fit the geometry"),
 }
 
 
 @pytest.mark.parametrize("term", sorted(TERMS))
 @pytest.mark.parametrize("misfit", sorted(MISFITS))
 def test_terms_reject_a_record_that_does_not_fit_the_geometry(misfit, term):
-    record, message = MISFITS[misfit]
-    with pytest.raises(ArgumentError, match=message):
+    record, error, message = MISFITS[misfit]
+    with pytest.raises(error, match=message):
         TERMS[term](record())
