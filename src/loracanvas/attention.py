@@ -188,24 +188,27 @@ class PixelTable:
     background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
 
 
-def _heads_out(probs: Tensor, v: Tensor, wo_t: Tensor) -> Tensor:
-    """Attention output: each head's probs @ v, joined and projected by W_O."""
-    return ad.matmul(ad.apply_heads(probs, v), wo_t)
-
-
 def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Tensor:
     """Merge the concepts' (concepts, h*w, d) hidden states over the background one.
 
     Pixels covered by no box keep h0; pixels covered by k boxes take the
-    arithmetic mean of the k covering states. The masks are 0/1 and the
-    background and the shares never overlap, so this rounds as adding each
-    concept's share to h0's in layout order.
+    arithmetic mean of the k covering states. One node for the chain
+    ``mul(h0, background) + sum_leading(mul(hiddens, share))``, rounding as it
+    does: the shares are summed in layout order, then added to h0's part. The
+    masks are 0/1 and the shares at most 1, so only the sums can overflow, and
+    the output's finite check sees it.
     """
     if hiddens.data.ndim != 3 or len(hiddens.data) != len(geometry.regions):
         raise ArgumentError(f"hidden states of shape {hiddens.shape} do not hold the "
                             f"geometry's {len(geometry.regions)} concepts")
-    table = geometry.pixels
-    return ad.mul(h0, table.background) + ad.sum_leading(ad.mul(hiddens, table.share))
+    background, share = geometry.pixels.background.data, geometry.pixels.share.data
+    parts = hiddens.data * share
+    data = parts[0].copy() if len(parts) else np.zeros(parts.shape[1:])
+    for part in parts[1:]:
+        data += part
+    data += h0.data * background
+    return Tensor.node(data, "compose_hidden", (h0, hiddens),
+                       lambda g: (g * background, g * share))
 
 
 @dataclass(frozen=True)
@@ -288,8 +291,22 @@ def region_cross_maps(
     query = ad.matmul(z_flat, weights.wq_t)
     probs = ad.attention_probs(ad.mul(query, geometry.pixels.query), branches.concept_k,
                                n_heads)
-    columns = ad.column(ad.mean_heads(probs), branches.tokens)
-    return query, probs, ad.reshape(columns, (len(branches.tokens), h, w))
+    # one node for reshape(column(mean_heads(probs), tokens)): each branch's token
+    # column is taken first and its heads summed in order, so it rounds the same
+    at = (np.arange(len(branches.tokens)), slice(None), slice(None), branches.tokens)
+    columns = probs.data[at]
+    data = columns[:, 0].copy()
+    for head in columns.swapaxes(0, 1)[1:]:
+        data += head
+    data /= float(n_heads)
+
+    def vjp(g):
+        out = np.zeros(probs.shape)
+        out[at] = g.reshape(len(g), 1, h * w) / float(n_heads)
+        return (out,)
+
+    return query, probs, Tensor.node(data.reshape(len(data), h, w), "region_cross_maps",
+                                     (probs,), vjp)
 
 
 def region_cross_output(
@@ -306,8 +323,9 @@ def region_cross_output(
     concept branches' attention to their values and merges the branches with
     ``compose_hidden``.
     """
-    h0 = _heads_out(ad.attention_probs(query, branches.k, n_heads), branches.v, weights.wo_t)
-    hiddens = _heads_out(probs, branches.concept_v, weights.wo_t)
+    h0 = ad.apply_heads(ad.attention_probs(query, branches.k, n_heads), branches.v,
+                        weights.wo_t)
+    hiddens = ad.apply_heads(probs, branches.concept_v, weights.wo_t)
     return compose_hidden(h0, hiddens, geometry)
 
 
@@ -330,4 +348,4 @@ def masked_self_attention(
     k = ad.matmul(z_flat, weights.wk_t)
     v = ad.matmul(z_flat, weights.wv_t)
     probs = ad.attention_probs(q, k, n_heads, geometry.blocked_self)
-    return _heads_out(probs, v, weights.wo_t), ad.mean_heads(probs)
+    return ad.apply_heads(probs, v, weights.wo_t), ad.mean_heads(probs)

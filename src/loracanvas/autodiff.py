@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A generic engine: matrix products, row softmax (plain and key-masked),
-batched multi-head attention (probabilities, head outputs, head mean, over
-any leading axes), top-k selection and means, axis max-projections, row
-layer normalization, 2x2 average pooling, nearest-neighbour upsampling,
-gathers, concatenation and a sum over the leading axis. A caller's own
+batched multi-head attention (probabilities, projected head outputs, head
+mean, over any leading axes), top-k values, picks and means, axis
+max-projections, row layer normalization, 2x2 average pooling,
+nearest-neighbour upsampling, gathers, concatenation and a sum over the
+leading axis. A caller's own
 kernel builds its result with ``Tensor.node``. Each traced tensor doubles as
 its own tape node: it remembers the kernel that produced it (``op``), its
 ``parents`` and a vector-Jacobian closure. ``grad`` replays the tape once
@@ -376,26 +377,32 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     return Tensor.node(y, "attention_probs", (q, k), vjp)
 
 
-def apply_heads(p: Tensor, v: Tensor) -> Tensor:
-    """Each head's p_h @ v_h, joined into one (..., n, d) tensor.
+def apply_heads(p: Tensor, v: Tensor, wo: Tensor) -> Tensor:
+    """Each head's p_h @ v_h, joined and projected by ``wo`` into one (..., n, d_out) tensor.
 
-    ``p`` is (..., heads, n, m) attention, ``v`` the (..., m, d) values.
+    ``p`` is (..., heads, n, m) attention, ``v`` the (..., m, d) values and
+    ``wo`` the (d, d_out) output projection. One node for the joined head
+    outputs and their ``matmul`` by ``wo``, rounding as that chain does; a
+    non-finite joined entry reaches the output, so one finite check serves both.
     """
-    p, v = _as_tensor(p), _as_tensor(v)
+    p, v, wo = _as_tensor(p), _as_tensor(v), _as_tensor(wo)
     if (p.data.ndim < 3 or v.data.ndim != p.data.ndim - 1 or p.shape[:-3] != v.shape[:-2]
-            or p.shape[-1] != v.shape[-2]):
-        raise ShapeError(f"apply_heads: cannot apply {p.shape} to {v.shape}")
+            or p.shape[-1] != v.shape[-2] or wo.data.ndim != 2 or wo.shape[0] != v.shape[-1]):
+        raise ShapeError(f"apply_heads: cannot apply {p.shape} to {v.shape} and {wo.shape}")
     n_heads = p.shape[-3]
     d = v.shape[-1]
     _check_heads(d, n_heads)
     vh = _split_heads(v.data, n_heads)
+    joined = np.ascontiguousarray(_join_heads(np.matmul(p.data, vh)))
 
     def vjp(g):
-        gh = g.reshape(*g.shape[:-1], n_heads, d // n_heads).swapaxes(-3, -2)
+        gj = g @ wo.data.T
+        gh = gj.reshape(*gj.shape[:-1], n_heads, d // n_heads).swapaxes(-3, -2)
         return (np.matmul(gh, vh.swapaxes(-1, -2)),
-                _join_heads(np.matmul(p.data.swapaxes(-1, -2), gh)))
+                _join_heads(np.matmul(p.data.swapaxes(-1, -2), gh)),
+                joined.reshape(-1, d).T @ g.reshape(-1, wo.shape[1]))
 
-    return Tensor.node(_join_heads(np.matmul(p.data, vh)), "apply_heads", (p, v), vjp)
+    return Tensor.node(joined @ wo.data, "apply_heads", (p, v, wo), vjp)
 
 
 def mean_heads(p: Tensor) -> Tensor:
@@ -417,14 +424,16 @@ def layernorm_rows(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("layernorm_rows expects a 2-D tensor")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    # a row mean is its sum divided by the width, exactly as ndarray.mean computes it
+    d = x.shape[1]
+    mu = x.data.sum(axis=1, keepdims=True) / d
+    var = ((x.data - mu) ** 2).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     y = (x.data - mu) * inv
 
     def vjp(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gym = (g * y).mean(axis=1, keepdims=True)
+        gm = g.sum(axis=1, keepdims=True) / d
+        gym = (g * y).sum(axis=1, keepdims=True) / d
         return (inv * (g - gm - y * gym),)
 
     return Tensor.node(y, "layernorm_rows", (x,), vjp)
@@ -433,39 +442,48 @@ def layernorm_rows(x: Tensor) -> Tensor:
 # -- selection kernels -------------------------------------------------------
 
 
-def top_k(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.float64]:
-    """Positions of the k largest entries of a 1-D array, and their mean.
+def top_k(flat: np.ndarray, k: int) -> tuple[np.float64, np.float64]:
+    """The k-th largest entry of a 1-D array, and the mean of the k largest.
 
-    Ties are resolved by ascending index. This is the one selection rule
-    behind ``topk_mean`` and every caller that fuses a top-k into its own kernel.
+    No entry is picked: whichever tie wins, the k largest are the same values,
+    up to the sign of a zero, which numpy's sum ignores (a sum of zeros is
+    +0.0). ``top_k_picks`` derives the positions from the k-th value when a
+    gradient needs them. Together they are the one top-k rule behind
+    ``topk_mean`` and every caller that fuses a top-k into its own kernel.
     """
     if k < 1 or k > flat.size:
         raise ArgumentError(f"k={k} outside [1, {flat.size}]")
-    # the k-th largest value; everything above it wins, and its ties fill
-    # the remaining places in index order
-    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    part = np.partition(flat, flat.size - k)
+    # sum in descending value order, as a stable descending sort of the picks
+    # would; contiguous, so the reduction runs in that order. The sum over k is
+    # what ndarray.mean computes, without its Python-level wrapper
+    top = np.ascontiguousarray(np.sort(part[flat.size - k:])[::-1]).sum() / k
+    return part[flat.size - k], top
+
+
+def top_k_picks(flat: np.ndarray, kth: np.float64, k: int) -> np.ndarray:
+    """Positions of the k largest entries of a 1-D array, given ``top_k``'s k-th value.
+
+    Every entry above the k-th value wins, and its ties fill the remaining
+    places in ascending index order.
+    """
     above = np.flatnonzero(flat > kth)
-    tied = np.flatnonzero(flat == kth)[:k - above.size]
-    idx = np.concatenate([above, tied])
-    # sum in descending value order, as a stable descending sort would; equal
-    # values are interchangeable, and ±0.0 only sets the sign of a zero sum,
-    # whatever their order. Contiguous, so the reduction runs in that order.
-    return idx, np.ascontiguousarray(np.sort(flat[idx])[::-1]).mean()
+    return np.concatenate([above, np.flatnonzero(flat == kth)[:k - above.size]])
 
 
 def topk_mean(x: Tensor, k: int) -> Tensor:
     """Mean of the k largest elements; ties resolved by ascending index.
 
-    The subgradient flows only to the selected elements.
+    The subgradient flows only to the selected elements, picked in the VJP.
     """
     x = _as_tensor(x)
     k = int(k)
     flat = x.data.reshape(-1)
-    idx, top = top_k(flat, k)
+    kth, top = top_k(flat, k)
     shape = x.shape
 
     def vjp(g):
-        return (_scatter(flat.size, idx, float(g) / k).reshape(shape),)
+        return (_scatter(flat.size, top_k_picks(flat, kth, k), float(g) / k).reshape(shape),)
 
     return Tensor.node(np.asarray(top), "topk_mean", (x,), vjp)
 

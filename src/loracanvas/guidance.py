@@ -116,7 +116,8 @@ def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerReco
 # (concepts,) node whose entry c is the mean of concept c's per-layer terms.
 # Each entry rounds exactly as the chain of autodiff kernels its docstring
 # names, run on that concept alone and followed by add and div_scalar for the
-# layer mean. Each backward writes a layer's picks with one flat-index scatter.
+# layer mean. The forward computes values only; each backward makes a layer's
+# picks and writes them with one flat-index scatter.
 
 
 def _layer_mean(terms: list) -> np.ndarray:
@@ -140,6 +141,17 @@ def _assign_picks(shape: tuple[int, ...], picks: list, values: np.ndarray) -> np
     return out.reshape(shape)
 
 
+def _top_k(flats, ks: np.ndarray) -> tuple[list, np.ndarray]:
+    """Concept c's ``top_k`` of ``flats[c]`` with ``ks[c]``: the k-th values and the means."""
+    tops = [ad.top_k(flat, k) for flat, k in zip(flats, ks.tolist())]
+    return [kth for kth, _ in tops], np.array([top for _, top in tops])
+
+
+def _top_k_picks(flats, kths: list, ks: np.ndarray) -> list:
+    """Concept c's ``top_k_picks`` of ``flats[c]``, from the k-th value ``_top_k`` gave."""
+    return [ad.top_k_picks(flat, kth, k) for flat, kth, k in zip(flats, kths, ks.tolist())]
+
+
 def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
                               s_ratio: float) -> Tensor:
     """Every concept's enhancement term, averaged over contributing layers: (concepts,).
@@ -153,16 +165,18 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
     table = geometry.pixels
     w = table.weight.data
     ks = np.ceil(s_ratio * table.area).astype(np.intp)
-    picks, terms = [], []
+    kths, terms = [], []
     for m in maps:
-        tops = [ad.top_k(p.reshape(-1), k) for p, k in zip(m.data * w, ks.tolist())]
-        picks.append([idx for idx, _ in tops])
-        terms.append(1.0 - np.array([top for _, top in tops]))
+        kth, top = _top_k((p.reshape(-1) for p in m.data * w), ks)
+        kths.append(kth)
+        terms.append(1.0 - top)
     n = float(len(maps))
 
     def vjp(g):
         share = np.repeat(-(g / n) / ks, ks)
-        return tuple(_assign_picks(w.shape, at, share) * w for at in picks)
+        return tuple(_assign_picks(w.shape, _top_k_picks((p.reshape(-1) for p in m.data * w),
+                                                         kth, ks), share) * w
+                     for m, kth in zip(maps, kths))
 
     return Tensor.node(_layer_mean(terms), "concept_enhancement_terms", maps, vjp)
 
@@ -183,22 +197,28 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     width = geometry.width
     sizes = np.array([ri.size + ci.size for ri, ci in zip(table.rows, table.cols)],
                      dtype=np.intp)
-    picks, terms = [], []
+    terms = []
     for m in maps:
-        at_cols = [s.argmax(axis=0)[ci] * width + ci for s, ci in zip(m.data, table.cols)]
-        at_rows = [ri * width + s.argmax(axis=1)[ri] for s, ri in zip(m.data, table.rows)]
-        terms.append(np.array([(1.0 - s.reshape(-1)[np.concatenate(at)]).mean()
-                               for s, *at in zip(m.data, at_cols, at_rows)]))
-        picks += [at_cols, at_rows]
+        col_max, row_max = m.data.max(axis=1), m.data.max(axis=2)
+        # each mean as a sum over the count, as ndarray.mean computes it
+        terms.append(np.array([(1.0 - np.concatenate([cm[ci], rm[ri]])).sum() / size
+                               for cm, rm, ci, ri, size
+                               in zip(col_max, row_max, table.cols, table.rows, sizes)]))
     n = float(len(maps))
-    parents = tuple(m for m in maps for _ in range(2))
 
     def vjp(g):
         share = -(g / n / sizes)
-        return tuple(_assign_picks(m.shape, at, np.repeat(share, [i.size for i in at]))
-                     for m, at in zip(parents, picks))
+        scatters = []
+        for m in maps:
+            first_rows, first_cols = m.data.argmax(axis=1), m.data.argmax(axis=2)
+            at_cols = [a[ci] * width + ci for a, ci in zip(first_rows, table.cols)]
+            at_rows = [ri * width + a[ri] for a, ri in zip(first_cols, table.rows)]
+            scatters += [_assign_picks(m.shape, at, np.repeat(share, [i.size for i in at]))
+                         for at in (at_cols, at_rows)]
+        return tuple(scatters)
 
-    return Tensor.node(_layer_mean(terms), "fill_terms", parents, vjp)
+    return Tensor.node(_layer_mean(terms), "fill_terms",
+                       tuple(m for m in maps for _ in range(2)), vjp)
 
 
 def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -> Tensor:
@@ -219,30 +239,50 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     ks = np.ceil(p_ratio * (table.area * outside)).astype(np.intp)
     # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
     subs = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
-    picks, terms = [], []
+    kths, terms = [], []
     for m in maps:
-        tops = [ad.top_k(m.data.reshape(-1)[sub], k) for sub, k in zip(subs, ks.tolist())]
-        picks.append([sub[idx] for sub, (idx, _) in zip(subs, tops)])
-        terms.append(np.array([top for _, top in tops]))
+        kth, top = _top_k((m.data.reshape(-1)[sub] for sub in subs), ks)
+        kths.append(kth)
+        terms.append(top)
     n = float(len(maps))
 
     def vjp(g):
         share = np.repeat(g / n / ks, ks)
-        # the maps are shared: no concept offset, and a pick two concepts share adds up
-        return tuple(np.bincount(_flat_picks(at, 0), share, minlength=m.size).reshape(m.shape)
-                     for m, at in zip(maps, picks))
+        cotangents = []
+        for m, kth in zip(maps, kths):
+            flat = m.data.reshape(-1)
+            picks = _top_k_picks((flat[sub] for sub in subs), kth, ks)
+            # the maps are shared: no concept offset, and a pick two concepts share adds up
+            at = _flat_picks([sub[idx] for sub, idx in zip(subs, picks)], 0)
+            cotangents.append(np.bincount(at, share, minlength=m.size).reshape(m.shape))
+        return tuple(cotangents)
 
     return Tensor.node(_layer_mean(terms), "region_terms", maps, vjp)
 
 
+def _concept_sum(term: Tensor) -> np.float64:
+    """A (concepts,) term summed in concept order, as ``sum_leading`` adds it."""
+    return np.cumsum(term.data)[-1] if term.size else np.float64(0.0)
+
+
 def composite_loss(record: AttnRecord, geometry: RegionGeometry,
                    config: GuidanceConfig) -> tuple[Tensor, LossBreakdown]:
-    """Traced L = L_ce + alpha * L_fill + beta * L_region plus its float breakdown."""
+    """Traced L = L_ce + alpha * L_fill + beta * L_region plus its float breakdown.
+
+    L is one node for the chain that sums each term over the concepts with
+    ``sum_leading`` and weights and adds the sums with ``mul`` and ``add``,
+    rounding as it does. A non-finite sum makes L non-finite, so L's finite
+    check serves them all.
+    """
     ce = concept_enhancement_terms(record, geometry, config.s_ratio)
     fill = fill_terms(record, geometry)
     region = region_terms(record, geometry, config.p_ratio)
-    l_ce, l_fill, l_region = ad.sum_leading(ce), ad.sum_leading(fill), ad.sum_leading(region)
-    total = l_ce + config.alpha * l_fill + config.beta * l_region
+    alpha, beta = config.alpha, config.beta
+    l_ce, l_fill, l_region = _concept_sum(ce), _concept_sum(fill), _concept_sum(region)
+    total = Tensor.node(np.asarray(l_ce + alpha * l_fill + beta * l_region), "composite_loss",
+                        (ce, fill, region), lambda g: (np.broadcast_to(g, ce.shape),
+                                                       np.broadcast_to(g * alpha, fill.shape),
+                                                       np.broadcast_to(g * beta, region.shape)))
     per_concept = {
         cid: {"ce": float(c), "fill": float(f), "region": float(r)}
         for cid, c, f, r in zip(geometry.concept_ids, ce.data, fill.data, region.data)

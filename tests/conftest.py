@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from loracanvas.assets import (
@@ -11,9 +13,25 @@ from loracanvas.assets import (
 from loracanvas.attention import LayoutCondition, RegionSpec
 from loracanvas.denoiser import DenoiserContext, build_context
 
+# When a @given test fails, hypothesis' pytest plugin imports its patch writer,
+# whose libcst dependency warns on import. Under filterwarnings = ["error"] that
+# warning ended the pytest run with an INTERNALERROR, losing the failure's report
+# and every later test. Importing it here once, with that one warning ignored,
+# leaves the plugin a module that is already loaded.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin writes no patch
+        pass
+
 SMALL_DIMS = ModelDims(channels=4, height=8, width=8, d_model=8, n_heads=2,
                        d_text=16)
 TWO_BOXES = ((0.05, 0.1, 0.45, 0.9), (0.55, 0.1, 0.95, 0.9))
+# the two boxes' top halves, then two more in the band they leave free
+FOUR_BOXES = ((0.05, 0.1, 0.45, 0.5), (0.55, 0.1, 0.95, 0.5),
+              (0.05, 0.55, 0.45, 0.9), (0.55, 0.55, 0.95, 0.9))
 
 
 def build_test_context(seed: int = 42, dims: ModelDims = SMALL_DIMS,

@@ -159,7 +159,7 @@ def stacked_attention(q, k, v, wo):
     """Probabilities, their head mean, the token-1 column, and the projected output."""
     probs = ad.attention_probs(q, k, 2)
     columns = ad.column(ad.mean_heads(probs), np.ones(q.shape[:-2], dtype=np.intp))
-    return probs, columns, ad.matmul(ad.apply_heads(probs, v), wo)
+    return probs, columns, ad.apply_heads(probs, v, wo)
 
 
 def test_leading_axes_give_each_slice_the_bits_of_its_2d_call():

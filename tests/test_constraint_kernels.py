@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import build_test_context
 from loracanvas import autodiff as ad
 from loracanvas.attention import (
     AttnRecord,
@@ -31,6 +32,7 @@ from loracanvas.attention import (
     RegionSpec,
 )
 from loracanvas.autodiff import Tensor, grad
+from loracanvas.denoiser import encode
 from loracanvas.errors import ArgumentError, NumericError, ShapeError
 from loracanvas.guidance import (
     GuidanceConfig,
@@ -258,6 +260,36 @@ def test_no_concepts_give_empty_terms_and_zero_gradients():
     assert float(total) == 0.0
     assert grad(total, cross).shape == (0, 3, 4)
     assert not grad(total, self_map).data.any()
+
+
+def test_only_the_backward_makes_top_k_picks(monkeypatch):
+    # the forward computes values only: with the pick function refusing, a
+    # traced and an untraced loss both evaluate, to the same bits, and only the
+    # traced loss's backward asks for picks, one per layer, concept and top-k term
+    ctx = build_test_context()
+    z0 = np.random.default_rng(5).standard_normal((4, 8, 8))
+    real = ad.top_k_picks
+
+    def refuse(*args):
+        raise AssertionError("picked")
+
+    monkeypatch.setattr(ad, "top_k_picks", refuse)
+    z = Tensor(z0, requires_grad=True)
+    losses = [composite_loss(encode(latent, 5, ctx)[1], ctx.loss_geometry, GuidanceConfig())[0]
+              for latent in (z, Tensor(z0))]
+    assert [loss.requires_grad for loss in losses] == [True, False]
+    assert losses[0].data.tobytes() == losses[1].data.tobytes()
+    with pytest.raises(AssertionError, match="picked"):
+        grad(losses[0], z)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(ad, "top_k_picks", counted)
+    grad(losses[0], z)
+    assert len(calls) == 2 * 2 * 2
 
 
 # ------------------------------------------------------------------ errors

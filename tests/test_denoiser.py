@@ -6,7 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import SMALL_DIMS, TWO_BOXES, build_test_context, empty_layout_context
+from conftest import (
+    FOUR_BOXES,
+    SMALL_DIMS,
+    TWO_BOXES,
+    build_test_context,
+    empty_layout_context,
+)
 from loracanvas import autodiff as ad
 from loracanvas.assets import ModelDims, synth_bundle
 from loracanvas.attention import LayoutCondition, RegionSpec
@@ -23,12 +29,11 @@ from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fract
 # traced nodes of one forward plus composite_loss on the conftest stack,
 # counted from the loss root as perfbench counts them (latent leaf included);
 # splitting attention back into per-head kernels (204 nodes), the constraint
-# terms back into chains of small kernels (127 nodes) or the concept branches
-# and terms back into one kernel chain per concept (73 nodes) fails this
-FORWARD_PLUS_LOSS_NODES = 57
-# the conftest boxes, then two more in the band they leave free
-FOUR_BOXES = ((0.05, 0.1, 0.45, 0.5), (0.55, 0.1, 0.95, 0.5),
-              (0.05, 0.55, 0.45, 0.9), (0.55, 0.55, 0.95, 0.9))
+# terms back into chains of small kernels (127 nodes), the concept branches
+# and terms back into one kernel chain per concept (73 nodes) or the head
+# outputs, concept maps, compose and loss tail back into their kernel chains
+# (57 nodes) fails this
+FORWARD_PLUS_LOSS_NODES = 40
 
 
 def test_sinusoidal_embedding_shape_and_determinism():
@@ -71,23 +76,27 @@ def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
 
 
 def test_encode_stops_block_one_at_its_maps(monkeypatch):
-    # per block: one self-attention head output plus the global branch and the
-    # concept branches, which run as one stacked call; encode stops block 1
-    # after self-attention, and only attention maps that are recorded take a
-    # head mean (the global branch records none)
+    # per block, three projected head outputs: self-attention's, the global
+    # branch's and the concept branches', which run as one stacked call. Encode
+    # stops block 1 after self-attention and its concept maps, before either
+    # cross-attention head output
     ctx = build_test_context()
     z = Tensor(np.random.default_rng(4).standard_normal((4, 8, 8)))
-    calls = {"apply_heads": 0, "mean_heads": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(ad, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(ad, name, counted)
-    encode(z, 5, ctx)
-    assert calls == {"apply_heads": 4, "mean_heads": 4}
-    calls.update(apply_heads=0, mean_heads=0)
+    calls = []
+
+    def counted(*args, _real=ad.apply_heads):
+        calls.append(args[0].shape)
+        return _real(*args)
+
+    monkeypatch.setattr(ad, "apply_heads", counted)
+    _, record = encode(z, 5, ctx)
+    assert len(record.layers) == 2
+    self_probs, global_probs, concept_probs = (2, 64, 64), (2, 64, 4), (2, 2, 64, 4)
+    assert calls == [self_probs, global_probs, concept_probs, self_probs]
+    calls.clear()
     denoiser_forward(z, 5, ctx)
-    assert calls == {"apply_heads": 9, "mean_heads": 6}
+    assert len(calls) == 9
+    assert calls[4:6] == [global_probs, concept_probs]
 
 
 def test_denoiser_zero_output_head_gives_zero_noise():

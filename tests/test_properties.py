@@ -65,23 +65,24 @@ small = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def attention_cases(draw):
-    """q, k, v, heads, an optional key mask (every row keeps a key) and cotangents."""
+    """q, k, v, the output projection wo, heads, an optional key mask (every row
+    keeps a key) and cotangents."""
     n_heads = draw(st.sampled_from((1, 2, 4)))
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    d = n_heads * draw(st.integers(1, 3))
-    q, k, v = (draw(arrays(np.float64, shape, elements=small))
-               for shape in ((n, d), (m, d), (m, d)))
+    d, d_out = n_heads * draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q, k, v, wo = (draw(arrays(np.float64, shape, elements=small))
+                   for shape in ((n, d), (m, d), (m, d), (d, d_out)))
     allowed = None
     if draw(st.booleans()):
         allowed = draw(arrays(np.bool_, (n, m)))
         allowed[np.arange(n), draw(arrays(np.int64, n, elements=st.integers(0, m - 1)))] = True
-    cot_hidden = draw(arrays(np.float64, (n, d), elements=small))
+    cot_hidden = draw(arrays(np.float64, (n, d_out), elements=small))
     cot_map = draw(arrays(np.float64, (n, m), elements=small))
-    return q, k, v, n_heads, allowed, cot_hidden, cot_map
+    return q, k, v, wo, n_heads, allowed, cot_hidden, cot_map
 
 
-def per_head_chain(q, k, v, n_heads, allowed):
-    """Attention as one 2-D kernel chain per head, joined and averaged."""
+def per_head_chain(q, k, v, wo, n_heads, allowed):
+    """Attention as one 2-D kernel chain per head, joined, projected and averaged."""
     dh = q.shape[1] // n_heads
     scale = math.sqrt(dh)
     outs, maps = [], []
@@ -101,20 +102,20 @@ def per_head_chain(q, k, v, n_heads, allowed):
         avg = avg + amap
     if n_heads > 1:
         avg = avg / float(n_heads)
-    return maps, ad.concat(outs, axis=1), avg
+    return maps, ad.matmul(ad.concat(outs, axis=1), wo), avg
 
 
 def blocked(allowed):
     return None if allowed is None else ad.checked_block(~allowed)
 
 
-def batched_kernels(q, k, v, n_heads, allowed):
+def batched_kernels(q, k, v, wo, n_heads, allowed):
     probs = ad.attention_probs(q, k, n_heads, blocked(allowed))
-    return probs, ad.apply_heads(probs, v), ad.mean_heads(probs)
+    return probs, ad.apply_heads(probs, v, wo), ad.mean_heads(probs)
 
 
-def attention_loss(impl, q, k, v, n_heads, allowed, cot_hidden, cot_map):
-    _, hidden, avg = impl(q, k, v, n_heads, allowed)
+def attention_loss(impl, q, k, v, wo, n_heads, allowed, cot_hidden, cot_map):
+    _, hidden, avg = impl(q, k, v, wo, n_heads, allowed)
     return (ad.mean_all(hidden * Tensor(cot_hidden))
             + ad.mean_all(avg * Tensor(cot_map)))
 
@@ -122,31 +123,32 @@ def attention_loss(impl, q, k, v, n_heads, allowed, cot_hidden, cot_map):
 @PROPERTY
 @given(attention_cases())
 def test_batched_attention_kernels_equal_per_head_chain_bit_for_bit(case):
-    q, k, v, n_heads, allowed, cot_hidden, cot_map = case
-    maps, hidden, avg = per_head_chain(Tensor(q), Tensor(k), Tensor(v), n_heads, allowed)
-    probs, hidden_b, avg_b = batched_kernels(Tensor(q), Tensor(k), Tensor(v), n_heads, allowed)
+    q, k, v, wo, n_heads, allowed, cot_hidden, cot_map = case
+    operands = (q, k, v, wo)
+    maps, hidden, avg = per_head_chain(*map(Tensor, operands), n_heads, allowed)
+    probs, hidden_b, avg_b = batched_kernels(*map(Tensor, operands), n_heads, allowed)
     assert probs.shape == (n_heads,) + maps[0].shape
     for h, amap in enumerate(maps):
         assert probs.data[h].tobytes() == amap.data.tobytes()
     assert hidden_b.data.tobytes() == hidden.data.tobytes()
     assert avg_b.data.tobytes() == avg.data.tobytes()
 
-    for wrt in range(3):
+    for wrt in range(4):
         grads = []
         for impl in (per_head_chain, batched_kernels):
-            inputs = [Tensor(x, requires_grad=(i == wrt)) for i, x in enumerate((q, k, v))]
+            inputs = [Tensor(x, requires_grad=(i == wrt)) for i, x in enumerate(operands)]
             loss = attention_loss(impl, *inputs, n_heads, allowed, cot_hidden, cot_map)
             grads.append(grad(loss, inputs[wrt]).data)
         assert grads[1].tobytes() == grads[0].tobytes()
 
         def loss_of(x, wrt=wrt):
-            inputs = [Tensor(a) for a in (q, k, v)]
+            inputs = [Tensor(a) for a in operands]
             inputs[wrt] = x
             return attention_loss(batched_kernels, *inputs, n_heads, allowed,
                                   cot_hidden, cot_map)
 
         # relative to the gradient's size, absolute where it is below 1
-        numeric = finite_difference_gradient(loss_of, Tensor((q, k, v)[wrt])).data
+        numeric = finite_difference_gradient(loss_of, Tensor(operands[wrt])).data
         assert np.abs(grads[1] - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
 
 
@@ -164,7 +166,7 @@ def vjp_leaves_cotangent_alone(node: Tensor, cotangent: np.ndarray) -> None:
 @PROPERTY
 @given(attention_cases(), st.booleans())
 def test_softmax_kernel_vjps_leave_their_cotangent_alone(case, masked):
-    q, k, _, n_heads, allowed, _, cot_map = case
+    q, k, _, _, n_heads, allowed, _, cot_map = case
     probs = ad.attention_probs(Tensor(q, requires_grad=True),
                                Tensor(k, requires_grad=True), n_heads, blocked(allowed))
     vjp_leaves_cotangent_alone(probs, np.broadcast_to(cot_map, probs.shape))
@@ -205,6 +207,31 @@ def test_topk_mean_equals_stable_argsort_bit_for_bit(case):
     value = ad.topk_mean(xt, k)
     assert value.data.tobytes() == np.asarray(flat[idx].mean()).tobytes()
     assert grad(value, xt).data.tobytes() == expected_grad.reshape(x.shape).tobytes()
+
+
+def pre_split_top_k(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.float64]:
+    """``top_k`` as it was before picks moved into the VJP: the picks made in
+    the forward from the partition's k-th value, then their mean."""
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    above = np.flatnonzero(flat > kth)
+    idx = np.concatenate([above, np.flatnonzero(flat == kth)[:k - above.size]])
+    return idx, np.ascontiguousarray(np.sort(flat[idx])[::-1]).mean()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(topk_cases())
+@example((np.array([0.0, -0.0, 0.0, -0.0, -0.0]), 3))
+@example((np.array([-0.0, -1.0, 0.0, -0.0] * 5), 7))
+@example((np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0]), 4))
+def test_top_k_picks_from_its_kth_value_equal_the_pre_split_rule(case):
+    # the value needs no picks: where the tie rule and the partition keep
+    # different zeros, the mean still has the same bits
+    x, k = case
+    flat = x.reshape(-1)
+    idx, mean = pre_split_top_k(flat, k)
+    kth, top = ad.top_k(flat, k)
+    assert ad.top_k_picks(flat, kth, k).tolist() == idx.tolist()
+    assert np.asarray(top).tobytes() == np.asarray(mean).tobytes()
 
 
 # ------------------------------------------------------------------ selection
