@@ -202,10 +202,7 @@ def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Ten
         raise ArgumentError(f"hidden states of shape {hiddens.shape} do not hold the "
                             f"geometry's {len(geometry.regions)} concepts")
     background, share = geometry.pixels.background.data, geometry.pixels.share.data
-    parts = hiddens.data * share
-    data = parts[0].copy() if len(parts) else np.zeros(parts.shape[1:])
-    for part in parts[1:]:
-        data += part
+    data = (hiddens.data * share).sum(axis=0)
     data += h0.data * background
     return Tensor.node(data, "compose_hidden", (h0, hiddens),
                        lambda g: (g * background, g * share))
@@ -294,11 +291,7 @@ def region_cross_maps(
     # one node for reshape(column(mean_heads(probs), tokens)): each branch's token
     # column is taken first and its heads summed in order, so it rounds the same
     at = (np.arange(len(branches.tokens)), slice(None), slice(None), branches.tokens)
-    columns = probs.data[at]
-    data = columns[:, 0].copy()
-    for head in columns.swapaxes(0, 1)[1:]:
-        data += head
-    data /= float(n_heads)
+    data = probs.data[at].sum(axis=1) / n_heads
 
     def vjp(g):
         out = np.zeros(probs.shape)

@@ -15,6 +15,15 @@ independent oracle used to cross-check every backward rule.
 Tensors are immutable values (the underlying arrays are write-protected),
 so they are safe to share across threads; a tape only ever lives inside a
 single guidance iteration.
+
+Sums. A fused node that stands for a chain of ``add`` kernels sums with one
+numpy reduction. numpy adds the slices of an axis that is not the innermost
+in index order, so each entry has the chain's bits, with one exception:
+numpy starts every sum from +0.0, so an entry whose every term is -0.0 sums
+to +0.0 where the chain gives -0.0. Where the summed slices hold one entry
+each (a 1-D array), numpy adds 8 or more of them pairwise instead, and an
+order-keeping caller uses ``np.cumsum``. ``tests/test_properties.py`` pins
+both the order and the zero's sign.
 """
 
 from __future__ import annotations
@@ -148,7 +157,8 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
+    # the ufunc's own reduce: ndarray.all goes through a Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericError(f"{what} produced non-finite values")
 
 
@@ -217,15 +227,14 @@ def div_scalar(a: Tensor, scalar) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a 2-D ``b`` and an ``a`` with any leading axes before its rows."""
+    """``a @ b`` for 2-D operands."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects a 2-D right operand and a left one of 2-D or more")
-    if a.shape[-1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError("matmul expects 2-D operands")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ ({a.shape} x {b.shape})")
-    # b's cotangent sums over every row of every leading slice: one product
-    return Tensor.node(a.data @ b.data, "matmul", (a, b), lambda g: (
-        g @ b.data.T, a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])))
+    return Tensor.node(a.data @ b.data, "matmul", (a, b),
+                       lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -280,12 +289,10 @@ def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D tensor")
-    if allowed is None:
-        y, vjp = _softmax_rows(x.data)
-    else:
-        logits = x.data.copy()  # a tensor's data is read-only
+    logits = x.data.copy()  # a tensor's data is read-only
+    if allowed is not None:
         _block(logits, checked_block(~np.asarray(allowed, dtype=bool)))
-        y, vjp = _softmax_rows(logits, owned=True)
+    y, vjp = _softmax_rows(logits)
     return Tensor.node(y, op, (x,), lambda g: (vjp(g),))
 
 
@@ -297,14 +304,10 @@ def _block(logits: np.ndarray, blocked: np.ndarray) -> None:
     np.copyto(logits, -np.inf, where=blocked)
 
 
-def _softmax_rows(logits: np.ndarray, owned: bool = False):
-    """Softmax over the last axis and its VJP; -inf logits come out exactly 0.
-
-    With ``owned`` the result overwrites ``logits``, which must then be the
-    caller's own array, never a tensor's data.
-    """
-    y = np.subtract(logits, logits.max(axis=-1, keepdims=True),
-                    out=logits if owned else None)
+def _softmax_rows(logits: np.ndarray):
+    """Softmax over the last axis, written over ``logits``, and its VJP;
+    -inf logits come out exactly 0."""
+    y = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -365,7 +368,7 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     logits /= scale
     if blocked is not None:
         _block(logits, blocked)
-    y, softmax_vjp = _softmax_rows(logits, owned=True)
+    y, softmax_vjp = _softmax_rows(logits)
 
     def vjp(g):
         gl = softmax_vjp(g)
@@ -411,9 +414,7 @@ def mean_heads(p: Tensor) -> Tensor:
     if p.data.ndim < 3:
         raise ShapeError("mean_heads expects a (..., heads, n, m) tensor")
     n_heads = p.shape[-3]
-    data = p.data[..., 0, :, :].copy()
-    for h in range(1, n_heads):
-        data += p.data[..., h, :, :]
+    data = p.data.sum(axis=-3)
     data /= float(n_heads)
     return Tensor.node(data, "mean_heads", (p,), lambda g: (
         np.broadcast_to(np.expand_dims(g / float(n_heads), -3), p.shape),))
@@ -610,15 +611,14 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def sum_leading(x: Tensor) -> Tensor:
-    """Sum over the leading axis slice after slice, rounding as the chain
-    ``x[0] + x[1] + ...`` of ``add`` kernels would; an empty axis sums to zeros."""
+    """Sum over the leading axis, rounding as the chain ``x[0] + x[1] + ...``
+    of ``add`` kernels would under the module's rule for sums; an empty axis
+    sums to zeros."""
     x = _as_tensor(x)
     if x.data.ndim < 1:
         raise ShapeError("sum_leading needs a leading axis")
-    data = x.data[0].copy() if len(x.data) else np.zeros(x.shape[1:])
-    for part in x.data[1:]:
-        data += part
-    return Tensor.node(data, "sum_leading", (x,), lambda g: (np.broadcast_to(g, x.shape),))
+    return Tensor.node(x.data.sum(axis=0), "sum_leading", (x,),
+                       lambda g: (np.broadcast_to(g, x.shape),))
 
 
 # -- spatial kernels ----------------------------------------------------------

@@ -121,10 +121,7 @@ def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerReco
 
 
 def _layer_mean(terms: list) -> np.ndarray:
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return np.asarray(total / float(len(terms)))
+    return np.sum(terms, axis=0) / len(terms)
 
 
 def _flat_picks(picks: list, stride: int) -> np.ndarray:

@@ -78,6 +78,8 @@ def test_matmul_matches_triple_loop_oracle():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
 
 
 # ---------------------------------------------------------------- softmax

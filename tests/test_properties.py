@@ -178,6 +178,79 @@ def test_softmax_kernel_vjps_leave_their_cotangent_alone(case, masked):
     vjp_leaves_cotangent_alone(y, cot_map)
 
 
+# ------------------------------------------------------------------ sums
+#
+# The fused nodes (mean_heads, sum_leading, compose_hidden, the concept maps of
+# region_cross_maps, the guidance terms' layer mean) sum with one numpy
+# reduction where their chains add slice after slice. These tests pin the
+# platform rule that makes the two equal (autodiff's module docstring), so a
+# numpy that reorders these reductions fails here by name.
+
+
+def summed_terms(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Terms over 16 decades of magnitude, a tenth of them +0.0 and a tenth -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def negative_zero_positions(rng: np.random.Generator, x: np.ndarray, axis: int) -> np.ndarray:
+    """x with about a tenth of its positions along the axis -0.0 in every term."""
+    np.moveaxis(x, axis, 0)[:, rng.random(np.delete(x.shape, axis)) < 0.1] = -0.0
+    return x
+
+
+def assert_sum_is_the_ordered_chain(x: np.ndarray, axis: int) -> None:
+    """x.sum(axis) equals ``x[0] + x[1] + ...`` along the axis bit for bit,
+    except at a position whose every term is -0.0: the sum gives +0.0 there."""
+    slices = np.moveaxis(x, axis, 0)
+    chain = slices[0].copy()
+    for part in slices[1:]:
+        chain += part
+    negative_zeros = ((slices == 0) & np.signbit(slices)).all(axis=0)
+    assert np.signbit(chain[negative_zeros]).all()
+    chain[negative_zeros] = 0.0
+    assert x.sum(axis=axis).tobytes() == chain.tobytes()
+
+
+@st.composite
+def summed_stacks(draw):
+    """A stack and the axis summed, laid out as a fused node sums it."""
+    count, n, d = draw(st.integers(1, 12)), draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("concepts", "branch heads", "head mean", "layers")))
+    if kind == "concepts":  # compose_hidden: each concept's (h*w, d) part
+        x, axis = summed_terms(rng, (count, n, d)), 0
+    elif kind == "branch heads":  # region_cross_maps: each branch's token column, per head
+        tokens = rng.integers(0, 3, n)
+        x, axis = summed_terms(rng, (n, count, d, 3))[np.arange(n), :, :, tokens], 1
+    elif kind == "head mean":  # mean_heads over (..., heads, n, m)
+        x, axis = summed_terms(rng, (2,) * draw(st.integers(0, 2)) + (count, n, d)), -3
+    else:  # the terms' layer mean: fewer than 8 layers, one entry per concept or more
+        x, axis = summed_terms(rng, (draw(st.integers(1, 7)), draw(st.integers(1, 4)))), 0
+    return negative_zero_positions(rng, x, axis), axis
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(summed_stacks())
+def test_numpy_sums_slices_in_order_bit_for_bit(case):
+    assert_sum_is_the_ordered_chain(*case)
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((2, 256, 256), -3),   # the reference run's self-attention head mean
+    ((2, 1024, 1024), -3),  # unguided32's
+    ((4, 256, 16), 0),     # crowd's compose_hidden
+    ((4, 2, 256), 1),      # crowd's concept maps
+])
+def test_numpy_sums_pipeline_sized_stacks_in_order(shape, axis):
+    rng = np.random.default_rng(shape[-1])
+    x = negative_zero_positions(rng, summed_terms(rng, shape), axis)
+    assert ((x == 0) & np.signbit(x)).all(axis=axis).any()
+    assert_sum_is_the_ordered_chain(x, axis)
+
+
 # ------------------------------------------------------------------ top-k
 
 tie_heavy = st.one_of(st.integers(-3, 3).map(float), st.sampled_from((0.0, -0.0)), finite)
