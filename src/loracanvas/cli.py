@@ -38,7 +38,10 @@ def make_toy_assets(out_dir: str | Path, seed: int = 42) -> dict[str, Path]:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ArgumentError(f"cannot create output directory {out}: {exc.strerror}") from exc
     paths: dict[str, Path] = {}
 
     def emit(tag: str, *, global_tokens, local_tokens, d_text, d_model, heads,
@@ -144,7 +147,11 @@ def make_toy_assets_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=_seed, default=42)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    paths = make_toy_assets(args.out, seed=args.seed)
+    try:
+        paths = make_toy_assets(args.out, seed=args.seed)
+    except LoracanvasError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, path in sorted(paths.items()):
         print(f"{name}: {path}")
     return 0

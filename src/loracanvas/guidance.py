@@ -114,38 +114,29 @@ def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerReco
 
 # Each term is every concept's constraint term over the loss layers, one
 # (concepts,) node whose entry c is the mean of concept c's per-layer terms.
-# Each entry rounds exactly as the chain of autodiff kernels its docstring
-# names, run on that concept alone and followed by add and div_scalar for the
-# layer mean. The forward computes values only; each backward makes a layer's
-# picks and writes them with one flat-index scatter.
+# A term runs over one batch of (layer, concept) rows, row l * concepts + c,
+# and averages the batch's layer axis. Each entry rounds exactly as the chain
+# of autodiff kernels its docstring names, run on that concept alone and
+# followed by add and div_scalar for the layer mean. The forward computes
+# values only; each backward makes every row's picks, writes them with one
+# flat-index scatter (per axis projection, in the fill term) and splits the
+# result per layer.
 
 
-def _layer_mean(terms: list) -> np.ndarray:
-    return np.sum(terms, axis=0) / len(terms)
-
-
-def _flat_picks(picks: list, stride: int) -> np.ndarray:
-    """Concept c's flat picks, offset by c * stride, joined in concept order."""
+def _flat_picks(picks: list, offsets) -> np.ndarray:
+    """Row r's flat picks, offset by ``offsets[r]``, joined in row order."""
     return np.concatenate([np.zeros(0, np.intp)]
-                          + [c * stride + idx for c, idx in enumerate(picks)])
-
-
-def _assign_picks(shape: tuple[int, ...], picks: list, values: np.ndarray) -> np.ndarray:
-    """Zeros of a (concepts, ...) shape with ``values`` assigned at concept c's
-    flat picks into slice c. No two picks meet, so assignment is the adjoint."""
-    out = np.zeros(math.prod(shape))
-    out[_flat_picks(picks, math.prod(shape[1:]))] = values
-    return out.reshape(shape)
+                          + [offset + idx for offset, idx in zip(offsets, picks)])
 
 
 def _top_k(flats, ks: np.ndarray) -> tuple[list, np.ndarray]:
-    """Concept c's ``top_k`` of ``flats[c]`` with ``ks[c]``: the k-th values and the means."""
+    """Row r's ``top_k`` of ``flats[r]`` with ``ks[r]``: the k-th values and the means."""
     tops = [ad.top_k(flat, k) for flat, k in zip(flats, ks.tolist())]
     return [kth for kth, _ in tops], np.array([top for _, top in tops])
 
 
 def _top_k_picks(flats, kths: list, ks: np.ndarray) -> list:
-    """Concept c's ``top_k_picks`` of ``flats[c]``, from the k-th value ``_top_k`` gave."""
+    """Row r's ``top_k_picks`` of ``flats[r]``, from the k-th value ``_top_k`` gave."""
     return [ad.top_k_picks(flat, kth, k) for flat, kth, k in zip(flats, kths, ks.tolist())]
 
 
@@ -161,21 +152,19 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
     maps = [layer.cross_maps for layer in _loss_layers(record, geometry)]
     table = geometry.pixels
     w = table.weight.data
-    ks = np.ceil(s_ratio * table.area).astype(np.intp)
-    kths, terms = [], []
-    for m in maps:
-        kth, top = _top_k((p.reshape(-1) for p in m.data * w), ks)
-        kths.append(kth)
-        terms.append(1.0 - top)
-    n = float(len(maps))
+    n, concepts, size = len(maps), len(table.area), geometry.height * geometry.width
+    flats = (np.array([m.data for m in maps]) * w).reshape(n * concepts, size)
+    ks = np.concatenate([np.ceil(s_ratio * table.area).astype(np.intp)] * n)
+    kths, tops = _top_k(flats, ks)
 
     def vjp(g):
-        share = np.repeat(-(g / n) / ks, ks)
-        return tuple(_assign_picks(w.shape, _top_k_picks((p.reshape(-1) for p in m.data * w),
-                                                         kth, ks), share) * w
-                     for m, kth in zip(maps, kths))
+        out = np.zeros(flats.size)
+        at = _flat_picks(_top_k_picks(flats, kths, ks), range(0, out.size, size))
+        out[at] = np.repeat(-(np.concatenate([g] * n) / n) / ks, ks)
+        return tuple(out.reshape((n,) + w.shape) * w)
 
-    return Tensor.node(_layer_mean(terms), "concept_enhancement_terms", maps, vjp)
+    return Tensor.node((1.0 - tops).reshape(n, concepts).sum(axis=0) / n,
+                       "concept_enhancement_terms", maps, vjp)
 
 
 def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
@@ -191,30 +180,32 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     """
     maps = [layer.cross_maps for layer in _loss_layers(record, geometry)]
     table = geometry.pixels
-    width = geometry.width
-    sizes = np.array([ri.size + ci.size for ri, ci in zip(table.rows, table.cols)],
-                     dtype=np.intp)
-    terms = []
-    for m in maps:
-        col_max, row_max = m.data.max(axis=1), m.data.max(axis=2)
-        # each mean as a sum over the count, as ndarray.mean computes it
-        terms.append(np.array([(1.0 - np.concatenate([cm[ci], rm[ri]])).sum() / size
-                               for cm, rm, ci, ri, size
-                               in zip(col_max, row_max, table.cols, table.rows, sizes)]))
-    n = float(len(maps))
+    height, width = geometry.height, geometry.width
+    n, concepts = len(maps), len(table.area)
+    stack = np.array([m.data for m in maps])
+    rows, cols = table.rows * n, table.cols * n
+    sizes = np.array([ri.size + ci.size for ri, ci in zip(rows, cols)], dtype=np.intp)
+    col_max = stack.max(axis=2).reshape(n * concepts, width)
+    row_max = stack.max(axis=3).reshape(n * concepts, height)
+    # each mean as a sum over the count, as ndarray.mean computes it
+    terms = np.array([(1.0 - np.concatenate([cm[ci], rm[ri]])).sum() / size
+                      for cm, rm, ci, ri, size in zip(col_max, row_max, cols, rows, sizes)])
 
     def vjp(g):
-        share = -(g / n / sizes)
+        share = -(np.concatenate([g] * n) / n / sizes)
+        first_rows = stack.argmax(axis=2).reshape(n * concepts, width)
+        first_cols = stack.argmax(axis=3).reshape(n * concepts, height)
+        starts = range(0, stack.size, height * width)
         scatters = []
-        for m in maps:
-            first_rows, first_cols = m.data.argmax(axis=1), m.data.argmax(axis=2)
-            at_cols = [a[ci] * width + ci for a, ci in zip(first_rows, table.cols)]
-            at_rows = [ri * width + a[ri] for a, ri in zip(first_cols, table.rows)]
-            scatters += [_assign_picks(m.shape, at, np.repeat(share, [i.size for i in at]))
-                         for at in (at_cols, at_rows)]
-        return tuple(scatters)
+        for at in ([a[ci] * width + ci for a, ci in zip(first_rows, cols)],
+                   [ri * width + a[ri] for a, ri in zip(first_cols, rows)]):
+            out = np.zeros(stack.size)
+            out[_flat_picks(at, starts)] = np.repeat(share, [i.size for i in at])
+            scatters.append(out.reshape(stack.shape))
+        # each layer's column scatter, then its row scatter, as the parents list them
+        return tuple(s for pair in zip(*scatters) for s in pair)
 
-    return Tensor.node(_layer_mean(terms), "fill_terms",
+    return Tensor.node(terms.reshape(n, concepts).sum(axis=0) / n, "fill_terms",
                        tuple(m for m in maps for _ in range(2)), vjp)
 
 
@@ -233,28 +224,28 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     if not outside.all():
         whole = geometry.concept_ids[int(np.argmin(outside))]
         raise ArgumentError(f"concept {whole!r} covers the whole map")
-    ks = np.ceil(p_ratio * (table.area * outside)).astype(np.intp)
+    n, concepts = len(maps), len(table.area)
+    ks = np.concatenate([np.ceil(p_ratio * (table.area * outside)).astype(np.intp)] * n)
     # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
     subs = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
-    kths, terms = [], []
-    for m in maps:
-        kth, top = _top_k((m.data.reshape(-1)[sub] for sub in subs), ks)
-        kths.append(kth)
-        terms.append(top)
-    n = float(len(maps))
+
+    def submatrices():
+        # gathered from each layer's own map: a stack would copy every self map
+        return (m.data.reshape(-1)[sub] for m in maps for sub in subs)
+
+    kths, tops = _top_k(submatrices(), ks)
 
     def vjp(g):
-        share = np.repeat(g / n / ks, ks)
-        cotangents = []
-        for m, kth in zip(maps, kths):
-            flat = m.data.reshape(-1)
-            picks = _top_k_picks((flat[sub] for sub in subs), kth, ks)
-            # the maps are shared: no concept offset, and a pick two concepts share adds up
-            at = _flat_picks([sub[idx] for sub, idx in zip(subs, picks)], 0)
-            cotangents.append(np.bincount(at, share, minlength=m.size).reshape(m.shape))
-        return tuple(cotangents)
+        picks = _top_k_picks(submatrices(), kths, ks)
+        # a layer's concepts share its map: each pick is offset by its layer
+        # alone, and a pick two concepts share adds up in concept order
+        at = _flat_picks([sub[idx] for sub, idx in zip(subs * n, picks)],
+                         np.repeat(np.arange(n) * (size * size), concepts))
+        cotangent = np.bincount(at, np.repeat(np.concatenate([g] * n) / n / ks, ks),
+                                minlength=n * size * size)
+        return tuple(cotangent.reshape(n, size, size))
 
-    return Tensor.node(_layer_mean(terms), "region_terms", maps, vjp)
+    return Tensor.node(tops.reshape(n, concepts).sum(axis=0) / n, "region_terms", maps, vjp)
 
 
 def _concept_sum(term: Tensor) -> np.float64:
@@ -398,6 +389,14 @@ def guided_update(
 
 def inbox_mass_fraction(record: AttnRecord, geometry: RegionGeometry,
                         concept_id: str) -> float:
-    """Share of a concept's attention mass falling inside its box."""
+    """Share of a concept's attention mass falling inside its box.
+
+    The record must fit the geometry as the constraint terms require, and the
+    concept must be one of the geometry's.
+    """
+    if concept_id not in geometry.concept_ids:
+        raise ArgumentError(
+            f"unknown concept {concept_id!r}; the geometry holds {geometry.concept_ids}")
+    _loss_layers(record, geometry)
     averaged = record.averaged_cross_maps()[geometry.concept_ids.index(concept_id)]
     return float((averaged * geometry.masks[concept_id]).sum() / averaged.sum())

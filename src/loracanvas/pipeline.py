@@ -257,7 +257,11 @@ def sample(config: RunConfig) -> SampleResult:
     geometry = ctx.loss_geometry
     total = schedule.steps
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {out_dir}: {exc.strerror}") from exc
 
     trace: list[TraceRow] = []
     mass_history: list[tuple[int, dict[str, float]]] = []

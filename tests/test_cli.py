@@ -130,6 +130,28 @@ def test_make_toy_assets_rejects_a_bad_seed_before_writing(tmp_path, seed):
     assert not (tmp_path / "a").exists()
 
 
+def test_compose_out_that_is_a_file_errors(asset_dir, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    rc = compose_main(["--config", str(asset_dir / "gradcheck.json"), "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err and "Traceback" not in err
+    assert taken.read_text() == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_make_toy_assets_out_that_is_a_file_errors(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    rc = make_toy_assets_main(["--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err and "Traceback" not in err
+    assert taken.read_text() == "keep"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 @pytest.mark.parametrize("box", [[0.5, 0.5, 0.55, 0.55], [0.0, 0.0, 1.0, 1.0]])
 def test_compose_bad_layout_errors(asset_dir, tmp_path, capsys, box):
     # empty at the pooled resolution; covering the whole latent under guidance

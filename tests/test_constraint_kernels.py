@@ -249,17 +249,20 @@ def test_region_picks_shared_by_two_concepts_add_up():
     assert np.array_equal(grad(ad.sum_leading(node), traced).data, expected)
 
 
-def test_no_concepts_give_empty_terms_and_zero_gradients():
-    cross = Tensor(np.zeros((0, 3, 4)), requires_grad=True)
-    self_map = Tensor(np.eye(12), requires_grad=True)
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_no_concepts_give_empty_terms_and_zero_gradients(layers):
+    # a batch of zero (layer, concept) rows still has its layers' shapes
+    cross = [Tensor(np.zeros((0, 3, 4)), requires_grad=True) for _ in range(layers)]
+    selfs = [Tensor(np.eye(12), requires_grad=True) for _ in range(layers)]
     geometry = geometry_of([], 3, 4)
-    record = record_of([cross], [self_map], 3, 4)
+    record = record_of(cross, selfs, 3, 4)
     nodes = terms_of(record, geometry, GuidanceConfig())
     assert [node.shape for node in nodes] == [(0,)] * 3
     total, _ = composite_loss(record, geometry, GuidanceConfig())
     assert float(total) == 0.0
-    assert grad(total, cross).shape == (0, 3, 4)
-    assert not grad(total, self_map).data.any()
+    for maps, self_map in zip(cross, selfs):
+        assert grad(total, maps).shape == (0, 3, 4)
+        assert not grad(total, self_map).data.any()
 
 
 def test_only_the_backward_makes_top_k_picks(monkeypatch):

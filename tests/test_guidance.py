@@ -454,6 +454,32 @@ def test_inbox_mass_fraction_bounds():
     assert inbox_mass_fraction(concentrated, geo, "a") == 1.0
 
 
+def test_inbox_mass_fraction_names_an_unknown_concept():
+    geo = geometry_two_concepts()
+    record = record_from_maps({cid: geo.masks[cid] for cid in geo.concept_ids},
+                              uniform_self_map())
+    with pytest.raises(ArgumentError, match=r"unknown concept 'c'.*'a', 'b'"):
+        inbox_mass_fraction(record, geo, "c")
+
+
+def test_inbox_mass_fraction_rejects_a_record_that_does_not_fit_the_geometry():
+    # a geometry of concept_b alone must not read concept_a's map, the record's
+    # first, against concept_b's mask
+    ctx = build_test_context()
+    z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)))
+    record = encode(z, 5, ctx)[1]
+    full = ctx.loss_geometry
+    only_b = RegionGeometry.build(
+        LayoutCondition(full.regions[1:], ctx.layout.global_prompt_embed),
+        full.height, full.width)
+    assert only_b.concept_ids == ("concept_b",)
+    with pytest.raises(ArgumentError, match="do not fit the geometry's 1 concepts"):
+        inbox_mass_fraction(record, only_b, "concept_b")
+    coarse = RegionGeometry.build(ctx.layout, full.height // 2, full.width // 2)
+    with pytest.raises(ArgumentError, match="does not match loss resolution"):
+        inbox_mass_fraction(record, coarse, "concept_b")
+
+
 # ------------------------------------------------------------------ kept latent
 
 
