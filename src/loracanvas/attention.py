@@ -55,11 +55,21 @@ class LayoutCondition:
 
 @dataclass
 class LayerRecord:
-    """Attention maps captured by one composer block."""
+    """Attention maps captured by one composer block.
+
+    Self-attention is kept per head. Its head mean ``self_map`` is built on
+    first read, so a forward whose map nobody reads computes none, and a
+    traced reader puts the ``mean_heads`` node on the tape only then.
+    """
 
     resolution: tuple[int, int]   # (height, width)
     cross_maps: Tensor            # (concepts, h, w) in layout order, heads averaged
-    self_map: Tensor              # (h*w, h*w), heads averaged
+    self_probs: Tensor            # (heads, h*w, h*w) per-head self-attention
+
+    @cached_property
+    def self_map(self) -> Tensor:
+        """(h*w, h*w) self-attention, heads averaged."""
+        return ad.mean_heads(self.self_probs)
 
 
 @dataclass
@@ -333,6 +343,7 @@ def masked_self_attention(
     Attention between pixels of distinct foreground regions is exactly
     zero in both directions; every other pair, including foreground to
     background, interacts normally. Rows renormalize over permitted keys.
+    Returns the hidden state and the (heads, h*w, h*w) probabilities.
     """
     h, w = geometry.height, geometry.width
     if z_flat.shape[0] != h * w:
@@ -341,4 +352,4 @@ def masked_self_attention(
     k = ad.matmul(z_flat, weights.wk_t)
     v = ad.matmul(z_flat, weights.wv_t)
     probs = ad.attention_probs(q, k, n_heads, geometry.blocked_self)
-    return ad.apply_heads(probs, v, weights.wo_t), ad.mean_heads(probs)
+    return ad.apply_heads(probs, v, weights.wo_t), probs

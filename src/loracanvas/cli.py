@@ -91,6 +91,13 @@ def _seed(text: str) -> int:
 
 def run_gradcheck(config: RunConfig, eps: float = 1e-6) -> float:
     """Max relative error between taped and finite-difference gradients."""
+    _, _, analytic, numeric = _gradcheck(config, eps)
+    return max_relative_error(analytic, numeric)
+
+
+def _gradcheck(config: RunConfig, eps: float):
+    """The checked loss, its latent, and there the taped gradient and the
+    central differences."""
     ctx, schedule = prepare(config)
     geometry = ctx.loss_geometry
     t = schedule.steps
@@ -105,7 +112,7 @@ def run_gradcheck(config: RunConfig, eps: float = 1e-6) -> float:
         traced = Tensor(z0, requires_grad=True)
         analytic = grad(loss_of(traced), traced)
         numeric = finite_difference_gradient(loss_of, Tensor(z0), eps=eps)
-    return max_relative_error(analytic, numeric)
+    return loss_of, z0, analytic.data, numeric.data
 
 
 def compose_main(argv: list[str] | None = None) -> int:
@@ -169,13 +176,27 @@ def gradcheck_main(argv: list[str] | None = None) -> int:
         parser.error(f"--threshold must be finite and positive, got {args.threshold}")
     try:
         config = RunConfig.from_json(args.config)
-        error = run_gradcheck(config, eps=args.eps)
+        loss_of, z0, analytic, numeric = _gradcheck(config, args.eps)
+        error = max_relative_error(analytic, numeric)
+        status = "ok" if error < args.threshold else "FAIL"
+        print(f"gradcheck {status}: max relative error {error:.3e} "
+              f"(threshold {args.threshold:.1e})")
+        if error >= args.threshold:
+            # one-sided differences tell a kink within eps from a wrong gradient
+            at = np.unravel_index(np.argmax(np.abs(analytic - numeric)), z0.shape)
+            sides = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                f0 = float(loss_of(Tensor(z0)))
+                for step in (args.eps, -args.eps):
+                    probe = z0.copy()
+                    probe[at] += step
+                    sides.append((float(loss_of(Tensor(probe))) - f0) / step)
+            print(f"worst at (channel, row, column) {tuple(map(int, at))}: taped "
+                  f"{analytic[at]:.9e}, central {numeric[at]:.9e}, one-sided "
+                  f"+eps {sides[0]:.9e}, -eps {sides[1]:.9e}")
     except LoracanvasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    status = "ok" if error < args.threshold else "FAIL"
-    print(f"gradcheck {status}: max relative error {error:.3e} "
-          f"(threshold {args.threshold:.1e})")
     return 0 if error < args.threshold else 1
 
 

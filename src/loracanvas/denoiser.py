@@ -124,22 +124,23 @@ class Encoded:
 
 def _self_attention(x: Tensor, ctx: DenoiserContext, block_index: int,
                     geometry: RegionGeometry) -> tuple[Tensor, Tensor]:
-    """A block's residual masked self-attention; returns the stream and its map."""
+    """A block's residual masked self-attention; returns the stream and its
+    per-head probabilities."""
     block = ctx.weights.blocks[block_index]
-    sa_out, self_map = masked_self_attention(
+    sa_out, self_probs = masked_self_attention(
         ad.layernorm_rows(x), block.self_attn, ctx.dims.n_heads, geometry)
-    return x + sa_out, self_map
+    return x + sa_out, self_probs
 
 
 def _composer_block(x: Tensor, ctx: DenoiserContext, block_index: int,
                     geometry: RegionGeometry) -> tuple[Tensor, LayerRecord]:
     """Pre-norm residual block: masked self-attention then region cross."""
-    x, self_map = _self_attention(x, ctx, block_index, geometry)
+    x, self_probs = _self_attention(x, ctx, block_index, geometry)
     ca_out, cross_maps = region_cross_attention(
         ad.layernorm_rows(x), ctx.weights.blocks[block_index].cross_attn,
         ctx.dims.n_heads, geometry, ctx.cross_branches[block_index])
     record = LayerRecord(resolution=(geometry.height, geometry.width),
-                         cross_maps=cross_maps, self_map=self_map)
+                         cross_maps=cross_maps, self_probs=self_probs)
     return x + ca_out, record
 
 
@@ -163,11 +164,11 @@ def encode(z: Tensor, t: int, ctx: DenoiserContext) -> tuple[Encoded, AttnRecord
     x = x + Tensor(sinusoidal_embedding(t, dims.d_model))
 
     x, layer0 = _composer_block(x, ctx, 0, full)
-    x, self_map = _self_attention(x, ctx, 1, full)
+    x, self_probs = _self_attention(x, ctx, 1, full)
     query, probs, cross_maps = region_cross_maps(
         ad.layernorm_rows(x), ctx.weights.blocks[1].cross_attn, dims.n_heads, full,
         ctx.cross_branches[1])
-    layer1 = LayerRecord(resolution=(h, w), cross_maps=cross_maps, self_map=self_map)
+    layer1 = LayerRecord(resolution=(h, w), cross_maps=cross_maps, self_probs=self_probs)
     return Encoded(residual=x, query=query, probs=probs), AttnRecord(layers=[layer0, layer1])
 
 

@@ -93,7 +93,8 @@ class TraceRow:
 
 def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerRecord]:
     """The record's loss layers, checked to fit the geometry: its resolution,
-    (concepts, h, w) cross maps of its concepts and (h*w, h*w) self maps."""
+    (concepts, h, w) cross maps of its concepts and (heads, h*w, h*w)
+    self-attention. No head mean is built."""
     h, w = geometry.height, geometry.width
     if record.loss_resolution != (h, w):
         raise ArgumentError(
@@ -101,11 +102,11 @@ def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerReco
     layers = record.loss_layers()
     cross = (len(geometry.regions), h, w)
     for layer in layers:
-        shape, self_shape = layer.cross_maps.shape, layer.self_map.shape
-        if shape[1:] != (h, w) or self_shape != (h * w, h * w):
+        shape, self_shape = layer.cross_maps.shape, layer.self_probs.shape
+        if shape[1:] != (h, w) or self_shape[1:] != (h * w, h * w):
             raise ShapeError(
-                f"cross maps {shape} and self map {self_shape} "
-                f"do not fit the geometry's {cross} and {(h * w, h * w)}")
+                f"cross maps {shape} and self-attention {self_shape} "
+                f"do not fit the geometry's {cross} and (heads, {h * w}, {h * w})")
         if shape[0] != cross[0]:
             raise ArgumentError(
                 f"cross maps {shape} do not fit the geometry's {cross[0]} concepts")
@@ -213,25 +214,33 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     """Every concept's foreground-to-complement leakage term: (concepts,).
 
     Per concept c, ``topk_mean(self_map[inside[c]][:, outside[c]], k[c])`` with
-    ``k = ceil(p_ratio * area * (h*w - area))`` (chain: take2d, topk_mean).
-    The self maps are shared by every concept, so two concepts may pick one
-    entry: the VJP sums each map's picks into its shape, in concept order.
+    ``k = ceil(p_ratio * area * (h*w - area))`` (chain: mean_heads, take2d,
+    topk_mean). Only the submatrix entries of the head mean are computed: each
+    head's are gathered and the heads added in order from +0.0 and divided by
+    their count, as ``mean_heads`` does. The self maps are shared by every
+    concept, so two concepts may pick one entry: the VJP sums each map's picks
+    into its shape, in concept order, and hands each head its share.
     """
-    maps = [layer.self_map for layer in _loss_layers(record, geometry)]
+    probs = [layer.self_probs for layer in _loss_layers(record, geometry)]
     table = geometry.pixels
     size = geometry.height * geometry.width
     outside = size - table.area
     if not outside.all():
         whole = geometry.concept_ids[int(np.argmin(outside))]
         raise ArgumentError(f"concept {whole!r} covers the whole map")
-    n, concepts = len(maps), len(table.area)
+    n, concepts = len(probs), len(table.area)
     ks = np.concatenate([np.ceil(p_ratio * (table.area * outside)).astype(np.intp)] * n)
     # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
     subs = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
 
     def submatrices():
-        # gathered from each layer's own map: a stack would copy every self map
-        return (m.data.reshape(-1)[sub] for m in maps for sub in subs)
+        # each head gathered with 1-D indexing, faster than a gather over the head axis
+        for p in probs:
+            for sub in subs:
+                mean = np.zeros(sub.size)
+                for head in p.data:
+                    mean += head.reshape(-1)[sub]
+                yield mean / float(len(p.data))
 
     kths, tops = _top_k(submatrices(), ks)
 
@@ -243,9 +252,10 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
                          np.repeat(np.arange(n) * (size * size), concepts))
         cotangent = np.bincount(at, np.repeat(np.concatenate([g] * n) / n / ks, ks),
                                 minlength=n * size * size)
-        return tuple(cotangent.reshape(n, size, size))
+        return tuple(np.broadcast_to(c / float(p.shape[0]), p.shape)
+                     for c, p in zip(cotangent.reshape(n, size, size), probs))
 
-    return Tensor.node(tops.reshape(n, concepts).sum(axis=0) / n, "region_terms", maps, vjp)
+    return Tensor.node(tops.reshape(n, concepts).sum(axis=0) / n, "region_terms", probs, vjp)
 
 
 def _concept_sum(term: Tensor) -> np.float64:
@@ -397,6 +407,12 @@ def inbox_mass_fraction(record: AttnRecord, geometry: RegionGeometry,
     if concept_id not in geometry.concept_ids:
         raise ArgumentError(
             f"unknown concept {concept_id!r}; the geometry holds {geometry.concept_ids}")
+    return inbox_mass_fractions(record, geometry)[concept_id]
+
+
+def inbox_mass_fractions(record: AttnRecord, geometry: RegionGeometry) -> dict[str, float]:
+    """Every concept's ``inbox_mass_fraction``, in layout order, from one check of
+    the record and one average of its loss layers' maps."""
     _loss_layers(record, geometry)
-    averaged = record.averaged_cross_maps()[geometry.concept_ids.index(concept_id)]
-    return float((averaged * geometry.masks[concept_id]).sum() / averaged.sum())
+    return {cid: float((averaged * geometry.masks[cid]).sum() / averaged.sum())
+            for cid, averaged in zip(geometry.concept_ids, record.averaged_cross_maps())}

@@ -24,7 +24,7 @@ from .guidance import (
     TraceRow,
     guided_update,
     in_guidance_window,
-    inbox_mass_fraction,
+    inbox_mass_fractions,
 )
 from .reinit import initial_latent, reinitialize
 
@@ -276,6 +276,9 @@ def sample(config: RunConfig) -> SampleResult:
             z = initial_latent(config.seed, ctx.dims)
 
         for t in range(total, 0, -1):
+            # only the last step's record feeds the dump: drop each one before
+            # the next step's forwards build theirs
+            record = None
             if guiding and in_guidance_window(t, total, guidance_cfg.guidance_fraction):
                 # mass is measured on the state entering the timestep, which
                 # guidance's first iteration forwards, so the history shows
@@ -286,8 +289,7 @@ def sample(config: RunConfig) -> SampleResult:
                 def forward(zt: Tensor):
                     attn = encode(zt, t, ctx)[1]
                     if not masses:
-                        masses.update((cid, inbox_mass_fraction(attn, geometry, cid))
-                                      for cid in geometry.concept_ids)
+                        masses.update(inbox_mass_fractions(attn, geometry))
                     return attn
 
                 z, rows = guided_update(z, forward, geometry, guidance_cfg, t, total)

@@ -171,7 +171,7 @@ def test_criterion_7_loss_arithmetic():
                              global_prompt_embed=np.zeros((2, 4)))
     geometry = RegionGeometry.build(layout, 4, 4)
     layer = LayerRecord(resolution=(4, 4), cross_maps=Tensor(np.zeros((1, 4, 4))),
-                        self_map=Tensor(np.ones((16, 16))))
+                        self_probs=Tensor(np.ones((1, 16, 16))))
     _, breakdown = composite_loss(AttnRecord(layers=[layer]), geometry,
                                   GuidanceConfig(alpha=0.25, beta=0.8))
     components = (breakdown.l_ce, breakdown.l_fill, breakdown.l_region)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import build_test_context
 from loracanvas import attention as attention_module
+from loracanvas import autodiff as ad
 from loracanvas.assets import (
     AttentionWeights,
     ConceptBundle,
@@ -190,12 +191,33 @@ def test_layout_rejects_duplicate_ids():
 
 def test_attn_record_loss_layers_pick_highest_resolution():
     rec = AttnRecord(layers=[
-        LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16))),
-        LayerRecord((2, 2), Tensor(np.zeros((0, 2, 2))), Tensor(np.eye(4))),
-        LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16))),
+        LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16)[None])),
+        LayerRecord((2, 2), Tensor(np.zeros((0, 2, 2))), Tensor(np.eye(4)[None])),
+        LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16)[None])),
     ])
     assert rec.loss_resolution == (4, 4)
     assert len(rec.loss_layers()) == 2
+
+
+def test_layer_record_builds_its_head_mean_once_on_read(monkeypatch):
+    ctx = build_test_context()
+    _, record = denoiser_forward(Tensor(np.random.default_rng(0).standard_normal((4, 8, 8))),
+                                 5, ctx)
+    real, calls = ad.mean_heads, []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(ad, "mean_heads", counted)
+    for layer in record.layers:
+        n = layer.resolution[0] * layer.resolution[1]
+        assert layer.self_probs.shape == (ctx.dims.n_heads, n, n)
+        first = layer.self_map
+        assert layer.self_map is first
+        assert calls[-1] is layer.self_probs
+        assert first.data.tobytes() == real(layer.self_probs).data.tobytes()
+    assert len(calls) == len(record.layers)
 
 
 # ------------------------------------------------------------------ compose
@@ -439,22 +461,24 @@ def test_masked_self_attention_no_regions_is_vanilla():
         dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=n_heads,
                          d_text=6)
         weights = generate_base_weights(7, dims).blocks[0].self_attn
-        hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
+        hidden, probs = masked_self_attention(Tensor(z), weights, n_heads, geometry)
         q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
         expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads)
+        assert probs.shape == (n_heads, 16, 16)
         assert np.array_equal(hidden.data, expected)
-        assert np.array_equal(self_map.data, expected_map)
+        assert np.array_equal(ad.mean_heads(probs).data, expected_map)
 
 
 def test_masked_self_attention_blocks_cross_region_pairs():
     z, layout, _, _, n_heads, geometry = _small_setup(2)
     dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
     weights = generate_base_weights(7, dims).blocks[0].self_attn
-    _, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
+    _, probs = masked_self_attention(Tensor(z), weights, n_heads, geometry)
     m0 = geometry.masks["c0"].reshape(-1) > 0
     m1 = geometry.masks["c1"].reshape(-1) > 0
-    assert np.all(self_map.data[np.ix_(m0, m1)] == 0.0)
-    assert np.all(self_map.data[np.ix_(m1, m0)] == 0.0)
+    for head in probs.data:
+        assert np.all(head[np.ix_(m0, m1)] == 0.0)
+        assert np.all(head[np.ix_(m1, m0)] == 0.0)
 
 
 def test_blocked_self_forbids_only_foreground_pairs_sharing_no_box():
@@ -481,8 +505,8 @@ def test_masked_self_attention_rows_stochastic_over_seeds():
     geometry = RegionGeometry.build(layout, 4, 4)
     for seed in range(100):
         z = np.random.default_rng(seed).standard_normal((16, 4))
-        _, self_map = masked_self_attention(Tensor(z), weights, 2, geometry)
-        assert np.all(np.abs(self_map.data.sum(axis=1) - 1.0) <= 1e-12)
+        _, probs = masked_self_attention(Tensor(z), weights, 2, geometry)
+        assert np.all(np.abs(probs.data.sum(axis=2) - 1.0) <= 1e-12)
 
 
 def test_masked_self_attention_matches_neginf_oracle():
@@ -491,9 +515,9 @@ def test_masked_self_attention_matches_neginf_oracle():
         dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=n_heads,
                          d_text=6)
         weights = generate_base_weights(9, dims).blocks[1].self_attn
-        hidden, self_map = masked_self_attention(Tensor(z), weights, n_heads, geometry)
+        hidden, probs = masked_self_attention(Tensor(z), weights, n_heads, geometry)
         q, k, v = z @ weights.wq.T, z @ weights.wk.T, z @ weights.wv.T
         expected, expected_map = attention_oracle(q, k, v, weights.wo, n_heads,
                                                   allowed=~geometry.blocked_self)
         assert np.max(np.abs(hidden.data - expected)) < 1e-12
-        assert np.max(np.abs(self_map.data - expected_map)) < 1e-12
+        assert np.max(np.abs(ad.mean_heads(probs).data - expected_map)) < 1e-12

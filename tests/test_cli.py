@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from loracanvas.cli import (
     make_toy_assets,
     make_toy_assets_main,
 )
+from loracanvas.denoiser import encode
 from loracanvas.errors import ArgumentError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -309,6 +311,40 @@ def test_gradcheck_main_fails_on_tight_threshold(asset_dir, capsys):
                          "--threshold", "1e-12"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_main_evaluates_nothing_more_when_it_passes(asset_dir, capsys,
+                                                             monkeypatch):
+    # one taped loss and two per latent entry for the central differences
+    from loracanvas import cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return encode(*args)
+
+    monkeypatch.setattr(cli, "encode", counted)
+    assert gradcheck_main(["--config", str(asset_dir / "gradcheck.json")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert len(calls) == 1 + 2 * 4 * 8 * 8
+
+
+def test_gradcheck_main_names_the_worst_coordinate_of_a_failure(tmp_path, capsys):
+    # seed 13's central difference at (0, 0, 6) straddles a kink of the region
+    # term's top-k picks, which change at z - eps: the +eps side agrees with the tape
+    make_toy_assets(tmp_path, seed=13)
+    rc = gradcheck_main(["--config", str(tmp_path / "gradcheck.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1 and len(lines) == 2
+    assert lines[0].startswith("gradcheck FAIL: max relative error 1.871e-04")
+    match = re.fullmatch(r"worst at \(channel, row, column\) \(0, 0, 6\): taped (\S+), "
+                         r"central (\S+), one-sided \+eps (\S+), -eps (\S+)", lines[1])
+    assert match, lines[1]
+    taped, central, plus, minus = map(float, match.groups())
+    assert abs(plus - taped) <= 1e-5 * abs(taped)
+    for difference in (central, minus):
+        assert abs(difference - taped) > 1e-5 * abs(taped)
 
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])

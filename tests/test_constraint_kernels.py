@@ -109,7 +109,9 @@ def geometry_of(rects, h: int, w: int) -> RegionGeometry:
 
 
 def record_of(cross, selfs, h: int, w: int) -> AttnRecord:
-    return AttnRecord([LayerRecord((h, w), c, s) for c, s in zip(cross, selfs)])
+    """One layer per cross map and self map; each self map is one head's probabilities."""
+    return AttnRecord([LayerRecord((h, w), c, ad.reshape(s, (1,) + s.shape))
+                       for c, s in zip(cross, selfs)])
 
 
 @st.composite
@@ -214,6 +216,33 @@ def test_fused_terms_give_the_chains_gradients_bit_for_bit(case):
         for c, maps in enumerate(concept_maps):
             assert slices[c].tobytes() == grad(chained, maps[layer]).data.tobytes()
     for mine, theirs in zip(fused_selfs, chain_selfs):
+        assert grad(fused, mine).data.tobytes() == grad(chained, theirs).data.tobytes()
+
+
+@PROPERTY
+@given(loss_cases(), st.integers(0, 2**32 - 1))
+def test_region_term_on_two_heads_equals_its_head_mean_chain_bit_for_bit(case, seed):
+    # the term gathers each head's submatrix entries and averages them there;
+    # it must round as the chain that averages the whole map's heads first
+    h, w, p_ratio = case["h"], case["w"], case["config"].p_ratio
+    geometry = geometry_of(case["rects"], h, w)
+    table = geometry.pixels
+    rng = np.random.default_rng(seed)
+    heads = [np.stack([m, rng.random(m.shape)]) for m in case["selfs"]]
+    probs = [Tensor(p, requires_grad=True) for p in heads]
+    record = AttnRecord([LayerRecord((h, w), Tensor(c), p)
+                         for c, p in zip(case["cross"], probs)])
+    node = region_terms(record, geometry, p_ratio)
+    fused = ad.sum_leading(node)
+    chain_probs = [Tensor(p, requires_grad=True) for p in heads]
+    means = [ad.mean_heads(p) for p in chain_probs]
+    terms = [chain_submatrix(means, table.inside[c], table.outside[c],
+                             top_p(geometry, c, p_ratio)) for c in range(len(case["rects"]))]
+    for c, term in enumerate(terms):
+        assert node.data[c].tobytes() == term.data.tobytes()
+    chained = summed(terms)
+    assert fused.data.tobytes() == chained.data.tobytes()
+    for mine, theirs in zip(probs, chain_probs):
         assert grad(fused, mine).data.tobytes() == grad(chained, theirs).data.tobytes()
 
 
@@ -388,6 +417,10 @@ MISFITS = {
                        ShapeError, "do not fit the geometry"),
     "self map 1-D": (lambda: record_of([Tensor(MAP)], [Tensor(SELF.reshape(-1))], 3, 4),
                      ShapeError, "do not fit the geometry"),
+    # a head mean where the per-head probabilities belong
+    "self map without heads": (
+        lambda: AttnRecord([LayerRecord((3, 4), Tensor(MAP), Tensor(SELF))]),
+        ShapeError, r"self-attention \(12, 12\) do not fit the geometry's .* \(heads, 12, 12\)"),
 }
 
 

@@ -32,8 +32,9 @@ from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fract
 # terms back into chains of small kernels (127 nodes), the concept branches
 # and terms back into one kernel chain per concept (73 nodes) or the head
 # outputs, concept maps, compose and loss tail back into their kernel chains
-# (57 nodes) fails this
-FORWARD_PLUS_LOSS_NODES = 40
+# (57 nodes) or averaging the loss layers' self-attention heads before the
+# region term (40 nodes) fails this
+FORWARD_PLUS_LOSS_NODES = 38
 
 
 def test_sinusoidal_embedding_shape_and_determinism():
@@ -177,19 +178,25 @@ def test_build_context_requires_all_bundles():
         build_context(ctx.weights, ctx.layout, missing)
 
 
-def taped_loss_nodes(forward, boxes=TWO_BOXES) -> int:
-    """Traced nodes reachable from the loss of one forward on the conftest stack."""
+def taped_loss_ops(forward, boxes=TWO_BOXES) -> list[str | None]:
+    """The op of each traced node reachable from the loss of one forward on the
+    conftest stack (None for the latent leaf)."""
     ctx = build_test_context(boxes=boxes)
     z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)), requires_grad=True)
     _, record = forward(z, 5, ctx)
     total, _ = composite_loss(record, ctx.loss_geometry, GuidanceConfig())
-    seen, stack = set(), [total]
+    seen, stack = {}, [total]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node.op
             stack.extend(p for p in node.parents if p.requires_grad)
-    return len(seen)
+    return list(seen.values())
+
+
+def taped_loss_nodes(forward, boxes=TWO_BOXES) -> int:
+    """Traced nodes reachable from the loss of one forward on the conftest stack."""
+    return len(taped_loss_ops(forward, boxes))
 
 
 def test_encode_plus_loss_tapes_the_same_graph():
@@ -204,6 +211,23 @@ def test_tape_size_of_forward_plus_loss():
 def test_tape_size_does_not_grow_with_the_concept_count(forward):
     assert taped_loss_nodes(forward, FOUR_BOXES) == taped_loss_nodes(forward)
     assert taped_loss_nodes(forward, FOUR_BOXES) <= FORWARD_PLUS_LOSS_NODES
+
+
+@pytest.mark.parametrize("forward", [encode, denoiser_forward])
+def test_forward_plus_loss_builds_no_head_mean(forward, monkeypatch):
+    # the region term reads each box's entries of every head, and no other
+    # loss reads self-attention: no forward, loss or backward averages heads
+    ops = taped_loss_ops(forward)
+    assert "region_terms" in ops and "mean_heads" not in ops
+
+    def refuse(p):
+        raise AssertionError("a head mean was built")
+
+    monkeypatch.setattr(ad, "mean_heads", refuse)
+    ctx = build_test_context()
+    z = Tensor(np.random.default_rng(0).standard_normal((4, 8, 8)), requires_grad=True)
+    total, _ = composite_loss(forward(z, 5, ctx)[1], ctx.loss_geometry, GuidanceConfig())
+    grad(total, z)
 
 
 @pytest.mark.parametrize("t", [10, 6, 3])

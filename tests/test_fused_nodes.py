@@ -162,6 +162,6 @@ def test_composite_loss_equals_its_chain_bit_for_bit(ctx):
     chained = chain_loss(record, geometry, config)
     assert_same_bits(fused, chained)
     assert breakdown.total == float(chained)
-    maps = [m for layer in record.layers for m in (layer.cross_maps, layer.self_map)]
+    maps = [m for layer in record.layers for m in (layer.cross_maps, layer.self_probs)]
     for wrt in (z, *maps):
         assert_same_bits(grad(fused, wrt), grad(chained, wrt))

@@ -30,6 +30,7 @@ from loracanvas.guidance import (
     guided_update,
     in_guidance_window,
     inbox_mass_fraction,
+    inbox_mass_fractions,
     region_terms,
     step_size,
 )
@@ -53,7 +54,7 @@ def record_from_maps(cross: dict[str, np.ndarray], self_map: np.ndarray) -> Attn
     """One layer whose cross maps are stacked in the dict's (layout) order."""
     layer = LayerRecord(resolution=(H, W),
                         cross_maps=Tensor(np.reshape(list(cross.values()), (-1, H, W))),
-                        self_map=Tensor(self_map))
+                        self_probs=Tensor(self_map[None]))
     return AttnRecord(layers=[layer])
 
 
@@ -138,7 +139,7 @@ def test_fill_loss_single_lit_row_hand_value():
     amap = np.zeros((8, 8))
     amap[0, 0:3] = 1.0
     record = AttnRecord(layers=[LayerRecord((8, 8), Tensor(amap[None]),
-                                            Tensor(np.full((64, 64), 1.0 / 64)))])
+                                            Tensor(np.full((1, 64, 64), 1.0 / 64)))])
     # row projection covers all 3 box columns; column projection covers 1 of 2
     # box rows: sum(1 - entries) = 1 over K = 5
     assert abs(summed(fill_terms(record, geo)) - 0.2) < 1e-12
@@ -325,7 +326,7 @@ class MiniModel:
             maps.append(ad.reshape(ad.column(amap, 0), (1, H, W)))
         cross = ad.concat(maps) if maps else Tensor(np.zeros((0, H, W)))
         self_map = ad.softmax_rows(ad.matmul(zt, ad.transpose2d(zt)) / self.channels)
-        return AttnRecord(layers=[LayerRecord((H, W), cross, self_map)])
+        return AttnRecord(layers=[LayerRecord((H, W), cross, ad.reshape(self_map, (1, N, N)))])
 
 
 def test_guided_update_zero_concepts_leaves_latent_unchanged():
@@ -460,6 +461,16 @@ def test_inbox_mass_fraction_names_an_unknown_concept():
                               uniform_self_map())
     with pytest.raises(ArgumentError, match=r"unknown concept 'c'.*'a', 'b'"):
         inbox_mass_fraction(record, geo, "c")
+
+
+def test_inbox_mass_fractions_give_every_concepts_fraction_bit_for_bit():
+    ctx = build_test_context()
+    record = encode(Tensor(np.random.default_rng(0).standard_normal((4, 8, 8))), 5, ctx)[1]
+    geo = ctx.loss_geometry
+    fractions = inbox_mass_fractions(record, geo)
+    assert list(fractions) == list(geo.concept_ids)
+    for cid, fraction in fractions.items():
+        assert fraction.hex() == inbox_mass_fraction(record, geo, cid).hex()
 
 
 def test_inbox_mass_fraction_rejects_a_record_that_does_not_fit_the_geometry():

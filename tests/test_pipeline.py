@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from loracanvas import autodiff as ad
 from loracanvas.autodiff import Tensor
 from loracanvas.cli import make_toy_assets, run_gradcheck
-from loracanvas.denoiser import denoiser_forward
+from loracanvas.attention import AttnRecord
+from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.errors import ArgumentError, ConfigurationError
 from loracanvas.guidance import inbox_mass_fraction
 from loracanvas.pipeline import (
@@ -345,6 +347,50 @@ def test_sample_writes_all_artifacts(small_config, tmp_path, monkeypatch):
     for i, layer in enumerate(layers):
         assert np.array_equal(dumped[f"self.layer{i}"],
                               layer.self_map.data.astype(np.float32))
+
+
+def test_sample_drops_each_denoising_record_before_the_next_timestep(small_config, tmp_path,
+                                                                     monkeypatch):
+    # a record holds every layer's per-head self-attention: the previous
+    # step's must be gone before this step's guidance or denoising forward runs
+    from loracanvas import pipeline as pipeline_module
+
+    records: list[weakref.ref] = []
+
+    def checked(forward):
+        def wrapper(z, t, ctx):
+            alive = [i for i, ref in enumerate(records) if ref() is not None]
+            assert not alive, f"records of steps {alive} are alive at t={t}"
+            return forward(z, t, ctx)
+        return wrapper
+
+    def recording(z, t, ctx):
+        eps, record = checked(denoiser_forward)(z, t, ctx)
+        records.append(weakref.ref(record))
+        return eps, record
+
+    monkeypatch.setattr(pipeline_module, "encode", checked(encode))
+    monkeypatch.setattr(pipeline_module, "denoiser_forward", recording)
+    sample(dataclasses.replace(small_config, output_dir=tmp_path / "drop"))
+    assert len(records) == small_config.steps
+
+
+def test_sample_averages_the_loss_maps_once_per_guided_timestep(small_config, tmp_path,
+                                                                 monkeypatch):
+    # every concept's in-box mass comes from one average of the loss layers;
+    # without re-init, whose crop search averages them too, nothing else does
+    calls = []
+    real = AttnRecord.averaged_cross_maps
+
+    def counted(record):
+        calls.append(record)
+        return real(record)
+
+    monkeypatch.setattr(AttnRecord, "averaged_cross_maps", counted)
+    result = sample(dataclasses.replace(small_config, output_dir=tmp_path / "mass",
+                                        reinit=False))
+    assert len(result.mass_history) > 1
+    assert len(calls) == len(result.mass_history)
 
 
 def test_sample_deterministic_artifacts(small_config, tmp_path):

@@ -667,7 +667,7 @@ def test_breakdown_total_is_weighted_sum_bit_for_bit(cross_a, cross_b, self_map,
     geometry = RegionGeometry.build(TWO_CONCEPTS, H, W)
     layer = LayerRecord(resolution=(H, W),
                         cross_maps=Tensor(np.stack([cross_a, cross_b])),
-                        self_map=Tensor(self_map))
+                        self_probs=Tensor(self_map[None]))
     config = GuidanceConfig(alpha=alpha, beta=beta, s_ratio=s_ratio, p_ratio=p_ratio)
     total, bd = composite_loss(AttnRecord(layers=[layer]), geometry, config)
     assert bd.total == bd.l_ce + alpha * bd.l_fill + beta * bd.l_region
