@@ -133,16 +133,17 @@ class RegionGeometry:
     height: int
     width: int
     regions: tuple[RegionSpec, ...]    # the layout's regions, in layout order
-    masks: dict[str, np.ndarray]       # (h, w) binary
+    masks: np.ndarray                  # (concepts, h, w) read-only 0/1, in layout order
 
     @classmethod
     def build(cls, layout: LayoutCondition, height: int, width: int) -> "RegionGeometry":
-        masks = {}
+        masks = np.empty((len(layout.regions), height, width))
         for i, r in enumerate(layout.regions):
             try:
-                masks[r.concept_id] = rasterize_mask(r.box, height, width)
+                masks[i] = rasterize_mask(r.box, height, width)
             except EmptyMaskError as exc:
                 raise EmptyMaskError(f"region {i} (concept {r.concept_id!r}): {exc}") from exc
+        masks.flags.writeable = False
         return cls(height=height, width=width, regions=layout.regions, masks=masks)
 
     @property
@@ -154,9 +155,9 @@ class RegionGeometry:
         """(h*w, h*w) read-only bool: the self-attention pairs concept isolation
         forbids, a foreground query to a foreground key sharing no box with it.
         Built and row-checked on first use; None without regions."""
-        if not self.masks:
+        if not self.regions:
             return None
-        stack = np.stack([m.reshape(-1) for m in self.masks.values()]) > 0
+        stack = self.masks.reshape(len(self.masks), -1) > 0
         foreground = stack.any(axis=0)
         shared = (stack.T.astype(np.float64) @ stack.astype(np.float64)) > 0
         return ad.checked_block(foreground[:, None] & foreground[None, :] & ~shared)
@@ -167,15 +168,14 @@ class RegionGeometry:
         on first use: building them in ``build`` would add to the cost of
         ``prepare``'s two geometries."""
         h, w = self.height, self.width
-        flat = np.reshape(list(self.masks.values()), (-1, h * w))
+        flat = self.masks.reshape(-1, h * w)
         count = flat.sum(axis=0)
         safe = np.maximum(count, 1.0)
-        grid = flat.reshape(-1, h, w)
         return PixelTable(
             inside=tuple(np.flatnonzero(f) for f in flat),
             outside=tuple(np.flatnonzero(f == 0) for f in flat),
-            rows=tuple(np.flatnonzero(r) for r in grid.any(axis=2)),
-            cols=tuple(np.flatnonzero(c) for c in grid.any(axis=1)),
+            rows=tuple(np.flatnonzero(r) for r in self.masks.any(axis=2)),
+            cols=tuple(np.flatnonzero(c) for c in self.masks.any(axis=1)),
             area=flat.sum(axis=1).astype(np.intp),
             query=Tensor(flat[:, :, None]), share=Tensor((flat / safe)[:, :, None]),
             weight=Tensor(np.reshape([gaussian_weight(r.box, h, w) for r in self.regions],

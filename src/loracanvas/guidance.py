@@ -397,22 +397,11 @@ def guided_update(
     return best_z, rows
 
 
-def inbox_mass_fraction(record: AttnRecord, geometry: RegionGeometry,
-                        concept_id: str) -> float:
-    """Share of a concept's attention mass falling inside its box.
-
-    The record must fit the geometry as the constraint terms require, and the
-    concept must be one of the geometry's.
-    """
-    if concept_id not in geometry.concept_ids:
-        raise ArgumentError(
-            f"unknown concept {concept_id!r}; the geometry holds {geometry.concept_ids}")
-    return inbox_mass_fractions(record, geometry)[concept_id]
-
-
 def inbox_mass_fractions(record: AttnRecord, geometry: RegionGeometry) -> dict[str, float]:
-    """Every concept's ``inbox_mass_fraction``, in layout order, from one check of
-    the record and one average of its loss layers' maps."""
+    """Share of each concept's attention mass inside its box, by concept id in
+    layout order. The record must fit the geometry as the constraint terms
+    require; its loss layers' maps are averaged once."""
     _loss_layers(record, geometry)
-    return {cid: float((averaged * geometry.masks[cid]).sum() / averaged.sum())
-            for cid, averaged in zip(geometry.concept_ids, record.averaged_cross_maps())}
+    return {cid: float((averaged * mask).sum() / averaged.sum())
+            for cid, averaged, mask in zip(geometry.concept_ids, record.averaged_cross_maps(),
+                                           geometry.masks)}

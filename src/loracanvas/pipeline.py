@@ -160,11 +160,11 @@ class RunConfig:
             config = cls(
                 seed=_json_typed("seed", raw["seed"], int),
                 steps=_json_typed("steps", raw.get("steps", 25), int),
-                channels=_json_typed("channels", latent.get("channels", 8), int),
-                height=_json_typed("height", latent.get("height", 16), int),
-                width=_json_typed("width", latent.get("width", 16), int),
-                d_model=_json_typed("d_model", model.get("d_model", 16), int),
-                n_heads=_json_typed("heads", model.get("heads", 2), int),
+                channels=_json_typed("latent.channels", latent.get("channels", 8), int),
+                height=_json_typed("latent.height", latent.get("height", 16), int),
+                width=_json_typed("latent.width", latent.get("width", 16), int),
+                d_model=_json_typed("model.d_model", model.get("d_model", 16), int),
+                n_heads=_json_typed("model.heads", model.get("heads", 2), int),
                 guidance=GuidanceConfig(
                     **_json_typed("guidance", raw.get("guidance", {}), dict)),
                 global_prompt_embed=resolve(raw["global_prompt_embed"]),
@@ -180,12 +180,32 @@ class RunConfig:
             raise ConfigurationError(f"seed must be a non-negative integer, got {config.seed}")
         if config.steps < 1:
             raise ConfigurationError("steps must be positive")
-        for i, (box, _) in enumerate(config.regions):
+        for key, value in (("latent.channels", config.channels), ("latent.height", config.height),
+                           ("latent.width", config.width), ("model.d_model", config.d_model),
+                           ("model.heads", config.n_heads)):
+            if value < 1:
+                raise ConfigurationError(f"{key} must be positive, got {value}")
+        for key, value in (("latent.height", config.height), ("latent.width", config.width)):
+            if value % 2:
+                raise ConfigurationError(f"{key} must be even for 2x2 pooling, got {value}")
+        if config.d_model % config.n_heads:
+            raise ConfigurationError(f"model.d_model {config.d_model} is not divisible by "
+                                     f"model.heads {config.n_heads}")
+        # a concept's id is its bundle's file stem
+        first: dict[str, int] = {}
+        for i, (box, path) in enumerate(config.regions):
             if len(box) != 4:
                 raise ConfigurationError(
                     f"region {i}: box needs 4 numbers [x0, y0, x1, y1], got {len(box)}")
-        if len(set(p for _, p in config.regions)) != len(config.regions):
-            raise ConfigurationError("regions must reference distinct bundles")
+            x0, y0, x1, y1 = box
+            if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
+                raise ConfigurationError(f"region {i} box {list(box)} must satisfy "
+                                         f"0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1")
+            j = first.setdefault(path.stem, i)
+            if j != i:
+                raise ConfigurationError(
+                    f"regions {j} and {i} share concept id {path.stem!r}: bundles "
+                    f"{config.regions[j][1]} and {path}")
         return config
 
 
@@ -226,8 +246,8 @@ def prepare(config: RunConfig) -> tuple[DenoiserContext, SamplerSchedule]:
     ctx = build_context(weights, layout, bundles)
     if config.reinit or config.guidance.guidance_fraction > 0.0:
         # the region loss measures leakage out of each box
-        for i, region in enumerate(layout.regions):
-            if ctx.loss_geometry.masks[region.concept_id].all():
+        for i, (region, mask) in enumerate(zip(layout.regions, ctx.loss_geometry.masks)):
+            if mask.all():
                 raise ConfigurationError(
                     f"region {i} (concept {region.concept_id!r}): box {region.box} covers "
                     f"the whole {config.height}x{config.width} latent, which leaves the "

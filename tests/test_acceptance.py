@@ -73,8 +73,7 @@ def test_criterion_2_hard_isolation():
         _, record = denoiser_forward(Tensor(z), 5, ctx)
         for layer in record.layers:
             geo = masks[layer.resolution]
-            a = geo.masks["concept_a"].reshape(-1) > 0
-            b = geo.masks["concept_b"].reshape(-1) > 0
+            a, b = geo.masks.reshape(2, -1) > 0
             block_ab = np.abs(layer.self_map.data[np.ix_(a, b)]).max()
             block_ba = np.abs(layer.self_map.data[np.ix_(b, a)]).max()
             worst = max(worst, block_ab, block_ba)

@@ -262,7 +262,7 @@ def test_compose_background_keeps_h0_exactly():
     h0 = Tensor(rng.standard_normal((6, 3)))
     ha = Tensor(rng.standard_normal((6, 3)))
     out = compose_hidden(h0, Tensor(ha.data[None]), geometry)
-    background = geometry.masks["c0"].reshape(-1) == 0
+    background = geometry.masks[0].reshape(-1) == 0
     assert np.array_equal(background, [False, True, True, False, True, True])
     assert np.array_equal(out.data[background], h0.data[background])
 
@@ -328,7 +328,7 @@ def test_region_cross_attention_uniform_rows_outside_mask():
     z, layout, bundles, weights, n_heads, geometry = _small_setup(1)
     _, cross = _cross(z, layout, bundles, weights, n_heads, geometry)
     # zeroed query rows give uniform token attention in the branch map
-    outside = geometry.masks["c0"] == 0
+    outside = geometry.masks[0] == 0
     tokens = bundles["c0"].prompt_embed.shape[0]
     assert outside.any()
     assert np.max(np.abs(cross.data[0][outside] - 1.0 / tokens)) <= 1e-12
@@ -425,10 +425,9 @@ def test_gaussian_weights_are_computed_with_the_pixel_table(monkeypatch):
     assert sorted(calls) == sorted((r.box, h, w) for h, w in ctx.geometries
                                    for r in ctx.layout.regions)
     for (h, w), geometry in ctx.geometries.items():
-        for r in ctx.layout.regions:
-            assert np.array_equal(geometry.masks[r.concept_id], rasterize_mask(r.box, h, w))
-            weight = geometry.pixels.weight.data[geometry.concept_ids.index(r.concept_id)]
-            assert np.array_equal(weight, real(r.box, h, w))
+        for i, r in enumerate(ctx.layout.regions):
+            assert np.array_equal(geometry.masks[i], rasterize_mask(r.box, h, w))
+            assert np.array_equal(geometry.pixels.weight.data[i], real(r.box, h, w))
 
 
 def test_region_cross_attention_rejects_a_geometry_of_another_layout():
@@ -474,8 +473,7 @@ def test_masked_self_attention_blocks_cross_region_pairs():
     dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
     weights = generate_base_weights(7, dims).blocks[0].self_attn
     _, probs = masked_self_attention(Tensor(z), weights, n_heads, geometry)
-    m0 = geometry.masks["c0"].reshape(-1) > 0
-    m1 = geometry.masks["c1"].reshape(-1) > 0
+    m0, m1 = geometry.masks.reshape(2, -1) > 0
     for head in probs.data:
         assert np.all(head[np.ix_(m0, m1)] == 0.0)
         assert np.all(head[np.ix_(m1, m0)] == 0.0)
@@ -487,7 +485,7 @@ def test_blocked_self_forbids_only_foreground_pairs_sharing_no_box():
         regions=(RegionSpec((0, 0, 0.5, 0.75), "a"), RegionSpec((0.25, 0, 0.75, 0.75), "b")),
         global_prompt_embed=np.zeros((2, 6)))
     geometry = RegionGeometry.build(layout, 4, 4)
-    boxes = [set(np.flatnonzero(geometry.masks[cid].reshape(-1))) for cid in ("a", "b")]
+    boxes = [set(np.flatnonzero(mask)) for mask in geometry.masks]
     expected = np.array([[any(p in box for box in boxes) and any(q in box for box in boxes)
                           and not any(p in box and q in box for box in boxes)
                           for q in range(16)] for p in range(16)])

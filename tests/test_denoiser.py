@@ -24,7 +24,7 @@ from loracanvas.denoiser import (
     sinusoidal_embedding,
 )
 from loracanvas.errors import ConfigurationError
-from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fraction
+from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fractions
 
 # traced nodes of one forward plus composite_loss on the conftest stack,
 # counted from the loss root as perfbench counts them (latent leaf included);
@@ -237,7 +237,7 @@ def test_gradient_on_overlapping_layout_matches_finite_differences(t):
     dims = ModelDims(channels=2, height=4, width=4, d_model=4, n_heads=2, d_text=6)
     ctx = build_test_context(dims=dims, boxes=((0.0, 0.0, 0.75, 0.75), (0.25, 0.25, 1.0, 1.0)),
                              tokens=3)
-    a, b = ctx.loss_geometry.masks.values()
+    a, b = ctx.loss_geometry.masks
     assert (a * b).sum() == 4
 
     def loss_of(z: Tensor) -> Tensor:
@@ -266,8 +266,7 @@ def test_swapping_the_regions_keeps_every_concept_bit_for_bit():
         geometry = context.loss_geometry
         maps = {cid: [layer.cross_maps.data[i].tobytes() for layer in record.layers]
                 for i, cid in enumerate(geometry.concept_ids)}
-        masses = {cid: inbox_mass_fraction(record, geometry, cid)
-                  for cid in geometry.concept_ids}
+        masses = inbox_mass_fractions(record, geometry)
         seen.append((maps, breakdown.per_concept, masses, grad(total, z).data.tobytes()))
     assert ctx.loss_geometry.concept_ids == swapped.loss_geometry.concept_ids[::-1]
     assert seen[0] == seen[1]

@@ -56,7 +56,7 @@ def assert_same_bits(mine: Tensor, theirs: Tensor) -> None:
 
 
 def test_the_overlapping_layout_shares_pixels():
-    a, b = build_test_context(boxes=LAYOUTS["overlapping boxes"]).loss_geometry.masks.values()
+    a, b = build_test_context(boxes=LAYOUTS["overlapping boxes"]).loss_geometry.masks
     assert (a * b).sum() == 4
 
 

@@ -15,6 +15,7 @@ from loracanvas.attention import (
     LayoutCondition,
     RegionGeometry,
     RegionSpec,
+    rasterize_mask,
 )
 from loracanvas.autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
 from loracanvas.errors import ArgumentError, NumericError
@@ -29,7 +30,6 @@ from loracanvas.guidance import (
     fill_terms,
     guided_update,
     in_guidance_window,
-    inbox_mass_fraction,
     inbox_mass_fractions,
     region_terms,
     step_size,
@@ -65,10 +65,10 @@ def uniform_self_map() -> np.ndarray:
 def leak_free_self_map(geo: RegionGeometry) -> np.ndarray:
     """Self map whose concept rows attend only inside their own box."""
     self_map = np.zeros((N, N))
-    for cid in geo.concept_ids:
-        inside = np.flatnonzero(geo.masks[cid].reshape(-1))
+    for mask in geo.masks:
+        inside = np.flatnonzero(mask)
         self_map[np.ix_(inside, inside)] = 1.0 / inside.size
-    rest = np.flatnonzero(sum(geo.masks[c].reshape(-1) for c in geo.concept_ids) == 0)
+    rest = np.flatnonzero(geo.masks.sum(axis=0) == 0)
     self_map[np.ix_(rest, rest)] = 1.0 / rest.size
     return self_map
 
@@ -83,7 +83,7 @@ def summed(terms: Tensor) -> float:
 
 def test_ce_loss_saturates_at_full_in_box_response():
     geo = geometry_two_concepts()
-    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    cross = dict(zip(geo.concept_ids, geo.masks))
     record = record_from_maps(cross, uniform_self_map())
     # s_ratio small enough that S = 1 for the 2x2 boxes
     loss = summed(concept_enhancement_terms(record, geo, s_ratio=1e-9))
@@ -107,7 +107,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
     record = record_from_maps({"a": amap}, uniform_self_map())
     # |M| = 4, s_ratio 0.5 -> S = 2
     loss = summed(concept_enhancement_terms(record, geo, s_ratio=0.5))
-    weighted = amap * geo.masks["a"] * geo.pixels.weight.data[0]
+    weighted = amap * geo.masks[0] * geo.pixels.weight.data[0]
     top2 = np.sort(weighted.reshape(-1))[::-1][:2]
     assert abs(loss - (1.0 - top2.mean())) < 1e-12
 
@@ -117,7 +117,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
 
 def test_fill_loss_zero_when_box_fully_covered():
     geo = geometry_two_concepts()
-    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    cross = dict(zip(geo.concept_ids, geo.masks))
     record = record_from_maps(cross, uniform_self_map())
     assert summed(fill_terms(record, geo)) == 0.0
 
@@ -135,7 +135,7 @@ def test_fill_loss_single_lit_row_hand_value():
         regions=(RegionSpec((0.0, 0.0, 3.0 / 8.0, 2.0 / 8.0), "a"),),
         global_prompt_embed=np.zeros((2, 4)))
     geo = RegionGeometry.build(layout, 8, 8)
-    assert geo.masks["a"].sum() == 6
+    assert geo.masks[0].sum() == 6
     amap = np.zeros((8, 8))
     amap[0, 0:3] = 1.0
     record = AttnRecord(layers=[LayerRecord((8, 8), Tensor(amap[None]),
@@ -150,14 +150,14 @@ def test_fill_loss_single_lit_row_hand_value():
 
 def test_region_loss_zero_without_leakage():
     geo = geometry_two_concepts()
-    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    cross = dict(zip(geo.concept_ids, geo.masks))
     record = record_from_maps(cross, leak_free_self_map(geo))
     assert summed(region_terms(record, geo, p_ratio=0.2)) == 0.0
 
 
 def test_region_loss_uniform_map_value():
     geo = geometry_two_concepts()
-    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    cross = dict(zip(geo.concept_ids, geo.masks))
     record = record_from_maps(cross, uniform_self_map())
     # every sliced entry equals 1/N, so each concept contributes exactly 1/N
     assert abs(summed(region_terms(record, geo, p_ratio=0.3)) - 2.0 / N) < 1e-15
@@ -168,13 +168,13 @@ def test_region_loss_matches_slice_sort_oracle():
     rng = np.random.default_rng(11)
     logits = rng.standard_normal((N, N))
     self_map = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    cross = dict(zip(geo.concept_ids, geo.masks))
     record = record_from_maps(cross, self_map)
     p_ratio = 0.1
     expected = 0.0
-    for cid in geo.concept_ids:
-        inside = np.flatnonzero(geo.masks[cid].reshape(-1))
-        outside = np.flatnonzero(geo.masks[cid].reshape(-1) == 0)
+    for mask in geo.masks:
+        inside = np.flatnonzero(mask)
+        outside = np.flatnonzero(mask == 0)
         sub = self_map[np.ix_(inside, outside)].reshape(-1)
         k = math.ceil(p_ratio * sub.size)
         expected += np.sort(sub)[::-1][:k].mean()
@@ -187,7 +187,7 @@ def test_region_loss_matches_slice_sort_oracle():
 def test_total_loss_zero_components():
     # saturated in-box maps (S = 1), full coverage and no leakage
     geo = geometry_two_concepts()
-    cross = {cid: geo.masks[cid].copy() for cid in geo.concept_ids}
+    cross = dict(zip(geo.concept_ids, geo.masks))
     record = record_from_maps(cross, leak_free_self_map(geo))
     _, bd = composite_loss(record, geo, GuidanceConfig(s_ratio=1e-9))
     assert (bd.l_ce, bd.l_fill, bd.l_region, bd.total) == (0.0, 0.0, 0.0, 0.0)
@@ -446,21 +446,11 @@ def test_guided_update_releases_each_iteration_before_the_next():
 
 def test_inbox_mass_fraction_bounds():
     geo = geometry_two_concepts()
-    cross = {cid: geo.masks[cid] + 0.01 for cid in geo.concept_ids}
-    record = record_from_maps(cross, uniform_self_map())
-    frac = inbox_mass_fraction(record, geo, "a")
+    record = record_from_maps(dict(zip(geo.concept_ids, geo.masks + 0.01)), uniform_self_map())
+    frac = inbox_mass_fractions(record, geo)["a"]
     assert 0.0 < frac < 1.0
-    concentrated = record_from_maps(
-        {cid: geo.masks[cid].copy() for cid in geo.concept_ids}, uniform_self_map())
-    assert inbox_mass_fraction(concentrated, geo, "a") == 1.0
-
-
-def test_inbox_mass_fraction_names_an_unknown_concept():
-    geo = geometry_two_concepts()
-    record = record_from_maps({cid: geo.masks[cid] for cid in geo.concept_ids},
-                              uniform_self_map())
-    with pytest.raises(ArgumentError, match=r"unknown concept 'c'.*'a', 'b'"):
-        inbox_mass_fraction(record, geo, "c")
+    concentrated = record_from_maps(dict(zip(geo.concept_ids, geo.masks)), uniform_self_map())
+    assert inbox_mass_fractions(concentrated, geo)["a"] == 1.0
 
 
 def test_inbox_mass_fractions_give_every_concepts_fraction_bit_for_bit():
@@ -469,8 +459,10 @@ def test_inbox_mass_fractions_give_every_concepts_fraction_bit_for_bit():
     geo = ctx.loss_geometry
     fractions = inbox_mass_fractions(record, geo)
     assert list(fractions) == list(geo.concept_ids)
-    for cid, fraction in fractions.items():
-        assert fraction.hex() == inbox_mass_fraction(record, geo, cid).hex()
+    for fraction, region, amap in zip(fractions.values(), geo.regions,
+                                      record.averaged_cross_maps()):
+        mask = rasterize_mask(region.box, geo.height, geo.width)
+        assert fraction.hex() == float((amap * mask).sum() / amap.sum()).hex()
 
 
 def test_inbox_mass_fraction_rejects_a_record_that_does_not_fit_the_geometry():
@@ -485,10 +477,10 @@ def test_inbox_mass_fraction_rejects_a_record_that_does_not_fit_the_geometry():
         full.height, full.width)
     assert only_b.concept_ids == ("concept_b",)
     with pytest.raises(ArgumentError, match="do not fit the geometry's 1 concepts"):
-        inbox_mass_fraction(record, only_b, "concept_b")
+        inbox_mass_fractions(record, only_b)
     coarse = RegionGeometry.build(ctx.layout, full.height // 2, full.width // 2)
     with pytest.raises(ArgumentError, match="does not match loss resolution"):
-        inbox_mass_fraction(record, coarse, "concept_b")
+        inbox_mass_fractions(record, coarse)
 
 
 # ------------------------------------------------------------------ kept latent

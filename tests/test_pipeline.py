@@ -15,11 +15,11 @@ import pytest
 
 from loracanvas import autodiff as ad
 from loracanvas.autodiff import Tensor
-from loracanvas.cli import make_toy_assets, run_gradcheck
+from loracanvas.cli import compose_main, make_toy_assets, run_gradcheck
 from loracanvas.attention import AttnRecord
 from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.errors import ArgumentError, ConfigurationError
-from loracanvas.guidance import inbox_mass_fraction
+from loracanvas.guidance import inbox_mass_fractions
 from loracanvas.pipeline import (
     RunConfig,
     SamplerSchedule,
@@ -185,6 +185,41 @@ def test_config_duplicate_bundles(tmp_path):
         RunConfig.from_dict(raw, tmp_path)
 
 
+def test_config_rejects_bundles_sharing_a_concept_id(tmp_path):
+    # a concept's id is its bundle's file stem, wherever the bundle lies
+    raw = {"seed": 1, "global_prompt_embed": "e.lcb",
+           "regions": [{"box": [0, 0, 0.5, 1], "bundle": "a/concept_a.lcb"},
+                       {"box": [0.5, 0, 1, 1], "bundle": "b/concept_a.lcb"}]}
+    with pytest.raises(ConfigurationError) as info:
+        RunConfig.from_dict(raw, tmp_path)
+    message = str(info.value)
+    assert "concept id 'concept_a'" in message
+    assert str(tmp_path / "a" / "concept_a.lcb") in message
+    assert str(tmp_path / "b" / "concept_a.lcb") in message
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"latent": {"height": 15}}, "latent.height"),
+    ({"model": {"d_model": 16, "heads": 3}}, "model.heads"),
+    ({"model": {"d_model": 0}}, "model.d_model"),
+    ({"regions": [{"box": [0.5, 0.1, 0.5, 0.9], "bundle": "concept_a.lcb"}]}, "region 0 box"),
+])
+def test_compose_names_the_key_of_a_value_the_model_rejects(asset_dir, tmp_path, capsys,
+                                                            overrides, key):
+    raw = {**json.loads((asset_dir / "config.json").read_text()), **overrides,
+           "output_dir": str(tmp_path / "out")}
+    for entry in raw["regions"]:
+        entry["bundle"] = str(asset_dir / entry["bundle"])
+    raw["global_prompt_embed"] = str(asset_dir / raw["global_prompt_embed"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigurationError, match=key):
+        RunConfig.from_json(path)
+    assert compose_main(["--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"guidance": {"max_iters": 2.5}}, "max_iters"),
     ({"guidance": {"patience": True}}, "patience"),
@@ -268,7 +303,7 @@ def test_prepare_accepts_whole_latent_box_without_guidance(asset_dir):
     config = reference_with_box(asset_dir, [0.0, 0.0, 1.0, 1.0], reinit=False,
                                 guidance={"guidance_fraction": 0.0})
     ctx, _ = prepare(config)
-    assert ctx.loss_geometry.masks["concept_b"].all()
+    assert ctx.loss_geometry.masks[1].all()
 
 
 # ------------------------------------------------------------------ sampling
@@ -436,8 +471,7 @@ def test_sample_mass_history_starts_at_reinitialized_latent(small_config, tmp_pa
     geometry = ctx.loss_geometry
     z, _ = reinitialize(config.seed, ctx, config.guidance, schedule.steps)
     _, record = denoiser_forward(Tensor(z), schedule.steps, ctx)
-    assert result.mass_history[0] == (schedule.steps, {
-        cid: inbox_mass_fraction(record, geometry, cid) for cid in geometry.concept_ids})
+    assert result.mass_history[0] == (schedule.steps, inbox_mass_fractions(record, geometry))
     assert ([t for t, _ in result.mass_history]
             == sorted({row.timestep for row in result.trace}, reverse=True))
 

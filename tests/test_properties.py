@@ -604,29 +604,33 @@ def layouts(draw):
 CORNER_AT_EDGE = LayoutCondition(
     regions=(RegionSpec((0.5 / 16, 0.5 / 16, 8.5 / 16, 8.5 / 16), "c0"),),
     global_prompt_embed=np.zeros((2, 4)))
+NO_REGIONS = LayoutCondition(regions=(), global_prompt_embed=np.zeros((2, 4)))
 
 
 @PROPERTY
 @given(layouts())
 @example((CORNER_AT_EDGE, 16, 16))
+@example((NO_REGIONS, 8, 6))
 def test_geometry_masks_equal_rasterized_boxes(case):
     layout, height, width = case
-    boxes = {r.concept_id: r.box for r in layout.regions}
     for h, w in ((height, width), (height // 2, width // 2)):
         try:
-            expected = {r.concept_id: rasterize_mask(r.box, h, w) for r in layout.regions}
+            expected = [rasterize_mask(r.box, h, w) for r in layout.regions]
         except EmptyMaskError:
             with pytest.raises(EmptyMaskError):
                 RegionGeometry.build(layout, h, w)
             continue
         geometry = RegionGeometry.build(layout, h, w)
-        assert geometry.masks.keys() == expected.keys()
-        for cid, mask in expected.items():
-            assert geometry.masks[cid].dtype == mask.dtype
-            assert np.array_equal(geometry.masks[cid], mask)
+        masks = geometry.masks
+        assert masks.dtype == np.float64 and masks.shape == (len(layout.regions), h, w)
+        assert not masks.flags.writeable
+        for i, mask in enumerate(expected):
+            assert np.array_equal(masks[i], mask)
+        if not layout.regions:
+            assert geometry.blocked_self is None
         table = geometry.pixels
         shares = np.zeros(h * w)
-        for i, (cid, mask) in enumerate(expected.items()):
+        for i, (region, mask) in enumerate(zip(layout.regions, expected)):
             flat = mask.reshape(-1)
             assert np.array_equal(table.inside[i], np.flatnonzero(flat))
             assert np.array_equal(table.outside[i], np.flatnonzero(flat == 0))
@@ -634,12 +638,12 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert np.array_equal(table.cols[i], np.flatnonzero(mask.any(axis=0)))
             assert table.area[i] == flat.sum()
             assert np.array_equal(table.query.data[i], flat[:, None])
-            assert np.array_equal(table.weight.data[i], gaussian_weight(boxes[cid], h, w))
+            assert np.array_equal(table.weight.data[i], gaussian_weight(region.box, h, w))
             assert np.array_equal(table.weight.data[i] > 0, mask > 0)
             shares += table.share.data[i, :, 0]
         background = table.background.data[:, 0]
         assert np.max(np.abs(background + shares - 1.0)) <= 1e-15
-        uncovered = sum(m.reshape(-1) for m in expected.values()) == 0
+        uncovered = sum((m.reshape(-1) for m in expected), np.zeros(h * w)) == 0
         assert np.array_equal(background == 1.0, uncovered)
         assert np.all(background[~uncovered] == 0.0)
 

@@ -10,7 +10,7 @@ from loracanvas import reinit as reinit_module
 from loracanvas.autodiff import Tensor, grad
 from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.errors import ArgumentError, DegenerateLatentError, NumericError
-from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fraction, step_size
+from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fractions, step_size
 from loracanvas.reinit import (
     best_crop,
     initial_latent,
@@ -187,10 +187,10 @@ def test_reinitialize_does_not_reduce_inbox_mass():
     after, _ = reinitialize(13, ctx, cfg, total_steps)
     _, record_after = denoiser_forward(Tensor(after), total_steps, ctx)
 
+    pre = inbox_mass_fractions(record_before, geometry)
+    post = inbox_mass_fractions(record_after, geometry)
     for cid in geometry.concept_ids:
-        pre = inbox_mass_fraction(record_before, geometry, cid)
-        post = inbox_mass_fraction(record_after, geometry, cid)
-        assert post >= pre
+        assert post[cid] >= pre[cid]
 
 
 def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
