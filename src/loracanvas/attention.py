@@ -76,20 +76,32 @@ class LayerRecord:
 class AttnRecord:
     layers: list[LayerRecord] = field(default_factory=list)
 
-    @property
-    def loss_resolution(self) -> tuple[int, int]:
+    def loss_layers(self, geometry: RegionGeometry) -> list[LayerRecord]:
+        """The layers at the highest recorded resolution, which feed the losses,
+        checked to fit the geometry: its resolution, (concepts, h, w) cross maps
+        of its concepts and (heads, h*w, h*w) self-attention. No head mean is built."""
         if not self.layers:
             raise ArgumentError("empty attention record")
-        return max((l.resolution for l in self.layers), key=lambda r: r[0] * r[1])
+        resolution = max((l.resolution for l in self.layers), key=lambda r: r[0] * r[1])
+        h, w = geometry.height, geometry.width
+        if resolution != (h, w):
+            raise ArgumentError(f"geometry {h}x{w} does not match loss resolution {resolution}")
+        layers = [l for l in self.layers if l.resolution == resolution]
+        cross = (len(geometry.regions), h, w)
+        for layer in layers:
+            shape, self_shape = layer.cross_maps.shape, layer.self_probs.shape
+            if shape[1:] != (h, w) or self_shape[1:] != (h * w, h * w):
+                raise ShapeError(
+                    f"cross maps {shape} and self-attention {self_shape} "
+                    f"do not fit the geometry's {cross} and (heads, {h * w}, {h * w})")
+            if shape[0] != cross[0]:
+                raise ArgumentError(
+                    f"cross maps {shape} do not fit the geometry's {cross[0]} concepts")
+        return layers
 
-    def loss_layers(self) -> list[LayerRecord]:
-        """Layers at the highest recorded resolution; these feed the losses."""
-        res = self.loss_resolution
-        return [l for l in self.layers if l.resolution == res]
-
-    def averaged_cross_maps(self) -> np.ndarray:
-        """(concepts, h, w) concept-token maps averaged over the loss-resolution layers."""
-        return np.mean([l.cross_maps.data for l in self.loss_layers()], axis=0)
+    def averaged_cross_maps(self, geometry: RegionGeometry) -> np.ndarray:
+        """(concepts, h, w) concept-token maps averaged over the checked loss layers."""
+        return np.mean([l.cross_maps.data for l in self.loss_layers(geometry)], axis=0)
 
 
 def rasterize_mask(box: Box, height: int, width: int) -> np.ndarray:

@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttnRecord, LayerRecord, RegionGeometry
+from .attention import AttnRecord, RegionGeometry
 from .autodiff import Tensor, grad
-from .errors import ArgumentError, NumericError, ShapeError
+from .errors import ArgumentError, NumericError
 
 # a new minimum that beats the best loss by no more than this share of it is stale
 MIN_DELTA = 2e-4
@@ -91,28 +91,6 @@ class TraceRow:
                    total=breakdown.total, phi_t=phi_t, accepted=int(accepted))
 
 
-def _loss_layers(record: AttnRecord, geometry: RegionGeometry) -> list[LayerRecord]:
-    """The record's loss layers, checked to fit the geometry: its resolution,
-    (concepts, h, w) cross maps of its concepts and (heads, h*w, h*w)
-    self-attention. No head mean is built."""
-    h, w = geometry.height, geometry.width
-    if record.loss_resolution != (h, w):
-        raise ArgumentError(
-            f"geometry {h}x{w} does not match loss resolution {record.loss_resolution}")
-    layers = record.loss_layers()
-    cross = (len(geometry.regions), h, w)
-    for layer in layers:
-        shape, self_shape = layer.cross_maps.shape, layer.self_probs.shape
-        if shape[1:] != (h, w) or self_shape[1:] != (h * w, h * w):
-            raise ShapeError(
-                f"cross maps {shape} and self-attention {self_shape} "
-                f"do not fit the geometry's {cross} and (heads, {h * w}, {h * w})")
-        if shape[0] != cross[0]:
-            raise ArgumentError(
-                f"cross maps {shape} do not fit the geometry's {cross[0]} concepts")
-    return layers
-
-
 # Each term is every concept's constraint term over the loss layers, one
 # (concepts,) node whose entry c is the mean of concept c's per-layer terms.
 # A term runs over one batch of (layer, concept) rows, row l * concepts + c,
@@ -150,7 +128,7 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
     topk_mean, sub). The Gaussian weight is a constant in [0, 1]: no gradient
     flows to it, and a finite map times it stays finite.
     """
-    maps = [layer.cross_maps for layer in _loss_layers(record, geometry)]
+    maps = [layer.cross_maps for layer in record.loss_layers(geometry)]
     table = geometry.pixels
     w = table.weight.data
     n, concepts, size = len(maps), len(table.area), geometry.height * geometry.width
@@ -179,7 +157,7 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     separate cotangents, so ``grad`` adds them to the map's other cotangents
     in the chain's order. Summing the two here would reassociate that sum.
     """
-    maps = [layer.cross_maps for layer in _loss_layers(record, geometry)]
+    maps = [layer.cross_maps for layer in record.loss_layers(geometry)]
     table = geometry.pixels
     height, width = geometry.height, geometry.width
     n, concepts = len(maps), len(table.area)
@@ -221,7 +199,7 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     concept, so two concepts may pick one entry: the VJP sums each map's picks
     into its shape, in concept order, and hands each head its share.
     """
-    probs = [layer.self_probs for layer in _loss_layers(record, geometry)]
+    probs = [layer.self_probs for layer in record.loss_layers(geometry)]
     table = geometry.pixels
     size = geometry.height * geometry.width
     outside = size - table.area
@@ -401,7 +379,6 @@ def inbox_mass_fractions(record: AttnRecord, geometry: RegionGeometry) -> dict[s
     """Share of each concept's attention mass inside its box, by concept id in
     layout order. The record must fit the geometry as the constraint terms
     require; its loss layers' maps are averaged once."""
-    _loss_layers(record, geometry)
     return {cid: float((averaged * mask).sum() / averaged.sum())
-            for cid, averaged, mask in zip(geometry.concept_ids, record.averaged_cross_maps(),
-                                           geometry.masks)}
+            for cid, averaged, mask in zip(geometry.concept_ids,
+                                           record.averaged_cross_maps(geometry), geometry.masks)}

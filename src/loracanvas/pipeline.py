@@ -230,8 +230,10 @@ def prepare(config: RunConfig) -> tuple[DenoiserContext, SamplerSchedule]:
         raise ConfigurationError(
             f"{config.global_prompt_embed} holds no 'prompt_embed' tensor")
     global_embed = embed_tensors["prompt_embed"]
-    if global_embed.ndim != 2:
-        raise ConfigurationError("global prompt embedding must be 2-D")
+    if global_embed.ndim != 2 or not global_embed.size:
+        raise ConfigurationError(
+            f"global prompt embedding must be 2-D with at least one token and one column; "
+            f"{config.global_prompt_embed} holds 'prompt_embed' of shape {global_embed.shape}")
     dims = ModelDims(channels=config.channels, height=config.height,
                      width=config.width, d_model=config.d_model,
                      n_heads=config.n_heads, d_text=global_embed.shape[1])
@@ -332,8 +334,8 @@ def sample(config: RunConfig) -> SampleResult:
     tensorio.write_container(outputs["latent"], {"latent": z})
     if config.dump_attention:
         dump = {f"cross.{cid}": amap
-                for cid, amap in zip(geometry.concept_ids, record.averaged_cross_maps())}
-        for i, layer in enumerate(record.loss_layers()):
+                for cid, amap in zip(geometry.concept_ids, record.averaged_cross_maps(geometry))}
+        for i, layer in enumerate(record.loss_layers(geometry)):
             dump[f"self.layer{i}"] = layer.self_map.data
         outputs["attention"] = out_dir / "attention.lcb"
         tensorio.write_container(outputs["attention"], dump)

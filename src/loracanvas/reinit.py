@@ -138,7 +138,7 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     boxes: list[tuple[int, int, int, int]] = []
     table = geometry.pixels
     for cid, rows, cols, amap in zip(geometry.concept_ids, table.rows, table.cols,
-                                     record.averaged_cross_maps()):
+                                     record.averaged_cross_maps(geometry)):
         crops.append(best_crop(amap, (cols.size, rows.size), concept_id=cid))
         boxes.append((int(rows[0]), int(cols[0]), rows.size, cols.size))
     return standardize(transplant(z1, crops, boxes)), trace

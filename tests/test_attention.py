@@ -195,8 +195,12 @@ def test_attn_record_loss_layers_pick_highest_resolution():
         LayerRecord((2, 2), Tensor(np.zeros((0, 2, 2))), Tensor(np.eye(4)[None])),
         LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16)[None])),
     ])
-    assert rec.loss_resolution == (4, 4)
-    assert len(rec.loss_layers()) == 2
+    empty = LayoutCondition(regions=(), global_prompt_embed=np.zeros((2, 4)))
+    layers = rec.loss_layers(RegionGeometry.build(empty, 4, 4))
+    assert [id(l) for l in layers] == [id(rec.layers[0]), id(rec.layers[2])]
+    # a geometry at a lower recorded resolution does not pick that resolution's layers
+    with pytest.raises(ArgumentError, match="does not match loss resolution"):
+        rec.loss_layers(RegionGeometry.build(empty, 2, 2))
 
 
 def test_layer_record_builds_its_head_mean_once_on_read(monkeypatch):

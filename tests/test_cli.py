@@ -278,6 +278,13 @@ MALFORMED = {
         _container_edit("global_prompt_embed",
                         lambda t: {"prompt_embed": t["prompt_embed"].reshape(-1)}),
         "global prompt embedding must be 2-D"),
+    # each names the file and its shape, before the output directory is made
+    "global prompt_embed without columns": (
+        _container_edit("global_prompt_embed", lambda t: {"prompt_embed": np.zeros((4, 0))}),
+        "global_embed.lcb holds 'prompt_embed' of shape (4, 0)"),
+    "global prompt_embed without tokens": (
+        _container_edit("global_prompt_embed", lambda t: {"prompt_embed": np.zeros((0, 32))}),
+        "global_embed.lcb holds 'prompt_embed' of shape (0, 32)"),
     "negative alpha": (
         lambda raw, tmp_path: {**raw, "guidance": {**raw["guidance"], "alpha": -0.25}},
         "loss weights must be non-negative"),

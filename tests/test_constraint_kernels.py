@@ -424,9 +424,14 @@ MISFITS = {
 }
 
 
-@pytest.mark.parametrize("term", sorted(TERMS))
+# every reader of the loss layers: the terms, and the layer mean that re-init's
+# crop search, the in-box mass and the attention dump read
+READERS = {**TERMS, "averaged maps": lambda r: r.averaged_cross_maps(BOX)}
+
+
+@pytest.mark.parametrize("term", sorted(READERS))
 @pytest.mark.parametrize("misfit", sorted(MISFITS))
 def test_terms_reject_a_record_that_does_not_fit_the_geometry(misfit, term):
     record, error, message = MISFITS[misfit]
     with pytest.raises(error, match=message):
-        TERMS[term](record())
+        READERS[term](record())

@@ -52,8 +52,8 @@ def test_denoiser_records_three_layers_two_resolutions():
     eps, record = denoiser_forward(Tensor(z), 5, ctx)
     assert eps.shape == (4, 8, 8)
     assert [l.resolution for l in record.layers] == [(8, 8), (8, 8), (4, 4)]
-    assert record.loss_resolution == (8, 8)
-    assert len(record.loss_layers()) == 2
+    loss_layers = record.loss_layers(ctx.loss_geometry)
+    assert [id(l) for l in loss_layers] == [id(l) for l in record.layers[:2]]
     for layer in record.layers:
         assert layer.cross_maps.shape == (2, *layer.resolution)
         n = layer.resolution[0] * layer.resolution[1]

@@ -63,7 +63,7 @@ class LossProbe:
         total, _ = composite_loss(record, geometry, self.config.guidance)
         table = geometry.pixels
         fill = []
-        for layer in record.loss_layers():
+        for layer in record.loss_layers(geometry):
             m = layer.cross_maps.data
             fill += [a[ci] for a, ci in zip(m.argmax(axis=1), table.cols)]
             fill += [a[ri] for a, ri in zip(m.argmax(axis=2), table.rows)]

@@ -460,7 +460,7 @@ def test_inbox_mass_fractions_give_every_concepts_fraction_bit_for_bit():
     fractions = inbox_mass_fractions(record, geo)
     assert list(fractions) == list(geo.concept_ids)
     for fraction, region, amap in zip(fractions.values(), geo.regions,
-                                      record.averaged_cross_maps()):
+                                      record.averaged_cross_maps(geo)):
         mask = rasterize_mask(region.box, geo.height, geo.width)
         assert fraction.hex() == float((amap * mask).sum() / amap.sum()).hex()
 

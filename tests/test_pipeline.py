@@ -371,8 +371,9 @@ def test_sample_writes_all_artifacts(small_config, tmp_path, monkeypatch):
     # the dump holds the last denoising forward's maps: each concept's averaged
     # over the loss layers, in float32, and each loss layer's self map
     last = records[-1]
-    layers = last.loss_layers()
-    ids = [r.concept_id for r in prepare(config)[0].layout.regions]
+    ctx = prepare(config)[0]
+    layers = last.loss_layers(ctx.loss_geometry)
+    ids = [r.concept_id for r in ctx.layout.regions]
     assert set(dumped) == ({f"cross.{cid}" for cid in ids}
                            | {f"self.layer{i}" for i in range(len(layers))})
     for i, cid in enumerate(ids):
@@ -417,9 +418,9 @@ def test_sample_averages_the_loss_maps_once_per_guided_timestep(small_config, tm
     calls = []
     real = AttnRecord.averaged_cross_maps
 
-    def counted(record):
+    def counted(record, geometry):
         calls.append(record)
-        return real(record)
+        return real(record, geometry)
 
     monkeypatch.setattr(AttnRecord, "averaged_cross_maps", counted)
     result = sample(dataclasses.replace(small_config, output_dir=tmp_path / "mass",
