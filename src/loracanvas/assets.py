@@ -135,7 +135,7 @@ def write_bundle(path: str | Path, bundle: ConceptBundle) -> Path:
             raise ValidationError(f"bundle is missing the {name} delta")
         tensors[f"{name}.down"] = delta.down
         tensors[f"{name}.up"] = delta.up
-    tensors["scale"] = np.array(next(iter(scales)) if scales else 1.0)
+    tensors["scale"] = np.array(next(iter(scales)))
     path = Path(path)
     tensorio.write_container(path, tensors)
     return path
@@ -202,7 +202,7 @@ def gen_synthetic_bundle(seed: int, path: str | Path, *, tokens: int, d_text: in
                          d_model: int, rank: int = 4, scale: float = 1.0) -> Path:
     """Write a synthetic bundle; same seed always yields identical bytes."""
     bundle = synth_bundle(seed, tokens=tokens, d_text=d_text, d_model=d_model,
-                          rank=rank, scale=scale, concept_id=Path(path).stem)
+                          rank=rank, scale=scale)
     return write_bundle(path, bundle)
 
 

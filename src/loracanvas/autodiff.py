@@ -5,11 +5,12 @@ batched multi-head attention (probabilities, projected head outputs, head
 mean, over any leading axes), top-k values, picks and means, axis
 max-projections, row layer normalization, 2x2 average pooling,
 nearest-neighbour upsampling, gathers, concatenation and a sum over the
-leading axis. A caller's own
-kernel builds its result with ``Tensor.node``. Each traced tensor doubles as
-its own tape node: it remembers the kernel that produced it (``op``), its
-``parents`` and a vector-Jacobian closure. ``grad`` replays the tape once
-in reverse topological order. ``finite_difference_gradient`` is the
+leading axis. Kernels take and return ``Tensor``s: an array enters the tape
+only through ``Tensor(...)``, which copies it and checks that it is finite.
+A caller's own kernel builds its result with ``Tensor.node``. Each traced
+tensor doubles as its own tape node: it remembers the kernel that produced
+it (``op``), its ``parents`` and a vector-Jacobian closure. ``grad``
+replays the tape once in reverse topological order. ``finite_difference_gradient`` is the
 independent oracle used to cross-check every backward rule.
 
 Tensors are immutable values (the underlying arrays are write-protected),
@@ -149,9 +150,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return div_scalar(self, other)
 
@@ -160,12 +158,6 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
     # the ufunc's own reduce: ndarray.all goes through a Python-level wrapper
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericError(f"{what} produced non-finite values")
-
-
-def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -183,8 +175,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise kernels --------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data + b.data
     except ValueError as exc:
@@ -193,8 +184,7 @@ def add(a: Tensor, b) -> Tensor:
                        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = a.data - b.data
     except ValueError as exc:
@@ -203,9 +193,8 @@ def sub(a: Tensor, b) -> Tensor:
                        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
-def mul(a: Tensor, b) -> Tensor:
+def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product with the limited broadcasting the pipeline needs."""
-    a, b = _as_tensor(a), _as_tensor(b)
     try:
         data = a.data * b.data
     except ValueError as exc:
@@ -216,7 +205,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def div_scalar(a: Tensor, scalar) -> Tensor:
-    a = _as_tensor(a)
     s = float(scalar)
     if s == 0.0:
         raise ArgumentError("division by zero")
@@ -228,7 +216,6 @@ def div_scalar(a: Tensor, scalar) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` for 2-D operands."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
@@ -238,14 +225,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose2d(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError("transpose2d expects a 2-D tensor")
     return Tensor.node(a.data.T, "transpose2d", (a,), lambda g: (g.T,), checked=False)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     shape = tuple(int(n) for n in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
@@ -286,7 +271,6 @@ def checked_block(blocked: np.ndarray) -> np.ndarray:
 
 
 def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D tensor")
     logits = x.data.copy()  # a tensor's data is read-only
@@ -355,7 +339,6 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     ``blocked`` is an optional (n, m) ``checked_block`` mask shared by every
     head and leading slice; those keys get exactly 0, as in ``masked_softmax_rows``.
     """
-    q, k = _as_tensor(q), _as_tensor(k)
     if (q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or k.data.ndim != q.data.ndim
             or q.shape[-1] != k.shape[-1]):
         raise ShapeError(f"attention_probs: cannot attend {q.shape} to {k.shape}")
@@ -388,7 +371,6 @@ def apply_heads(p: Tensor, v: Tensor, wo: Tensor) -> Tensor:
     outputs and their ``matmul`` by ``wo``, rounding as that chain does; a
     non-finite joined entry reaches the output, so one finite check serves both.
     """
-    p, v, wo = _as_tensor(p), _as_tensor(v), _as_tensor(wo)
     if (p.data.ndim < 3 or v.data.ndim != p.data.ndim - 1 or p.shape[:-3] != v.shape[:-2]
             or p.shape[-1] != v.shape[-2] or wo.data.ndim != 2 or wo.shape[0] != v.shape[-1]):
         raise ShapeError(f"apply_heads: cannot apply {p.shape} to {v.shape} and {wo.shape}")
@@ -410,7 +392,6 @@ def apply_heads(p: Tensor, v: Tensor, wo: Tensor) -> Tensor:
 
 def mean_heads(p: Tensor) -> Tensor:
     """Average a (..., heads, n, m) tensor over heads, summing heads in order."""
-    p = _as_tensor(p)
     if p.data.ndim < 3:
         raise ShapeError("mean_heads expects a (..., heads, n, m) tensor")
     n_heads = p.shape[-3]
@@ -422,7 +403,6 @@ def mean_heads(p: Tensor) -> Tensor:
 
 def layernorm_rows(x: Tensor) -> Tensor:
     """Per-row standardization (no learned affine)."""
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("layernorm_rows expects a 2-D tensor")
     # a row mean is its sum divided by the width, exactly as ndarray.mean computes it
@@ -477,7 +457,6 @@ def topk_mean(x: Tensor, k: int) -> Tensor:
 
     The subgradient flows only to the selected elements, picked in the VJP.
     """
-    x = _as_tensor(x)
     k = int(k)
     flat = x.data.reshape(-1)
     kth, top = top_k(flat, k)
@@ -495,7 +474,6 @@ def axis_max_project(x: Tensor, axis: str) -> Tensor:
     ``axis="rows"`` maxes over rows (output indexed by column), ``"cols"``
     over columns. The gradient routes to the first argmax on ties.
     """
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("axis_max_project expects a 2-D tensor")
     if axis not in ("rows", "cols"):
@@ -509,7 +487,6 @@ def axis_max_project(x: Tensor, axis: str) -> Tensor:
 
 def take(x: Tensor, indices) -> Tensor:
     """Gather entries of a 1-D tensor at distinct indices."""
-    x = _as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeError("take expects a 1-D tensor")
     return _select(x, _distinct_indices(indices, x.size, "take"), "take")
@@ -517,7 +494,6 @@ def take(x: Tensor, indices) -> Tensor:
 
 def take2d(x: Tensor, rows, cols) -> Tensor:
     """Gather the submatrix at distinct row and column index lists."""
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("take2d expects a 2-D tensor")
     ri = _distinct_indices(rows, x.shape[0], "take2d row")
@@ -528,7 +504,6 @@ def take2d(x: Tensor, rows, cols) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError("slice_cols expects a 2-D tensor")
     if not (0 <= start < stop <= x.shape[1]):
@@ -538,7 +513,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 def column(x: Tensor, j) -> Tensor:
     """Column ``j`` of a (..., n, m) tensor as (..., n); ``j`` has one index per leading slice."""
-    x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError("column expects a tensor of 2-D or more")
     j = np.asarray(j)
@@ -583,7 +557,6 @@ def _scatter(shape, index, values) -> np.ndarray:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ArgumentError("concat needs at least one tensor")
     try:
@@ -603,7 +576,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def mean_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     shape = x.shape
     n = x.size
     return Tensor.node(np.asarray(x.data.mean()), "mean_all", (x,),
@@ -614,7 +586,6 @@ def sum_leading(x: Tensor) -> Tensor:
     """Sum over the leading axis, rounding as the chain ``x[0] + x[1] + ...``
     of ``add`` kernels would under the module's rule for sums; an empty axis
     sums to zeros."""
-    x = _as_tensor(x)
     if x.data.ndim < 1:
         raise ShapeError("sum_leading needs a leading axis")
     return Tensor.node(x.data.sum(axis=0), "sum_leading", (x,),
@@ -626,7 +597,6 @@ def sum_leading(x: Tensor) -> Tensor:
 
 def avg_pool_2x2(x: Tensor, height: int, width: int) -> Tensor:
     """2x2 mean pooling of a (h*w, d) pixel-major feature matrix."""
-    x = _as_tensor(x)
     if x.data.ndim != 2 or x.shape[0] != height * width:
         raise ShapeError(f"expected ({height * width}, d), got {x.shape}")
     if height % 2 or width % 2:
@@ -645,7 +615,6 @@ def avg_pool_2x2(x: Tensor, height: int, width: int) -> Tensor:
 
 def upsample_nearest_2x(x: Tensor, height: int, width: int) -> Tensor:
     """Nearest-neighbour 2x upsampling of a (h*w, d) feature matrix."""
-    x = _as_tensor(x)
     if x.data.ndim != 2 or x.shape[0] != height * width:
         raise ShapeError(f"expected ({height * width}, d), got {x.shape}")
     d = x.shape[1]
@@ -714,7 +683,6 @@ def finite_difference_gradient(f: Callable[[Tensor], object], x: Tensor,
     """Central-difference gradient estimate, one coordinate at a time."""
     if not (math.isfinite(eps) and eps > 0):
         raise ArgumentError(f"eps must be finite and positive, got {eps!r}")
-    x = _as_tensor(x)
     base = x.data.copy()
     flat = base.reshape(-1)
     out = np.zeros(flat.size)

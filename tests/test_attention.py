@@ -31,7 +31,7 @@ from loracanvas.attention import (
 )
 from loracanvas.autodiff import Tensor
 from loracanvas.denoiser import denoiser_forward
-from loracanvas.errors import ArgumentError, ConfigurationError, EmptyMaskError
+from loracanvas.errors import ArgumentError, ConfigurationError, EmptyMaskError, ShapeError
 
 # every oracle check runs at each head count: one head, two, and d_h = 1
 HEAD_COUNTS = (1, 2, 4)
@@ -448,6 +448,9 @@ def test_region_cross_attention_rejects_a_geometry_of_another_layout():
     with pytest.raises(ArgumentError, match=re.escape(
             "branches list concepts ['c1', 'c0'], the geometry ['c0', 'c1']")):
         _cross(z, flipped, bundles, weights, n_heads, geometry)
+    coarse = RegionGeometry.build(layout, 2, 2)
+    with pytest.raises(ShapeError, match=re.escape("hidden rows 16 != 2x2")):
+        _cross(z, layout, bundles, weights, n_heads, coarse)
     h0 = Tensor(z)
     with pytest.raises(ArgumentError, match=re.escape(
             "hidden states of shape (1, 16, 4) do not hold the geometry's 2 concepts")):
@@ -481,6 +484,8 @@ def test_masked_self_attention_blocks_cross_region_pairs():
     for head in probs.data:
         assert np.all(head[np.ix_(m0, m1)] == 0.0)
         assert np.all(head[np.ix_(m1, m0)] == 0.0)
+    with pytest.raises(ShapeError, match=re.escape("hidden rows 8 != 4x4")):
+        masked_self_attention(Tensor(z[:8]), weights, n_heads, geometry)
 
 
 def test_blocked_self_forbids_only_foreground_pairs_sharing_no_box():

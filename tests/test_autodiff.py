@@ -25,7 +25,7 @@ from loracanvas.errors import ArgumentError, LineageError, NumericError, ShapeEr
 
 def sum_of(x: Tensor) -> Tensor:
     """Traced sum of all entries; its gradient is exactly one everywhere."""
-    return ad.mean_all(x) * x.size
+    return ad.mean_all(x) * Tensor(float(x.size))
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,7 +204,8 @@ def test_sum_leading_adds_slices_in_order_like_add():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 3, 2)) * 10.0 ** rng.integers(-8, 8, (4, 3, 2)),
                requires_grad=True)
-    chain = ad.add(ad.add(ad.add(x.data[0], x.data[1]), x.data[2]), x.data[3])
+    first, second, third, fourth = (Tensor(s) for s in x.data)
+    chain = ad.add(ad.add(ad.add(first, second), third), fourth)
     total = ad.sum_leading(x)
     assert total.data.tobytes() == chain.data.tobytes()
     assert np.array_equal(grad(sum_of(total), x).data, np.ones((4, 3, 2)))
@@ -478,8 +479,8 @@ def test_grad_matches_fd_on_random_kernel_compositions(seed):
         concatenated = ad.concat(
             [axis_max_project(a, "rows"), axis_max_project(a, "cols")])
         picked = ad.take(concatenated, [0, 2, 3])
-        return (topk_mean(a, 5) + ad.mean_all(concatenated) * 0.5
-                + sum_of(picked) * 0.25
+        return (topk_mean(a, 5) + ad.mean_all(concatenated) * Tensor(0.5)
+                + sum_of(picked) * Tensor(0.25)
                 + topk_mean(ad.take2d(a, [0, 2], [1, 3, 4]), 2))
 
     xt = Tensor(x0, requires_grad=True)

@@ -63,7 +63,7 @@ def layer_mean(terms: list[Tensor]) -> Tensor:
 
 
 def chain_shortfall(maps, weight, k) -> Tensor:
-    return layer_mean([ad.sub(1.0, ad.topk_mean(ad.mul(m, weight), k)) for m in maps])
+    return layer_mean([ad.sub(Tensor(1.0), ad.topk_mean(ad.mul(m, weight), k)) for m in maps])
 
 
 def chain_fill(maps, rows, cols) -> Tensor:
@@ -71,7 +71,7 @@ def chain_fill(maps, rows, cols) -> Tensor:
     for m in maps:
         over_rows = ad.take(ad.axis_max_project(m, "rows"), cols)
         over_cols = ad.take(ad.axis_max_project(m, "cols"), rows)
-        terms.append(ad.mean_all(ad.sub(1.0, ad.concat([over_rows, over_cols]))))
+        terms.append(ad.mean_all(ad.sub(Tensor(1.0), ad.concat([over_rows, over_cols]))))
     return layer_mean(terms)
 
 
@@ -201,7 +201,7 @@ def chain_loss(case, geometry):
     selfs = [Tensor(m, requires_grad=True) for m in case["selfs"]]
     ce, fill, region = (summed(list(t)) for t in zip(*chain_terms(
         geometry, concept_maps, selfs, config.s_ratio, config.p_ratio)))
-    return ce + config.alpha * fill + config.beta * region, concept_maps, selfs
+    return ce + fill * Tensor(config.alpha) + region * Tensor(config.beta), concept_maps, selfs
 
 
 @PROPERTY
@@ -341,7 +341,7 @@ def term_and_chain(term, ratio):
     if term == "shortfall":
         k = top_s(BOX, 0, ratio)
         return (lambda m, s: concept_enhancement_terms(record_of([m], [s], 3, 4), BOX, ratio),
-                lambda m, s: chain_shortfall([Tensor(m.data[0])], table.weight.data[0], k))
+                lambda m, s: chain_shortfall([Tensor(m.data[0])], Tensor(table.weight.data[0]), k))
     if term == "fill":
         return (lambda m, s: fill_terms(record_of([m], [s], 3, 4), BOX),
                 lambda m, s: chain_fill([Tensor(m.data[0])], table.rows[0], table.cols[0]))

@@ -149,6 +149,12 @@ def test_build_context_validates_bundle_dims():
     with pytest.raises(ConfigurationError):
         build_context(ctx.weights, ctx.layout,
                       {**ctx.bundles, "concept_a": bad_bundle})
+    wide = dataclasses.replace(ctx.layout,
+                               global_prompt_embed=np.zeros((3, SMALL_DIMS.d_text + 1)))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"global prompt d_text {SMALL_DIMS.d_text + 1} does not match model d_text "
+            f"{SMALL_DIMS.d_text}")):
+        build_context(ctx.weights, wide, ctx.bundles)
 
 
 def test_loss_reads_pixel_lists_without_revalidating(monkeypatch):

@@ -147,8 +147,8 @@ def chain_loss(record, geometry, config) -> Tensor:
     ce = concept_enhancement_terms(record, geometry, config.s_ratio)
     fill = fill_terms(record, geometry)
     region = region_terms(record, geometry, config.p_ratio)
-    return (ad.sum_leading(ce) + config.alpha * ad.sum_leading(fill)
-            + config.beta * ad.sum_leading(region))
+    return (ad.sum_leading(ce) + ad.sum_leading(fill) * Tensor(config.alpha)
+            + ad.sum_leading(region) * Tensor(config.beta))
 
 
 def test_composite_loss_equals_its_chain_bit_for_bit(ctx):

@@ -181,6 +181,16 @@ def test_region_loss_matches_slice_sort_oracle():
     assert abs(summed(region_terms(record, geo, p_ratio)) - expected) < 1e-12
 
 
+def test_region_loss_rejects_a_concept_covering_the_whole_map():
+    # such a concept has no outside pixels, so no leakage submatrix
+    layout = LayoutCondition(regions=(RegionSpec((0.0, 0.0, 1.0, 1.0), "all"),),
+                             global_prompt_embed=np.zeros((2, 4)))
+    geo = RegionGeometry.build(layout, H, W)
+    record = record_from_maps({"all": np.ones((H, W))}, uniform_self_map())
+    with pytest.raises(ArgumentError, match="concept 'all' covers the whole map"):
+        region_terms(record, geo, p_ratio=0.2)
+
+
 # ------------------------------------------------------------------ total
 
 
@@ -272,6 +282,8 @@ def test_config_float_knobs_reject_non_numbers(knob, value):
 
 
 def test_adaptive_stopper_trips_after_patience():
+    with pytest.raises(ArgumentError, match="patience must be at least 1"):
+        AdaptiveStopper(patience=0)
     stopper = AdaptiveStopper(patience=2)
     assert stopper.observe(1.0)
     assert not stopper.observe(1.0)
