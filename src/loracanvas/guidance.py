@@ -281,41 +281,6 @@ def in_guidance_window(t: int, total_steps: int, fraction: float) -> bool:
     return t / total_steps >= (1.0 - fraction) - 1e-9
 
 
-class AdaptiveStopper:
-    """Tracks loss improvement; trips after `patience` stale iterations.
-
-    An iteration is stale unless its loss beats the best so far by more
-    than ``MIN_DELTA * |best|``; the first observation always improves.
-    """
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ArgumentError("patience must be at least 1")
-        self.patience = patience
-        self.best: float = math.inf
-        self.stale = 0
-
-    def observe(self, loss: float) -> bool:
-        """Feed one loss value; returns True when it is a new minimum.
-
-        A new minimum is always recorded as the best, but one that beats
-        the previous best by no more than the tolerance counts as stale.
-        """
-        if loss >= self.best:
-            self.stale += 1
-            return False
-        if self.best == math.inf or self.best - loss > MIN_DELTA * abs(self.best):
-            self.stale = 0
-        else:
-            self.stale += 1
-        self.best = loss
-        return True
-
-    @property
-    def should_stop(self) -> bool:
-        return self.stale >= self.patience
-
-
 def taped_loss(z: np.ndarray, forward: Callable[[Tensor], AttnRecord],
                geometry: RegionGeometry,
                config: GuidanceConfig) -> tuple[LossBreakdown, Callable[[], np.ndarray]]:
@@ -340,19 +305,21 @@ def guided_update(
     """Iteratively push the latent down the constraint-loss gradient.
 
     Each iteration runs the forward closure under the tape, evaluates the
-    total loss and steps ``z <- z - phi_t * grad``. Iterations stop after
+    total loss and steps ``z <- z - phi_t * grad``. The loop keeps the lowest
+    loss it evaluated and returns that loss's latent. It counts stale
+    evaluations: the first is never stale; a loss not below the best is stale;
+    a new minimum is kept but is stale unless it beats the best by more than
+    ``MIN_DELTA * |best|``, and one that is not stale resets the count. The
+    loop stops once ``patience`` evaluations in a row were stale, or after
     ``max_iters`` evaluations (so at most ``max_iters - 1`` steps; with 1 the
-    input comes back unchanged) or once `patience` evaluations in a row gained
-    no more than ``MIN_DELTA`` relative to the best loss. The lowest-loss
-    latent the loop evaluated is returned, so its loss is the minimum
-    ``total`` of the rows.
+    input comes back unchanged). A row is accepted when its loss is a new
+    minimum.
     """
     if not in_guidance_window(t, total_steps, config.guidance_fraction):
         raise ArgumentError(f"timestep {t} is outside the guidance window")
     phi = step_size(t, total_steps, config.phi0)
-    stopper = AdaptiveStopper(config.patience)
     z = np.asarray(z_t, dtype=np.float64)
-    best_z = z
+    best, best_z, stale = math.inf, z, 0
     rows: list[TraceRow] = []
     for iteration in range(config.max_iters):
         try:
@@ -360,11 +327,16 @@ def guided_update(
             # this context, not stop earlier as a warning turned error
             with np.errstate(over="ignore", invalid="ignore"):
                 breakdown, gradient = taped_loss(z, forward, geometry, config)
-                improved = stopper.observe(breakdown.total)
-                rows.append(TraceRow.of(t, iteration, breakdown, phi, improved))
+                loss = breakdown.total
+                improved = loss < best
+                if improved and (iteration == 0 or best - loss > MIN_DELTA * abs(best)):
+                    stale = 0
+                else:
+                    stale += 1
                 if improved:
-                    best_z = z
-                if stopper.should_stop or iteration + 1 == config.max_iters:
+                    best, best_z = loss, z
+                rows.append(TraceRow.of(t, iteration, breakdown, phi, improved))
+                if stale >= config.patience or iteration + 1 == config.max_iters:
                     break  # no later iteration would evaluate another step
                 if phi != 0.0:
                     z = z - phi * gradient()

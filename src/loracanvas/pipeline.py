@@ -8,7 +8,7 @@ therefore byte-identical artifacts (trace.csv, latent dump, preview).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,6 @@ from .guidance import (
 )
 from .reinit import initial_latent, reinitialize
 
-TRACE_COLUMNS = ("timestep", "iteration", "l_ce", "l_fill", "l_region",
-                 "total", "phi_t", "accepted")
 # alpha_bar at t = 0 and t = T
 ALPHA_BAR_CLEAN = 0.999
 ALPHA_BAR_NOISY = 0.01
@@ -101,11 +99,10 @@ def write_pgm(path: str | Path, image: np.ndarray) -> Path:
 
 def write_trace(path: str | Path, rows: list[TraceRow]) -> Path:
     path = Path(path)
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in rows:
-        lines.append(",".join((
-            str(r.timestep), str(r.iteration), repr(r.l_ce), repr(r.l_fill),
-            repr(r.l_region), repr(r.total), repr(r.phi_t), str(r.accepted))))
+    names = [f.name for f in fields(TraceRow)]
+    lines = [",".join(names)]
+    # every field is an int or a Python float, whose repr is its shortest round-trip text
+    lines += [",".join(repr(getattr(r, name)) for name in names) for r in rows]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
 

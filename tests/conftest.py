@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,20 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # without libcst the plugin writes no patch
         pass
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*args: str, check: bool = False) -> subprocess.CompletedProcess:
+    """A new interpreter that imports loracanvas from this checkout's src/.
+
+    pyproject's ``pythonpath`` reaches only the pytest process, so a child
+    is handed src/ on its PYTHONPATH.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=check)
+
 
 SMALL_DIMS = ModelDims(channels=4, height=8, width=8, d_model=8, n_heads=2,
                        d_text=16)

@@ -13,9 +13,11 @@ from loracanvas.assets import (
     LoraDelta,
     ModelDims,
     apply_projection,
+    gen_prompt_embedding,
     gen_synthetic_bundle,
     generate_base_weights,
     load_bundle,
+    synth_bundle,
     write_bundle,
 )
 from loracanvas.autodiff import Tensor, transpose2d
@@ -23,6 +25,7 @@ from loracanvas.errors import (
     ArgumentError,
     DataError,
     FormatError,
+    ShapeError,
     ValidationError,
 )
 
@@ -92,6 +95,13 @@ def test_container_write_rejects_values_not_finite_as_float32(tmp_path, value):
         with pytest.raises(DataError, match="'big'"):
             tensorio.write_container(p, {"x": np.ones(2), "big": np.array([1.0, value])})
     assert p.read_bytes() == before
+
+
+def test_container_write_rejects_a_name_longer_than_its_length_field(tmp_path):
+    p = tmp_path / "x.lcb"
+    with pytest.raises(ArgumentError, match="tensor name too long"):
+        tensorio.write_container(p, {"x" * 0x10000: np.zeros(1)})
+    assert not p.exists()
 
 
 def test_container_float32_max_round_trips(tmp_path):
@@ -249,6 +259,34 @@ def test_synthetic_bundle_invalid_dims():
         gen_synthetic_bundle(0, "/tmp/x.lcb", tokens=4, d_text=2, d_model=8, rank=4)
     with pytest.raises(ArgumentError):
         gen_synthetic_bundle(0, "/tmp/x.lcb", tokens=1, d_text=8, d_model=8)
+    with pytest.raises(ArgumentError, match="must be positive"):
+        synth_bundle(0, tokens=4, d_text=8, d_model=0)
+
+
+BUNDLE = synth_bundle(3, tokens=2, d_text=4, d_model=4)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda out: apply_projection(Tensor(np.ones((2, 4))), np.ones(4)), ShapeError,
+     "must be a matrix"),
+    (lambda out: apply_projection(Tensor(np.ones((2, 3))), np.ones((4, 5))), ShapeError,
+     "cannot project"),
+    (lambda out: apply_projection(Tensor(np.ones((2, 5))), np.ones((3, 5)),
+                                  BUNDLE.deltas["cross.W_K"]), ShapeError,
+     "does not match base"),
+    (lambda out: write_bundle(out / "b.lcb", dataclasses.replace(BUNDLE, deltas={
+        **BUNDLE.deltas, "cross.W_V": dataclasses.replace(BUNDLE.deltas["cross.W_V"], scale=2.0)})),
+     ValidationError, "single shared delta scale"),
+    (lambda out: write_bundle(out / "b.lcb", dataclasses.replace(
+        BUNDLE, deltas={"cross.W_K": BUNDLE.deltas["cross.W_K"]})), ValidationError,
+     "missing the cross.W_V delta"),
+    (lambda out: gen_prompt_embedding(0, 0, 4), ArgumentError, "must be positive"),
+], ids=["projection_by_a_vector", "projection_width", "delta_shape", "two_delta_scales",
+        "missing_delta", "empty_prompt_embedding"])
+def test_asset_functions_reject_malformed_inputs(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
+    assert not (tmp_path / "b.lcb").exists()
 
 
 def test_load_bundle_missing_tensor(tmp_path):
@@ -342,3 +380,5 @@ def test_model_dims_validation():
         ModelDims(height=15)
     with pytest.raises(ArgumentError):
         ModelDims(d_model=10, n_heads=4)
+    with pytest.raises(ArgumentError, match="must be positive"):
+        ModelDims(channels=0)

@@ -189,6 +189,16 @@ def test_layout_rejects_duplicate_ids():
             global_prompt_embed=np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: LayoutCondition(regions=(), global_prompt_embed=np.zeros(4)),
+     r"must be \(tokens, d_text\)"),
+    (lambda: rasterize_mask((0.0, 0.0, 1.0, 1.0), 0, 4), "mask extents must be positive"),
+], ids=["one_dimensional_prompt_embedding", "zero_mask_height"])
+def test_layout_inputs_reject_bad_shapes(call, match):
+    with pytest.raises(ArgumentError, match=match):
+        call()
+
+
 def test_attn_record_loss_layers_pick_highest_resolution():
     rec = AttnRecord(layers=[
         LayerRecord((4, 4), Tensor(np.zeros((0, 4, 4))), Tensor(np.eye(16)[None])),

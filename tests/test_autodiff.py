@@ -82,6 +82,37 @@ def test_matmul_shape_mismatch():
         matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2))))
 
 
+def ones(*shape: int) -> Tensor:
+    return Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: float(ones(2)), "cannot convert shape"),
+    (lambda: ad.add(ones(2, 3), ones(3, 2)), "add: "),
+    (lambda: ad.mul(ones(2, 3), ones(3, 2)), "mul: "),
+    (lambda: ad.transpose2d(ones(2, 2, 2)), "transpose2d expects a 2-D tensor"),
+    (lambda: ad.reshape(ones(2, 3), (4, 2)), "cannot reshape"),
+    (lambda: ad.attention_probs(ones(3, 4), ones(5, 4), 3), "width 4 not divisible by 3 heads"),
+    (lambda: ad.attention_probs(ones(3, 4), ones(5, 6), 2), "cannot attend"),
+    (lambda: ad.apply_heads(ones(2, 3, 5), ones(4, 4), ones(4, 4)), "cannot apply"),
+    (lambda: ad.mean_heads(ones(3, 3)), "mean_heads expects"),
+    (lambda: ad.layernorm_rows(ones(2, 2, 2)), "layernorm_rows expects a 2-D tensor"),
+    (lambda: ad.avg_pool_2x2(ones(15, 2), 4, 4), r"expected \(16, d\)"),
+    (lambda: ad.avg_pool_2x2(ones(12, 2), 3, 4), "even extents"),
+    (lambda: ad.upsample_nearest_2x(ones(5, 2), 2, 2), r"expected \(4, d\)"),
+    (lambda: max_relative_error(np.ones(3), np.ones(4)), "cannot compare"),
+], ids=["float_of_a_vector", "add", "mul", "transpose2d", "reshape", "heads_not_dividing",
+        "attention_probs", "apply_heads", "mean_heads", "layernorm_rows", "avg_pool_rows",
+        "avg_pool_odd_extent", "upsample_rows", "max_relative_error"])
+def test_kernels_reject_misshaped_operands(call, match):
+    with pytest.raises(ShapeError, match=match):
+        call()
+
+
+def test_max_relative_error_of_two_zero_arrays_is_zero():
+    assert max_relative_error(np.zeros(3), Tensor(np.zeros(3))) == 0.0
+
+
 # ---------------------------------------------------------------- softmax
 
 

@@ -2,10 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +19,7 @@ from loracanvas.cli import (
 from loracanvas.denoiser import encode
 from loracanvas.errors import ArgumentError
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -380,13 +377,6 @@ def test_main_dispatch(asset_dir, capsys):
     assert main(["unknown"]) == 2
     assert main(["gradcheck", "--config", str(asset_dir / "gradcheck.json")]) == 0
     capsys.readouterr()
-
-
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
-    """A new interpreter that imports loracanvas from this checkout's src/."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=60)
 
 
 def test_python_m_without_arguments_prints_usage():

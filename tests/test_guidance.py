@@ -22,7 +22,6 @@ from loracanvas.errors import ArgumentError, NumericError
 from loracanvas import guidance as guidance_module
 from loracanvas.denoiser import encode
 from loracanvas.guidance import (
-    AdaptiveStopper,
     GuidanceConfig,
     LossBreakdown,
     composite_loss,
@@ -281,44 +280,6 @@ def test_config_float_knobs_reject_non_numbers(knob, value):
         GuidanceConfig(**{knob: value})
 
 
-def test_adaptive_stopper_trips_after_patience():
-    with pytest.raises(ArgumentError, match="patience must be at least 1"):
-        AdaptiveStopper(patience=0)
-    stopper = AdaptiveStopper(patience=2)
-    assert stopper.observe(1.0)
-    assert not stopper.observe(1.0)
-    assert not stopper.should_stop
-    assert not stopper.observe(1.2)
-    assert stopper.should_stop
-
-
-def test_adaptive_stopper_resets_on_improvement():
-    stopper = AdaptiveStopper(patience=1)
-    assert stopper.observe(2.0)
-    assert not stopper.observe(2.5)
-    assert stopper.should_stop
-    fresh = AdaptiveStopper(patience=2)
-    fresh.observe(2.0)
-    fresh.observe(2.5)
-    assert fresh.observe(1.0)
-    assert fresh.stale == 0
-
-
-def test_adaptive_stopper_keeps_a_gain_below_tolerance_but_counts_it_stale(monkeypatch):
-    monkeypatch.setattr(guidance_module, "MIN_DELTA", 1e-2)
-    stopper = AdaptiveStopper(patience=2)
-    assert stopper.observe(-4.0)  # the first observation always improves
-    assert stopper.stale == 0
-    # a new minimum, but by 0.03 <= 1e-2 * |-4.0|
-    assert stopper.observe(-4.03)
-    assert stopper.best == -4.03 and stopper.stale == 1
-    assert stopper.observe(-5.0)
-    assert stopper.best == -5.0 and stopper.stale == 0
-    assert stopper.observe(-5.04)
-    assert not stopper.observe(-5.0)
-    assert stopper.best == -5.04 and stopper.should_stop
-
-
 # ------------------------------------------------------------------ guided update
 
 
@@ -531,10 +492,31 @@ def test_guided_update_on_reference_encode_returns_an_evaluated_latent():
         z = out
 
 
-def test_guided_update_scripted_losses_stop_on_the_tolerance(monkeypatch):
-    """Scripted losses: a new minimum within MIN_DELTA is kept and counts as stale."""
-    within = 4.0 * (1.0 - guidance_module.MIN_DELTA / 2)
-    script = iter([5.0, 4.0, 4.5, within, 1.0])
+DEFAULT_DELTA = guidance_module.MIN_DELTA
+# beats 4.0 by less than MIN_DELTA * 4.0
+WITHIN = 4.0 * (1.0 - DEFAULT_DELTA / 2)
+
+
+@pytest.mark.parametrize("script, patience, min_delta, totals, accepted, kept", [
+    # patience trips: on the second stale evaluation in a row, or the first with patience 1
+    ([1.0, 1.0, 1.2, 0.5], 2, DEFAULT_DELTA, [1.0, 1.0, 1.2], [1, 0, 0], 0),
+    ([2.0, 2.5, 1.0], 1, DEFAULT_DELTA, [2.0, 2.5], [1, 0], 0),
+    # a new minimum beyond the tolerance resets the count
+    ([2.0, 2.5, 1.0, 1.5, 1.6, 0.5], 2, DEFAULT_DELTA,
+     [2.0, 2.5, 1.0, 1.5, 1.6], [1, 0, 1, 0, 0], 2),
+    # a new minimum within the tolerance is kept but stale: -4.03 gains
+    # 0.03 <= 1e-2 * 4.0 and -5.04 gains 0.04 <= 1e-2 * 5.0
+    ([-4.0, -4.03, -5.0, -5.04, -5.0, -9.0], 2, 1e-2,
+     [-4.0, -4.03, -5.0, -5.04, -5.0], [1, 1, 1, 1, 0], 3),
+    # WITHIN is the second stale evaluation in a row
+    ([5.0, 4.0, 4.5, WITHIN, 1.0], 2, DEFAULT_DELTA, [5.0, 4.0, 4.5, WITHIN], [1, 1, 0, 1], 3),
+], ids=["patience_2", "patience_1", "new_minimum_resets", "gain_within_tolerance",
+        "gain_within_default_tolerance"])
+def test_guided_update_scripted_losses_stop_on_the_tolerance(
+        monkeypatch, script, patience, min_delta, totals, accepted, kept):
+    """Scripted losses: the loop stops after `patience` stale evaluations and
+    returns the latent of the last new minimum."""
+    losses = iter(script)
     seen: list[np.ndarray] = []
 
     def forward(zt: Tensor):
@@ -542,15 +524,16 @@ def test_guided_update_scripted_losses_stop_on_the_tolerance(monkeypatch):
         return zt
 
     def scripted_loss(traced, geometry, config):
-        total = next(script)
+        total = next(losses)
         return ad.mean_all(traced), LossBreakdown(total, 0.0, 0.0, total, {})
 
     monkeypatch.setattr(guidance_module, "composite_loss", scripted_loss)
-    cfg = GuidanceConfig(phi0=1.0, max_iters=8, patience=2)
+    monkeypatch.setattr(guidance_module, "MIN_DELTA", min_delta)
+    cfg = GuidanceConfig(phi0=1.0, max_iters=8, patience=patience)
     z = np.zeros((N, 3))
     out, rows = guided_update(z, forward, geometry_two_concepts(), cfg, 10, 10)
-    # `within` beats 4.0 by less than MIN_DELTA * 4.0: the second stale iteration in a row
-    assert [r.total for r in rows] == [5.0, 4.0, 4.5, within]
-    assert [r.accepted for r in rows] == [1, 1, 0, 1]
-    assert len(seen) == 4 and out.tobytes() == seen[3].tobytes()
-    assert np.array_equal(out, np.full_like(z, -3.0 / z.size))
+    assert [r.total for r in rows] == totals
+    assert [r.accepted for r in rows] == accepted
+    assert len(seen) == len(totals) and out.tobytes() == seen[kept].tobytes()
+    # each step subtracts mean_all's gradient, 1 / size in every entry
+    assert np.array_equal(out, np.full_like(z, -float(kept) / z.size))

@@ -4,8 +4,6 @@ import dataclasses
 import json
 import platform
 import resource
-import subprocess
-import sys
 import warnings
 import weakref
 from pathlib import Path
@@ -30,6 +28,8 @@ from loracanvas.pipeline import (
     write_pgm,
 )
 from loracanvas.reinit import reinitialize
+
+from conftest import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,8 @@ def test_schedule_validation():
         SamplerSchedule(steps=2, alpha_bar=np.array([0.9, 0.5]))
     with pytest.raises(ArgumentError):
         SamplerSchedule(steps=1, alpha_bar=np.array([0.5, 0.9]))
+    with pytest.raises(ArgumentError, match="must lie in"):
+        SamplerSchedule(steps=1, alpha_bar=np.array([1.0, 0.5]))
 
 
 # ------------------------------------------------------------------ ddim
@@ -127,6 +129,8 @@ def test_preview_rescales_endpoints():
 def test_preview_shape():
     img = decode_preview(np.random.default_rng(0).standard_normal((8, 16, 16)))
     assert img.shape == (16, 16)
+    with pytest.raises(ArgumentError, match="latent must be"):
+        decode_preview(np.zeros((16, 16)))
 
 
 def test_write_pgm_format(tmp_path):
@@ -135,6 +139,8 @@ def test_write_pgm_format(tmp_path):
     raw = p.read_bytes()
     assert raw.startswith(b"P5\n4 3\n255\n")
     assert raw[len(b"P5\n4 3\n255\n"):] == img.tobytes()
+    with pytest.raises(ArgumentError, match="must be 2-D"):
+        write_pgm(tmp_path / "row.pgm", np.zeros(4))
 
 
 # ------------------------------------------------------------------ config
@@ -592,8 +598,6 @@ def test_denoiser_bit_identical_across_processes(asset_dir):
         "eps, _ = denoiser_forward(Tensor(z), sched.steps, ctx);"
         "print(hashlib.sha256(eps.data.tobytes()).hexdigest())"
     )
-    runs = [subprocess.run([sys.executable, "-c", snippet], capture_output=True,
-                           text=True, check=True).stdout.strip()
-            for _ in range(2)]
+    runs = [run_fresh("-c", snippet, check=True).stdout.strip() for _ in range(2)]
     assert runs[0] == runs[1]
     assert len(runs[0]) == 64

@@ -146,6 +146,23 @@ def test_standardize_rejects_constant_channel():
         standardize(z)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: best_crop(np.ones(4), (1, 1)), "expects a 2-D map"),
+    (lambda: transplant(np.zeros((4, 4)), [], []), "latent must be"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [best_crop(np.ones((4, 4)), (2, 2))], []),
+     "must align"),
+    # the patch at (3, 3) would run past the 4x4 latent
+    (lambda: transplant(np.zeros((1, 4, 4)),
+                        [reinit_module.CropResult("a", origin=(3, 3), extent=(2, 2), score=0.0)],
+                        [(0, 0, 2, 2)]), "exceeds the latent extent"),
+    (lambda: standardize(np.arange(16.0).reshape(4, 4)), "latent must be"),
+], ids=["best_crop_of_a_vector", "transplant_into_a_2d_latent", "transplant_misaligned",
+        "transplant_past_the_edge", "standardize_a_2d_latent"])
+def test_reinit_steps_reject_misshaped_inputs(call, match):
+    with pytest.raises(ArgumentError, match=match):
+        call()
+
+
 # ------------------------------------------------------------------ reinitialize
 
 
