@@ -226,8 +226,8 @@ def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Ten
     background, share = geometry.pixels.background.data, geometry.pixels.share.data
     data = (hiddens.data * share).sum(axis=0)
     data += h0.data * background
-    return Tensor.node(data, "compose_hidden", (h0, hiddens),
-                       lambda g: (g * background, g * share))
+    return Tensor.node(data, "compose_hidden", (h0, hiddens), lambda g: (
+        g * background if h0.requires_grad else None, g * share if hiddens.requires_grad else None))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,14 @@ leading axis. Kernels take and return ``Tensor``s: an array enters the tape
 only through ``Tensor(...)``, which copies it and checks that it is finite.
 A caller's own kernel builds its result with ``Tensor.node``. Each traced
 tensor doubles as its own tape node: it remembers the kernel that produced
-it (``op``), its ``parents`` and a vector-Jacobian closure. ``grad``
-replays the tape once in reverse topological order. ``finite_difference_gradient`` is the
-independent oracle used to cross-check every backward rule.
+it (``op``), its ``parents`` and a vector-Jacobian closure (VJP). A VJP maps
+the node's cotangent to one cotangent per parent, in ``parents`` order, and
+returns None for each parent that is not traced, so no backward computes a
+cotangent nobody reads; a tensor is traced or not from the moment it is
+built. ``grad`` replays the tape once in reverse topological order, skips
+each None and drops every cotangent once it is summed, before the next VJP
+runs. ``finite_difference_gradient`` is the independent oracle used to
+cross-check every backward rule.
 
 Tensors are immutable values (the underlying arrays are write-protected),
 so they are safe to share across threads; a tape only ever lives inside a
@@ -114,7 +119,10 @@ class Tensor:
         that does arithmetic check their output. A kernel that only moves
         entries (transpose, reshape, gathers, concatenation, nearest upsampling)
         cannot turn finite inputs into a non-finite output, so it passes
-        ``checked=False`` and skips the scan.
+        ``checked=False`` and skips the scan. ``attention_probs`` checks its row
+        maxima instead: ``checked_block`` leaves every row a permitted key, max
+        propagates NaN, and a finite maximum bounds each exp by 1 and the row's
+        sum below by 1, so a row is finite exactly when its maximum is.
         """
         if checked:
             _check_finite(data, op)
@@ -180,8 +188,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from exc
-    return Tensor.node(data, "add", (a, b),
-                       lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return Tensor.node(data, "add", (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -189,8 +198,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError as exc:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}") from exc
-    return Tensor.node(data, "sub", (a, b),
-                       lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return Tensor.node(data, "sub", (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -199,9 +209,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from exc
-    return Tensor.node(data, "mul", (a, b),
-                       lambda g: (_unbroadcast(g * b.data, a.shape),
-                                  _unbroadcast(g * a.data, b.shape)))
+    return Tensor.node(data, "mul", (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div_scalar(a: Tensor, scalar) -> Tensor:
@@ -220,8 +230,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ ({a.shape} x {b.shape})")
-    return Tensor.node(a.data @ b.data, "matmul", (a, b),
-                       lambda g: (g @ b.data.T, a.data.T @ g))
+    return Tensor.node(a.data @ b.data, "matmul", (a, b), lambda g: (
+        g @ b.data.T if a.requires_grad else None, a.data.T @ g if b.requires_grad else None))
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -276,7 +286,7 @@ def _softmax_2d(x: Tensor, allowed: np.ndarray | None, op: str) -> Tensor:
     logits = x.data.copy()  # a tensor's data is read-only
     if allowed is not None:
         _block(logits, checked_block(~np.asarray(allowed, dtype=bool)))
-    y, vjp = _softmax_rows(logits)
+    y, vjp, _ = _softmax_rows(logits)
     return Tensor.node(y, op, (x,), lambda g: (vjp(g),))
 
 
@@ -289,9 +299,10 @@ def _block(logits: np.ndarray, blocked: np.ndarray) -> None:
 
 
 def _softmax_rows(logits: np.ndarray):
-    """Softmax over the last axis, written over ``logits``, and its VJP;
-    -inf logits come out exactly 0."""
-    y = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=logits)
+    """Softmax over the last axis, written over ``logits``, its VJP and the
+    row maxima; -inf logits come out exactly 0."""
+    top = logits.max(axis=-1, keepdims=True)
+    y = np.subtract(logits, top, out=logits)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -303,7 +314,7 @@ def _softmax_rows(logits: np.ndarray):
         np.multiply(y, t, out=t)
         return t
 
-    return y, vjp
+    return y, vjp, top
 
 
 # -- multi-head attention -----------------------------------------------------
@@ -351,16 +362,17 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     logits /= scale
     if blocked is not None:
         _block(logits, blocked)
-    y, softmax_vjp = _softmax_rows(logits)
+    y, softmax_vjp, top = _softmax_rows(logits)
+    _check_finite(top, "attention_probs")  # see Tensor.node
 
     def vjp(g):
         gl = softmax_vjp(g)
         gl /= scale
-        gq = np.matmul(gl, kt.swapaxes(-1, -2))
-        gk = np.matmul(qh.swapaxes(-1, -2), gl)
-        return _join_heads(gq), _join_heads(gk.swapaxes(-1, -2))
+        return (_join_heads(np.matmul(gl, kt.swapaxes(-1, -2))) if q.requires_grad else None,
+                _join_heads(np.matmul(qh.swapaxes(-1, -2), gl).swapaxes(-1, -2))
+                if k.requires_grad else None)
 
-    return Tensor.node(y, "attention_probs", (q, k), vjp)
+    return Tensor.node(y, "attention_probs", (q, k), vjp, checked=False)
 
 
 def apply_heads(p: Tensor, v: Tensor, wo: Tensor) -> Tensor:
@@ -383,9 +395,9 @@ def apply_heads(p: Tensor, v: Tensor, wo: Tensor) -> Tensor:
     def vjp(g):
         gj = g @ wo.data.T
         gh = gj.reshape(*gj.shape[:-1], n_heads, d // n_heads).swapaxes(-3, -2)
-        return (np.matmul(gh, vh.swapaxes(-1, -2)),
-                _join_heads(np.matmul(p.data.swapaxes(-1, -2), gh)),
-                joined.reshape(-1, d).T @ g.reshape(-1, wo.shape[1]))
+        return (np.matmul(gh, vh.swapaxes(-1, -2)) if p.requires_grad else None,
+                _join_heads(np.matmul(p.data.swapaxes(-1, -2), gh)) if v.requires_grad else None,
+                joined.reshape(-1, d).T @ g.reshape(-1, wo.shape[1]) if wo.requires_grad else None)
 
     return Tensor.node(joined @ wo.data, "apply_heads", (p, v, wo), vjp)
 
@@ -567,7 +579,8 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(part if p.requires_grad else None
+                     for p, part in zip(parts, np.split(g, splits, axis=axis)))
 
     return Tensor.node(data, "concat", parts, vjp, checked=False)
 
@@ -668,10 +681,11 @@ def grad(root: Tensor, wrt: Tensor) -> Tensor:
         if g is None or node._vjp is None:
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
-            if not parent.requires_grad:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            if pg is not None:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+        # grads holds every sum: no name keeps a consumed cotangent through the next VJP
+        g = pg = acc = None
 
     result = grads.get(id(wrt), np.zeros(wrt.shape))
     _check_finite(result, "grad")

@@ -99,7 +99,7 @@ class TraceRow:
 # followed by add and div_scalar for the layer mean. The forward computes
 # values only; each backward makes every row's picks, writes them with one
 # flat-index scatter (per axis projection, in the fill term) and splits the
-# result per layer.
+# result per layer; the region term scatters each layer's picks on their own.
 
 
 def _flat_picks(picks: list, offsets) -> np.ndarray:
@@ -140,7 +140,8 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
         out = np.zeros(flats.size)
         at = _flat_picks(_top_k_picks(flats, kths, ks), range(0, out.size, size))
         out[at] = np.repeat(-(np.concatenate([g] * n) / n) / ks, ks)
-        return tuple(out.reshape((n,) + w.shape) * w)
+        return tuple(o * w if m.requires_grad else None
+                     for o, m in zip(out.reshape((n,) + w.shape), maps))
 
     return Tensor.node((1.0 - tops).reshape(n, concepts).sum(axis=0) / n,
                        "concept_enhancement_terms", maps, vjp)
@@ -182,7 +183,8 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
             out[_flat_picks(at, starts)] = np.repeat(share, [i.size for i in at])
             scatters.append(out.reshape(stack.shape))
         # each layer's column scatter, then its row scatter, as the parents list them
-        return tuple(s for pair in zip(*scatters) for s in pair)
+        return tuple(s if m.requires_grad else None
+                     for m, pair in zip(maps, zip(*scatters)) for s in pair)
 
     return Tensor.node(terms.reshape(n, concepts).sum(axis=0) / n, "fill_terms",
                        tuple(m for m in maps for _ in range(2)), vjp)
@@ -224,14 +226,20 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
 
     def vjp(g):
         picks = _top_k_picks(submatrices(), kths, ks)
-        # a layer's concepts share its map: each pick is offset by its layer
-        # alone, and a pick two concepts share adds up in concept order
-        at = _flat_picks([sub[idx] for sub, idx in zip(subs * n, picks)],
-                         np.repeat(np.arange(n) * (size * size), concepts))
-        cotangent = np.bincount(at, np.repeat(np.concatenate([g] * n) / n / ks, ks),
-                                minlength=n * size * size)
-        return tuple(np.broadcast_to(c / float(p.shape[0]), p.shape)
-                     for c, p in zip(cotangent.reshape(n, size, size), probs))
+        shares = np.concatenate([g] * n) / n / ks
+
+        def cotangent(layer: int, heads: int) -> np.ndarray:
+            # the layer's concepts share its map: a pick two concepts share
+            # adds up in concept order
+            rows = slice(layer * concepts, (layer + 1) * concepts)
+            at = _flat_picks([sub[idx] for sub, idx in zip(subs, picks[rows])], [0] * concepts)
+            c = np.bincount(at, np.repeat(shares[rows], ks[rows]), minlength=size * size)
+            c = c.astype(np.float64, copy=False)  # a bincount of no picks is int64
+            c /= float(heads)
+            return c.reshape(size, size)
+
+        return tuple(np.broadcast_to(cotangent(layer, p.shape[0]), p.shape)
+                     if p.requires_grad else None for layer, p in enumerate(probs))
 
     return Tensor.node(tops.reshape(n, concepts).sum(axis=0) / n, "region_terms", probs, vjp)
 
@@ -256,9 +264,9 @@ def composite_loss(record: AttnRecord, geometry: RegionGeometry,
     alpha, beta = config.alpha, config.beta
     l_ce, l_fill, l_region = _concept_sum(ce), _concept_sum(fill), _concept_sum(region)
     total = Tensor.node(np.asarray(l_ce + alpha * l_fill + beta * l_region), "composite_loss",
-                        (ce, fill, region), lambda g: (np.broadcast_to(g, ce.shape),
-                                                       np.broadcast_to(g * alpha, fill.shape),
-                                                       np.broadcast_to(g * beta, region.shape)))
+                        (ce, fill, region), lambda g: tuple(
+                            np.broadcast_to(g * w, term.shape) if term.requires_grad else None
+                            for w, term in ((1.0, ce), (alpha, fill), (beta, region))))
     per_concept = {
         cid: {"ce": float(c), "fill": float(f), "region": float(r)}
         for cid, c, f, r in zip(geometry.concept_ids, ce.data, fill.data, region.data)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,22 @@ from loracanvas.autodiff import (
     softmax_rows,
     topk_mean,
 )
+from loracanvas.attention import (
+    AttnRecord,
+    LayerRecord,
+    LayoutCondition,
+    RegionGeometry,
+    RegionSpec,
+    compose_hidden,
+)
 from loracanvas.errors import ArgumentError, LineageError, NumericError, ShapeError
+from loracanvas.guidance import (
+    GuidanceConfig,
+    composite_loss,
+    concept_enhancement_terms,
+    fill_terms,
+    region_terms,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -180,6 +196,23 @@ def test_attention_probs_zeroes_blocked_keys_and_rejects_other_masks():
     for bad in (allowed.astype(np.float64), ad.checked_block(~allowed[:, :4])):
         with pytest.raises(ShapeError):
             ad.attention_probs(q, k, 2, bad)
+
+
+BIG = 1e200  # a product of two overflows a float64
+
+
+@pytest.mark.parametrize("key, blocked", [
+    ([[BIG, BIG], [0.0, 0.0]], None),
+    ([[-BIG, -BIG], [1.0, 1.0]], [[False, True]]),
+    ([[BIG, -BIG], [0.0, 0.0]], None),
+], ids=["inf_logit", "every_permitted_logit_minus_inf", "nan_logit"])
+def test_attention_probs_rejects_a_row_whose_maximum_is_not_finite(key, blocked):
+    # the second row of queries stays finite: the check reads each row's maximum
+    q = Tensor([[BIG, BIG], [1.0, 1.0]])
+    mask = None if blocked is None else ad.checked_block(np.array(blocked * 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="attention_probs"):
+            ad.attention_probs(q, Tensor(key), 1, mask)
 
 
 # ---------------------------------------------------------------- topk_mean
@@ -415,6 +448,93 @@ def test_grad_wrt_non_leaf_with_two_consumers_keeps_its_cotangent():
     via_leaf = grad(consumers(leaf), leaf)
     assert np.abs(via_non_leaf.data).max() > 0.0
     assert via_non_leaf.data.tobytes() == via_leaf.data.tobytes()
+
+
+def test_grad_holds_no_consumed_cotangent_through_the_next_vjp():
+    # two consumers of one node hand it fresh cotangents; grad sums them into
+    # a new array, so neither may still be alive when the node's own VJP runs
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    handed: list[weakref.ref] = []
+    alive: list[bool] = []
+
+    def fresh(g):
+        cotangent = g * 2.0
+        handed.append(weakref.ref(cotangent))
+        return (cotangent,)
+
+    def shared_vjp(g):
+        alive.extend(ref() is not None for ref in handed)
+        return (g.copy(),)
+
+    shared = Tensor.node(x.data * 1.0, "shared", (x,), shared_vjp)
+    left = Tensor.node(shared.data * 2.0, "left", (shared,), fresh)
+    right = Tensor.node(shared.data * 2.0, "right", (shared,), fresh)
+    root = Tensor.node(np.asarray(left.data.sum() + right.data.sum()), "root", (left, right),
+                       lambda g: (np.full(2, float(g)), np.full(2, float(g))))
+    assert grad(root, x).data.tolist() == [4.0, 4.0]
+    assert len(handed) == 2 and alive == [False, False]
+
+
+# ---------------------------------------------------------------- untraced parents
+
+# rows [0, 2) x columns [0, 2) and rows [1, 3) x columns [1, 4) of a 4x4 map
+GEOMETRY = RegionGeometry.build(LayoutCondition(
+    (RegionSpec((0.0, 0.0, 0.5, 0.5), "a"), RegionSpec((0.25, 0.25, 1.0, 0.75), "b")),
+    np.zeros((1, 1))), 4, 4)
+CROSS, SELF = (2, 4, 4), (2, 16, 16)  # a loss layer's concept maps and its two heads
+
+
+def record(c0, c1, s0, s1) -> AttnRecord:
+    return AttnRecord([LayerRecord((4, 4), c, s) for c, s in ((c0, s0), (c1, s1))])
+
+
+def constant(shape, seed: int = 9) -> Tensor:
+    return Tensor(np.random.default_rng(seed).random(shape))
+
+
+# every kernel with two or more parents: a builder taking its inputs, and their shapes
+MULTI_PARENT = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (3, 1)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "attention_probs": (lambda q, k: ad.attention_probs(q, k, 2), [(2, 3, 4), (2, 5, 4)]),
+    "apply_heads": (ad.apply_heads, [(2, 2, 3, 5), (2, 5, 4), (4, 3)]),
+    "concat": (lambda *parts: ad.concat(parts), [(2, 3), (1, 3), (4, 3)]),
+    "compose_hidden": (lambda h0, hiddens: compose_hidden(h0, hiddens, GEOMETRY),
+                       [(16, 3), (2, 16, 3)]),
+    "concept_enhancement_terms": (lambda c0, c1: concept_enhancement_terms(
+        record(c0, c1, constant(SELF), constant(SELF)), GEOMETRY, 0.4), [CROSS, CROSS]),
+    "fill_terms": (lambda c0, c1: fill_terms(
+        record(c0, c1, constant(SELF), constant(SELF)), GEOMETRY), [CROSS, CROSS]),
+    "region_terms": (lambda s0, s1: region_terms(
+        record(constant(CROSS), constant(CROSS), s0, s1), GEOMETRY, 0.2), [SELF, SELF]),
+    # the cross maps feed the enhancement and fill terms, the self maps the region term
+    "composite_loss": (lambda cross, selfs: composite_loss(
+        record(cross, cross, selfs, selfs), GEOMETRY, GuidanceConfig())[0], [CROSS, SELF]),
+}
+
+
+@pytest.mark.parametrize("kernel", MULTI_PARENT)
+def test_a_vjp_hands_back_none_for_an_untraced_parent(kernel):
+    # with each input untraced in turn, the VJP returns None for every parent
+    # built from that input alone, and each traced input's gradient keeps its bits
+    build, shapes = MULTI_PARENT[kernel]
+    rng = np.random.default_rng(4)
+    values = [rng.random(shape) for shape in shapes]
+    everything = [Tensor(v, requires_grad=True) for v in values]
+    reference = build(*everything)
+    g = rng.standard_normal(reference.shape)
+    expected = [grad(ad.mean_all(reference * Tensor(g)), x).data.tobytes() for x in everything]
+    for untraced in range(len(values)):
+        inputs = [Tensor(v, requires_grad=i != untraced) for i, v in enumerate(values)]
+        out = build(*inputs)
+        cotangents = out._vjp(g)
+        assert [c is None for c in cotangents] == [not p.requires_grad for p in out.parents]
+        assert any(c is None for c in cotangents)
+        for x, want in zip(inputs, expected):
+            if x.requires_grad:
+                assert grad(ad.mean_all(out * Tensor(g)), x).data.tobytes() == want
 
 
 # ---------------------------------------------------------------- allocator
