@@ -13,10 +13,12 @@ it (``op``), its ``parents`` and a vector-Jacobian closure (VJP). A VJP maps
 the node's cotangent to one cotangent per parent, in ``parents`` order, and
 returns None for each parent that is not traced, so no backward computes a
 cotangent nobody reads; a tensor is traced or not from the moment it is
-built. ``grad`` replays the tape once in reverse topological order, skips
-each None and drops every cotangent once it is summed, before the next VJP
-runs. ``finite_difference_gradient`` is the independent oracle used to
-cross-check every backward rule.
+built. ``grad`` replays the tape once in reverse topological order, skips each
+None and drops every cotangent once its VJP has run. It owns each cotangent it
+allocates and each fresh one a VJP returns (writable, no view, not the VJP's
+g, returned once), adds later ones into it in place and hands a VJP a writable
+g only if it owns it: a VJP may overwrite a writable g and returns no array it
+keeps. ``finite_difference_gradient`` is the oracle for every backward rule.
 
 Tensors are immutable values (the underlying arrays are write-protected),
 so they are safe to share across threads; a tape only ever lives inside a
@@ -43,6 +45,7 @@ import numpy as np
 from .errors import ArgumentError, LineageError, NumericError, ShapeError
 
 _VJP = Callable[[np.ndarray], tuple]
+_ROW_BLOCK_ELEMENTS = 1 << 14  # entries of the softmax VJP's row-product buffer
 
 # glibc's mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -307,11 +310,16 @@ def _softmax_rows(logits: np.ndarray):
     y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        # g may be shared with another parent's cotangent: write only into t
-        t = g * y
-        dot = t.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=t)
-        np.multiply(y, t, out=t)
+        # y * (t - row sums of t * y) into t, g if grad owns it; rows sum as in one whole sum
+        t = g if g.flags.writeable and g.flags.c_contiguous else g.copy()
+        rows, yr = t.reshape(-1, y.shape[-1]), y.reshape(-1, y.shape[-1])
+        step = max(1, _ROW_BLOCK_ELEMENTS // y.shape[-1])
+        dot, buf = np.empty((len(rows), 1)), np.empty((min(step, len(rows)), y.shape[-1]))
+        for i in range(0, len(rows), step):
+            s = slice(i, i + step)
+            np.multiply(rows[s], yr[s], out=buf[:len(rows) - i]).sum(-1, keepdims=True, out=dot[s])
+        rows -= dot
+        t *= y
         return t
 
     return y, vjp, top
@@ -674,18 +682,30 @@ def grad(root: Tensor, wrt: Tensor) -> Tensor:
         return Tensor(np.zeros(wrt.shape))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
+    owned = {id(root)}  # the nodes whose cotangent grad may write into
     for node in reversed(order):
         # a cotangent is dead once its node's VJP has consumed it; wrt's is
         # the result, though wrt may be a non-leaf with a VJP of its own
         g = grads.get(id(node)) if node is wrt else grads.pop(id(node), None)
         if g is None or node._vjp is None:
             continue
-        for parent, pg in zip(node.parents, node._vjp(g)):
-            if pg is not None:
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-        # grads holds every sum: no name keeps a consumed cotangent through the next VJP
-        g = pg = acc = None
+        if g.flags.writeable and (node is wrt or id(node) not in owned):
+            g = g.view()  # read-only, so the VJP cannot write into it
+            g.flags.writeable = False
+        cotangents = [(p, c) for p, c in zip(node.parents, node._vjp(g)) if c is not None]
+        bases = [id(c if c.base is None else c.base) for _, c in cotangents]
+        for parent, pg in cotangents:
+            acc = grads.get(id(parent))
+            # fresh: a new writable array, not g, handed to this parent alone
+            fresh = (pg.base is None and pg.flags.writeable and pg is not g
+                     and bases.count(id(pg)) == 1)
+            if acc is not None:  # acc + pg (it commutes) into an owned operand if any
+                out = acc if id(parent) in owned else pg if fresh else np.empty(acc.shape)
+                pg = np.add(acc, pg, out=out)
+            grads[id(parent)] = pg
+            if fresh or acc is not None:
+                owned.add(id(parent))
+        g = pg = acc = out = cotangents = None  # no name keeps a cotangent past its use
 
     result = grads.get(id(wrt), np.zeros(wrt.shape))
     _check_finite(result, "grad")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ctypes
+import functools
+import inspect
 import weakref
 from types import SimpleNamespace
 
@@ -25,6 +27,7 @@ from loracanvas.attention import (
     RegionGeometry,
     RegionSpec,
     compose_hidden,
+    region_cross_maps,
 )
 from loracanvas.errors import ArgumentError, LineageError, NumericError, ShapeError
 from loracanvas.guidance import (
@@ -34,6 +37,8 @@ from loracanvas.guidance import (
     fill_terms,
     region_terms,
 )
+
+from conftest import build_test_context
 
 
 # ---------------------------------------------------------------- oracles
@@ -451,11 +456,13 @@ def test_grad_wrt_non_leaf_with_two_consumers_keeps_its_cotangent():
 
 
 def test_grad_holds_no_consumed_cotangent_through_the_next_vjp():
-    # two consumers of one node hand it fresh cotangents; grad sums them into
-    # a new array, so neither may still be alive when the node's own VJP runs
+    # two consumers of one node hand it fresh cotangents; grad adds the second
+    # into the first in place, so the node's VJP receives the first, carrying
+    # the sum, and the second is dead by then
     x = Tensor([1.0, 2.0], requires_grad=True)
     handed: list[weakref.ref] = []
     alive: list[bool] = []
+    received: list[np.ndarray] = []
 
     def fresh(g):
         cotangent = g * 2.0
@@ -464,6 +471,7 @@ def test_grad_holds_no_consumed_cotangent_through_the_next_vjp():
 
     def shared_vjp(g):
         alive.extend(ref() is not None for ref in handed)
+        received.append(g)
         return (g.copy(),)
 
     shared = Tensor.node(x.data * 1.0, "shared", (x,), shared_vjp)
@@ -472,7 +480,8 @@ def test_grad_holds_no_consumed_cotangent_through_the_next_vjp():
     root = Tensor.node(np.asarray(left.data.sum() + right.data.sum()), "root", (left, right),
                        lambda g: (np.full(2, float(g)), np.full(2, float(g))))
     assert grad(root, x).data.tolist() == [4.0, 4.0]
-    assert len(handed) == 2 and alive == [False, False]
+    assert len(handed) == 2 and alive == [True, False]
+    assert received[0] is handed[0]() and received[0].tolist() == [4.0, 4.0]
 
 
 # ---------------------------------------------------------------- untraced parents
@@ -525,6 +534,7 @@ def test_a_vjp_hands_back_none_for_an_untraced_parent(kernel):
     everything = [Tensor(v, requires_grad=True) for v in values]
     reference = build(*everything)
     g = rng.standard_normal(reference.shape)
+    g.flags.writeable = False  # a VJP may write into a writable cotangent
     expected = [grad(ad.mean_all(reference * Tensor(g)), x).data.tobytes() for x in everything]
     for untraced in range(len(values)):
         inputs = [Tensor(v, requires_grad=i != untraced) for i, v in enumerate(values)]
@@ -532,9 +542,147 @@ def test_a_vjp_hands_back_none_for_an_untraced_parent(kernel):
         cotangents = out._vjp(g)
         assert [c is None for c in cotangents] == [not p.requires_grad for p in out.parents]
         assert any(c is None for c in cotangents)
+        # handed a writable copy, which it may overwrite, the VJP returns the same bits
+        assert ([None if c is None else c.tobytes() for c in out._vjp(g.copy())]
+                == [None if c is None else c.tobytes() for c in cotangents])
         for x, want in zip(inputs, expected):
             if x.requires_grad:
                 assert grad(ad.mean_all(out * Tensor(g)), x).data.tobytes() == want
+
+
+# ---------------------------------------------------------------- cotangent ownership
+
+
+@functools.cache
+def small_context():
+    return build_test_context()
+
+
+def cross_maps(z: Tensor) -> Tensor:
+    ctx = small_context()
+    return region_cross_maps(z, ctx.weights.blocks[0].cross_attn, ctx.dims.n_heads,
+                             ctx.loss_geometry, ctx.cross_branches[0])[2]
+
+
+# every one-parent kernel, as MULTI_PARENT lists the others
+SINGLE_PARENT = {
+    "div_scalar": (lambda x: ad.div_scalar(x, 3.0), [(3, 4)]),
+    "transpose2d": (ad.transpose2d, [(3, 4)]),
+    "reshape": (lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
+    "softmax_rows": (softmax_rows, [(3, 4)]),
+    "masked_softmax_rows": (lambda x: ad.masked_softmax_rows(
+        x, np.arange(12).reshape(3, 4) % 3 > 0), [(3, 4)]),
+    "mean_heads": (ad.mean_heads, [(2, 3, 4)]),
+    "layernorm_rows": (ad.layernorm_rows, [(3, 4)]),
+    "topk_mean": (lambda x: topk_mean(x, 3), [(3, 4)]),
+    "axis_max_project": (lambda x: axis_max_project(x, "rows"), [(3, 4)]),
+    "take": (lambda x: ad.take(x, [4, 0, 2]), [(6,)]),
+    "take2d": (lambda x: ad.take2d(x, [2, 0], [1, 3]), [(3, 4)]),
+    "slice_cols": (lambda x: ad.slice_cols(x, 1, 3), [(3, 4)]),
+    "column": (lambda x: ad.column(x, np.array([2, 0])), [(2, 3, 4)]),
+    "mean_all": (ad.mean_all, [(3, 4)]),
+    "sum_leading": (ad.sum_leading, [(2, 3, 4)]),
+    "avg_pool_2x2": (lambda x: ad.avg_pool_2x2(x, 2, 4), [(8, 3)]),
+    "upsample_nearest_2x": (lambda x: ad.upsample_nearest_2x(x, 2, 2), [(4, 3)]),
+    "region_cross_maps": (cross_maps, [(64, 8)]),
+}
+KERNELS = {**SINGLE_PARENT, **MULTI_PARENT}
+NOT_KERNELS = {"checked_block", "top_k", "top_k_picks", "grad", "finite_difference_gradient",
+               "max_relative_error"}
+
+
+def test_every_public_autodiff_kernel_has_a_vjp_case():
+    public = {name for name, f in vars(ad).items() if inspect.isfunction(f)
+              and f.__module__ == ad.__name__ and not name.startswith("_")}
+    assert public - NOT_KERNELS <= set(KERNELS)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_vjp_returns_no_array_it_keeps(kernel):
+    # grad may write into a writable cotangent with no base that a VJP hands it,
+    # so such an array must be new to every call: writing into one leaves a
+    # second call's cotangents, and a third call's, as they were
+    build, shapes = KERNELS[kernel]
+    rng = np.random.default_rng(5)
+    out = build(*[Tensor(rng.random(shape), requires_grad=True) for shape in shapes])
+    g = np.array(rng.standard_normal(out.shape))
+    g.flags.writeable = False
+    first, second = out._vjp(g), out._vjp(g)
+    kept = [c.tobytes() for c in second]
+    for c in first:
+        if c.base is None and c.flags.writeable:
+            c.fill(np.nan)
+    assert [c.tobytes() for c in second] == kept
+    assert [c.tobytes() for c in out._vjp(g)] == kept
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 300, 257), (70, 20000), (0, 4)])
+def test_softmax_vjp_sums_each_row_as_one_whole_sum_would(shape):
+    # the row dot products go through a buffer a block of rows at a time
+    # (more than one block, a short last block, rows longer than the buffer)
+    rng = np.random.default_rng(11)
+    logits = rng.standard_normal(shape) * 4.0
+    y, vjp, _ = ad._softmax_rows(logits.copy())
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    whole = y * (g - (g * y).sum(axis=-1, keepdims=True))
+    readonly = g.copy()
+    readonly.flags.writeable = False
+    assert vjp(readonly).tobytes() == whole.tobytes()
+    writable = g.copy()
+    assert vjp(writable) is writable and writable.tobytes() == whole.tobytes()
+
+
+def copying_grad(root: Tensor, wrt: Tensor) -> np.ndarray:
+    """``grad`` without ownership: each VJP gets a read-only copy of its
+    cotangent and each sum is a new array, in ``grad``'s order."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node.parents
+                         if p.requires_grad and id(p) not in seen)
+    grads = {id(root): np.ones(root.shape)}
+    for node in reversed(order):
+        g = grads.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        g = np.array(g)
+        g.flags.writeable = False
+        for parent, pg in zip(node.parents, node._vjp(g)):
+            if pg is not None:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = np.array(pg) if acc is None else acc + pg
+    return grads[id(wrt)]
+
+
+# each term first once, the others following in either direction
+@pytest.mark.parametrize("order", [[(first + step * i) % 5 for i in range(5)]
+                                   for first in range(5) for step in (1, -1)])
+def test_grad_adds_into_the_cotangents_it_owns_as_a_copying_grad_would(order):
+    # node a gets the one g add hands both its parents, the same g twice from
+    # add(a, a), a broadcast from mean_heads and fresh ones from mul, and the
+    # softmax overwrites the owned sum of its two consumers' cotangents; the
+    # terms' order sets which cotangent reaches a first
+    rng = np.random.default_rng(3)
+
+    def scaled(shape):
+        return Tensor(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape))
+
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    a = x * scaled((2, 3, 4))
+    sm = softmax_rows(ad.reshape(a, (6, 4)))
+    terms = [a + x / 3.0, ad.mean_heads(a), a * scaled((2, 3, 4)), a + a,
+             ad.reshape(sm * scaled((6, 4)) + sm * scaled((6, 4)), (2, 3, 4))]
+    total = None
+    for i in order:
+        term = ad.mean_all(terms[i] * scaled(terms[i].shape))
+        total = term if total is None else total + term
+    for wrt in (x, a, sm):
+        assert grad(total, wrt).data.tobytes() == copying_grad(total, wrt).tobytes()
 
 
 # ---------------------------------------------------------------- allocator

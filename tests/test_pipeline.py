@@ -4,6 +4,7 @@ import dataclasses
 import json
 import platform
 import resource
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -458,6 +459,22 @@ def test_repeated_guided_sample_reuses_the_heap(asset_dir, tmp_path):
     # without the kept heap every guidance iteration faults its attention
     # arrays in afresh: well over 10,000 faults for the second run
     assert faults[1] < 2000
+
+
+def test_a_guided_sample_peaks_under_its_heap_ratchet(asset_dir, tmp_path):
+    # the backward through the self-attention loss layers sets the heap's
+    # high-water mark; with grad adding into the cotangents it owns and the
+    # softmax VJP writing into its own, one seed-42 reference sample peaks at
+    # about 6.67 MB (7.55 MB before)
+    config = RunConfig.from_json(asset_dir / "config.json")
+    sample(dataclasses.replace(config, output_dir=tmp_path / "warm-up"))
+    tracemalloc.start()
+    try:
+        sample(dataclasses.replace(config, output_dir=tmp_path / "traced"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.8e6, f"heap peak {peak / 1e6:.2f} MB"
 
 
 def test_sample_guidance_window_boundaries(small_config, tmp_path):

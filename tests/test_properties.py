@@ -152,15 +152,20 @@ def test_batched_attention_kernels_equal_per_head_chain_bit_for_bit(case):
         assert np.abs(grads[1] - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
 
 
-def vjp_leaves_cotangent_alone(node: Tensor, cotangent: np.ndarray) -> None:
-    """The node's VJP neither writes into g nor depends on an earlier call."""
+def vjp_leaves_cotangent_alone(node: Tensor, cotangent: np.ndarray) -> tuple:
+    """Handed a read-only g, the node's VJP leaves it alone and does not depend
+    on an earlier call; handed a writable C-order copy, it returns the same bits.
+    Returns the first call's cotangents and the copy, as its call left it."""
     g = np.array(cotangent)
+    g.flags.writeable = False
     first = node._vjp(g)
-    assert g.tobytes() == cotangent.tobytes()
     second = node._vjp(g)
     assert g.tobytes() == cotangent.tobytes()
-    for a, b in zip(first, second):
-        assert a.tobytes() == b.tobytes()
+    writable = np.array(cotangent, order="C")
+    third = node._vjp(writable)
+    for a, b, c in zip(first, second, third):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    return first, writable
 
 
 @PROPERTY
@@ -169,13 +174,21 @@ def test_softmax_kernel_vjps_leave_their_cotangent_alone(case, masked):
     q, k, _, _, n_heads, allowed, _, cot_map = case
     probs = ad.attention_probs(Tensor(q, requires_grad=True),
                                Tensor(k, requires_grad=True), n_heads, blocked(allowed))
-    vjp_leaves_cotangent_alone(probs, np.broadcast_to(cot_map, probs.shape))
+    g = np.broadcast_to(cot_map, probs.shape)
+    _, written = vjp_leaves_cotangent_alone(probs, g)
+    # the writable cotangent is overwritten with the logits' cotangent
+    y = probs.data
+    logits_cotangent = (g - (g * y).sum(axis=-1, keepdims=True)) * y / math.sqrt(
+        q.shape[-1] // n_heads)
+    assert written.tobytes() == logits_cotangent.tobytes()
     logits = Tensor(probs.data[0], requires_grad=True)
     if masked and allowed is not None:
         y = ad.masked_softmax_rows(logits, allowed)
     else:
         y = ad.softmax_rows(logits)
-    vjp_leaves_cotangent_alone(y, cot_map)
+    # ... and with the logits' cotangent, which the softmax returns
+    (returned,), written = vjp_leaves_cotangent_alone(y, cot_map)
+    assert written.tobytes() == returned.tobytes()
 
 
 # ------------------------------------------------------------------ sums
