@@ -151,12 +151,13 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     """Every concept's axis-projection fill term, averaged over layers: (concepts,).
 
     BoxDiff's box-axis max-projection term: per concept c, ``mean(1 -
-    [map[c]'s column maxima at its box columns, row maxima at its box rows])``
-    (chain: axis_max_project, take, concat, sub, mean_all). Each maximum's
-    gradient routes to its first argmax. Each map is listed twice in
-    ``parents``: the VJP hands back its column-max and row-max scatters as
-    separate cotangents, so ``grad`` adds them to the map's other cotangents
-    in the chain's order. Summing the two here would reassociate that sum.
+    [its box submatrix's column maxima, its row maxima])`` (chain: take2d,
+    axis_max_project, concat, sub, mean_all), so no entry outside the box is
+    read. Each maximum's gradient routes to its first argmax in the box. Each
+    map is listed twice in ``parents``: the VJP hands back its column-max and
+    row-max scatters as separate cotangents, so ``grad`` adds them to the
+    map's other cotangents in the chain's order. Summing the two here would
+    reassociate that sum.
     """
     maps = [layer.cross_maps for layer in record.loss_layers(geometry)]
     table = geometry.pixels
@@ -165,20 +166,18 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     stack = np.array([m.data for m in maps])
     rows, cols = table.rows * n, table.cols * n
     sizes = np.array([ri.size + ci.size for ri, ci in zip(rows, cols)], dtype=np.intp)
-    col_max = stack.max(axis=2).reshape(n * concepts, width)
-    row_max = stack.max(axis=3).reshape(n * concepts, height)
+    boxes = [m[np.ix_(ri, ci)] for m, ri, ci
+             in zip(stack.reshape(n * concepts, height, width), rows, cols)]
     # each mean as a sum over the count, as ndarray.mean computes it
-    terms = np.array([(1.0 - np.concatenate([cm[ci], rm[ri]])).sum() / size
-                      for cm, rm, ci, ri, size in zip(col_max, row_max, cols, rows, sizes)])
+    terms = np.array([(1.0 - np.concatenate([b.max(axis=0), b.max(axis=1)])).sum() / size
+                      for b, size in zip(boxes, sizes)])
 
     def vjp(g):
         share = -(np.concatenate([g] * n) / n / sizes)
-        first_rows = stack.argmax(axis=2).reshape(n * concepts, width)
-        first_cols = stack.argmax(axis=3).reshape(n * concepts, height)
         starts = range(0, stack.size, height * width)
         scatters = []
-        for at in ([a[ci] * width + ci for a, ci in zip(first_rows, cols)],
-                   [ri * width + a[ri] for a, ri in zip(first_cols, rows)]):
+        for at in ([ri[b.argmax(axis=0)] * width + ci for b, ri, ci in zip(boxes, rows, cols)],
+                   [ri * width + ci[b.argmax(axis=1)] for b, ri, ci in zip(boxes, rows, cols)]):
             out = np.zeros(stack.size)
             out[_flat_picks(at, starts)] = np.repeat(share, [i.size for i in at])
             scatters.append(out.reshape(stack.shape))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 import weakref
@@ -18,6 +19,7 @@ from loracanvas.attention import (
     rasterize_mask,
 )
 from loracanvas.autodiff import Tensor, finite_difference_gradient, grad, max_relative_error
+from loracanvas.cli import make_toy_assets
 from loracanvas.errors import ArgumentError, NumericError
 from loracanvas import guidance as guidance_module
 from loracanvas.denoiser import encode
@@ -33,6 +35,7 @@ from loracanvas.guidance import (
     region_terms,
     step_size,
 )
+from loracanvas.pipeline import RunConfig, sample
 
 H = W = 4
 N = H * W
@@ -142,6 +145,47 @@ def test_fill_loss_single_lit_row_hand_value():
     # row projection covers all 3 box columns; column projection covers 1 of 2
     # box rows: sum(1 - entries) = 1 over K = 5
     assert abs(summed(fill_terms(record, geo)) - 0.2) < 1e-12
+
+
+def test_fill_projects_onto_the_box_axes_alone():
+    # concept a's box is the top-left 2x2; its columns and rows are lit at 1
+    # only outside the box, so the box's own maxima (0.25) make the term
+    geo = geometry_two_concepts()
+    amap = np.full((H, W), 0.25)
+    amap[3, :2] = amap[:2, 3] = 1.0
+    maps = Tensor(np.stack([amap, geo.masks[1]]), requires_grad=True)
+    record = AttnRecord([LayerRecord((H, W), maps, Tensor(uniform_self_map()[None]))])
+    node = fill_terms(record, geo)
+    assert node.data.tolist() == [0.75, 0.0]
+    cotangent = grad(ad.sum_leading(node), maps).data
+    assert not cotangent[geo.masks == 0].any()
+    # each box column's first argmax is in row 0, each box row's in column 0
+    assert np.flatnonzero(cotangent[0]).tolist() == [0, 1, W]
+
+
+def test_fill_cotangents_stay_in_their_boxes_over_the_reference_run(tmp_path, monkeypatch):
+    # every loss the seed-42 reference run evaluates, re-init's included: no
+    # concept's fill cotangent reaches a map entry outside its own box
+    make_toy_assets(tmp_path, seed=42)
+    config = RunConfig.from_json(tmp_path / "config.json")
+    real, seen = guidance_module.fill_terms, []
+
+    def spy(record, geometry):
+        seen.append((geometry, [l.cross_maps.data for l in record.loss_layers(geometry)]))
+        return real(record, geometry)
+
+    monkeypatch.setattr(guidance_module, "fill_terms", spy)
+    result = sample(dataclasses.replace(config, output_dir=tmp_path / "out"))
+    assert len(seen) == len(result.trace)
+    for geometry, maps in seen:
+        h, w = geometry.height, geometry.width
+        self_probs = Tensor(np.zeros((1, h * w, h * w)))
+        leaves = [Tensor(m, requires_grad=True) for m in maps]
+        total = ad.sum_leading(real(AttnRecord([LayerRecord((h, w), leaf, self_probs)
+                                                for leaf in leaves]), geometry))
+        for leaf in leaves:
+            cotangent = grad(total, leaf).data
+            assert cotangent.any() and not cotangent[geometry.masks == 0].any()
 
 
 # ------------------------------------------------------------------ region loss

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,7 +28,10 @@ from loracanvas.autodiff import Tensor, finite_difference_gradient, grad
 from loracanvas.errors import DataError, EmptyMaskError, FormatError
 from loracanvas.guidance import GuidanceConfig, composite_loss
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+# no shrink phase: a failing example is reported as drawn, in seconds, where
+# shrinking one over these arrays took minutes
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                    phases=[p for p in Phase if p is not Phase.shrink])
 
 finite = st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
 
