@@ -163,24 +163,24 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     table = geometry.pixels
     height, width = geometry.height, geometry.width
     n, concepts = len(maps), len(table.area)
-    stack = np.array([m.data for m in maps])
     rows, cols = table.rows * n, table.cols * n
     sizes = np.array([ri.size + ci.size for ri, ci in zip(rows, cols)], dtype=np.intp)
-    boxes = [m[np.ix_(ri, ci)] for m, ri, ci
-             in zip(stack.reshape(n * concepts, height, width), rows, cols)]
+    # row l * concepts + c's box, gathered from layer l's map of concept c
+    boxes = [amap[np.ix_(ri, ci)] for m in maps
+             for amap, ri, ci in zip(m.data, table.rows, table.cols)]
     # each mean as a sum over the count, as ndarray.mean computes it
     terms = np.array([(1.0 - np.concatenate([b.max(axis=0), b.max(axis=1)])).sum() / size
                       for b, size in zip(boxes, sizes)])
 
     def vjp(g):
         share = -(np.concatenate([g] * n) / n / sizes)
-        starts = range(0, stack.size, height * width)
+        starts = range(0, n * concepts * height * width, height * width)
         scatters = []
         for at in ([ri[b.argmax(axis=0)] * width + ci for b, ri, ci in zip(boxes, rows, cols)],
                    [ri * width + ci[b.argmax(axis=1)] for b, ri, ci in zip(boxes, rows, cols)]):
-            out = np.zeros(stack.size)
-            out[_flat_picks(at, starts)] = np.repeat(share, [i.size for i in at])
-            scatters.append(out.reshape(stack.shape))
+            out = np.zeros((n, concepts, height, width))
+            out.reshape(-1)[_flat_picks(at, starts)] = np.repeat(share, [i.size for i in at])
+            scatters.append(out)
         # each layer's column scatter, then its row scatter, as the parents list them
         return tuple(s if m.requires_grad else None
                      for m, pair in zip(maps, zip(*scatters)) for s in pair)
