@@ -1,13 +1,12 @@
 """Region-aware cross-attention and concept-isolating self-attention.
 
 This is the heart of the composition block: each foreground concept gets
-its own cross-attention branch whose queries are restricted to the
-concept's layout region and whose key/value projections carry that
-concept's low-rank deltas; branch outputs are merged back over the
-background branch. Self-attention is hard-masked so queries of one
-concept region can never attend to keys of another, while
-foreground/background interaction stays soft (handled by the region
-loss, not a hard mask).
+its own cross-attention branch, attended by every query, whose key/value
+projections carry that concept's low-rank deltas; inside the concept's
+layout region its output is merged back over the background branch.
+Self-attention is hard-masked so queries of one concept region can never
+attend to keys of another, while foreground/background interaction stays
+soft (handled by the region loss, not a hard mask).
 """
 
 from __future__ import annotations
@@ -188,8 +187,7 @@ class RegionGeometry:
             outside=tuple(np.flatnonzero(f == 0) for f in flat),
             rows=tuple(np.flatnonzero(r) for r in self.masks.any(axis=2)),
             cols=tuple(np.flatnonzero(c) for c in self.masks.any(axis=1)),
-            area=flat.sum(axis=1).astype(np.intp),
-            query=Tensor(flat[:, :, None]), share=Tensor((flat / safe)[:, :, None]),
+            area=flat.sum(axis=1).astype(np.intp), share=Tensor((flat / safe)[:, :, None]),
             weight=Tensor(np.reshape([gaussian_weight(r.box, h, w) for r in self.regions],
                                      (-1, h, w))),
             background=Tensor((count == 0)[:, None]))
@@ -204,7 +202,6 @@ class PixelTable:
     rows: tuple[np.ndarray, ...]      # rows each box covers
     cols: tuple[np.ndarray, ...]      # columns each box covers
     area: np.ndarray      # (concepts,) pixels each box covers
-    query: Tensor         # (concepts, h*w, 1) mask on each concept branch's queries
     share: Tensor         # (concepts, h*w, 1) compose weight: mask / boxes covering the pixel
     weight: Tensor        # (concepts, h, w) Gaussian weight, in-box maximum 1
     background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
@@ -279,9 +276,10 @@ def region_cross_attention(
 ) -> tuple[Tensor, Tensor]:
     """Cross-attention with one LoRA-injected branch per concept region.
 
-    Each concept branch masks its queries with its region and attends its own
-    keys and values; returns the composed hidden state and the (concepts, h, w)
-    concept maps.
+    Every query attends each concept branch's own keys and values, so each
+    concept map holds that concept token's attention at every pixel;
+    ``compose_hidden`` keeps a branch's hidden state inside its region alone.
+    Returns the composed hidden state and the (concepts, h, w) concept maps.
     """
     query, probs, maps = region_cross_maps(z_flat, weights, n_heads, geometry, branches)
     return region_cross_output(query, probs, weights, n_heads, geometry, branches), maps
@@ -296,9 +294,9 @@ def region_cross_maps(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """The first half of ``region_cross_attention``: everything its maps read.
 
-    Projects the queries and runs every concept branch's attention at once.
-    Returns the unmasked (h*w, d) queries, the (concepts, heads, h*w, tokens)
-    branch attention and each branch's concept-token map, heads averaged, as
+    Projects the queries and runs every concept branch's attention at once,
+    the one (h*w, d) query shared by every branch. Returns the queries, the
+    (concepts, heads, h*w, tokens) branch attention and each branch's concept-token map, heads averaged, as
     (concepts, h, w). No hidden state is computed.
     """
     h, w = geometry.height, geometry.width
@@ -308,8 +306,7 @@ def region_cross_maps(
         raise ArgumentError(f"branches list concepts {list(branches.concept_ids)}, the "
                             f"geometry {list(geometry.concept_ids)}")
     query = ad.matmul(z_flat, weights.wq_t)
-    probs = ad.attention_probs(ad.mul(query, geometry.pixels.query), branches.concept_k,
-                               n_heads)
+    probs = ad.attention_probs(query, branches.concept_k, n_heads)
     # one node for reshape(column(mean_heads(probs), tokens)): each branch's token
     # column is taken first and its heads summed in order, so it rounds the same
     at = (np.arange(len(branches.tokens)), slice(None), slice(None), branches.tokens)

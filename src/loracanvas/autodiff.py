@@ -354,12 +354,13 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
                     blocked: np.ndarray | None = None) -> Tensor:
     """Per-head softmax(q_h @ k_h^T / sqrt(d_h)) as one (..., heads, n, m) tensor.
 
-    ``q`` is (..., n, d) and ``k`` (..., m, d), with the same leading axes.
-    ``blocked`` is an optional (n, m) ``checked_block`` mask shared by every
-    head and leading slice; those keys get exactly 0, as in ``masked_softmax_rows``.
+    ``k`` is (..., m, d); ``q`` is (..., n, d) with the same leading axes, or one
+    (n, d) query every leading slice shares. ``blocked`` is an optional (n, m)
+    ``checked_block`` mask shared by every head and leading slice; those keys
+    get exactly 0, as in ``masked_softmax_rows``.
     """
-    if (q.data.ndim < 2 or q.shape[:-2] != k.shape[:-2] or k.data.ndim != q.data.ndim
-            or q.shape[-1] != k.shape[-1]):
+    if (q.data.ndim < 2 or k.data.ndim < 2 or q.shape[-1] != k.shape[-1]
+            or q.data.ndim > 2 and q.shape[:-2] != k.shape[:-2]):
         raise ShapeError(f"attention_probs: cannot attend {q.shape} to {k.shape}")
     n_heads = int(n_heads)
     _check_heads(q.shape[-1], n_heads)
@@ -376,7 +377,8 @@ def attention_probs(q: Tensor, k: Tensor, n_heads: int,
     def vjp(g):
         gl = softmax_vjp(g)
         gl /= scale
-        return (_join_heads(np.matmul(gl, kt.swapaxes(-1, -2))) if q.requires_grad else None,
+        return (_unbroadcast(_join_heads(np.matmul(gl, kt.swapaxes(-1, -2))), q.shape)
+                if q.requires_grad else None,
                 _join_heads(np.matmul(qh.swapaxes(-1, -2), gl).swapaxes(-1, -2))
                 if k.requires_grad else None)
 

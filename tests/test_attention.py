@@ -28,8 +28,10 @@ from loracanvas.attention import (
     masked_self_attention,
     rasterize_mask,
     region_cross_attention,
+    region_cross_maps,
+    region_cross_output,
 )
-from loracanvas.autodiff import Tensor
+from loracanvas.autodiff import Tensor, grad
 from loracanvas.denoiser import denoiser_forward
 from loracanvas.errors import ArgumentError, ConfigurationError, EmptyMaskError, ShapeError
 
@@ -82,8 +84,11 @@ def region_cross_oracle(z, layout, bundles, weights, n_heads, height, width):
         qn = m[:, None] * q_full
         wk = weights.wk + b.deltas["cross.W_K"].merged()
         wv = weights.wv + b.deltas["cross.W_V"].merged()
-        hn, amap = attention_oracle(qn, b.prompt_embed @ wk.T,
-                                    b.prompt_embed @ wv.T, weights.wo, n_heads)
+        kn, vn = b.prompt_embed @ wk.T, b.prompt_embed @ wv.T
+        # the map reads every query; only the box's rows of the hidden state
+        # are kept, so it is scripted from the box's queries alone
+        hn, _ = attention_oracle(qn, kn, vn, weights.wo, n_heads)
+        _, amap = attention_oracle(q_full, kn, vn, weights.wo, n_heads)
         cross[region.concept_id] = amap[:, b.token_index].reshape(height, width)
         masks.append(m)
         hiddens.append(hn)
@@ -320,6 +325,29 @@ def test_region_cross_attention_matches_scripted_oracle():
             assert amap.min() >= 0.0 and amap.max() <= 1.0
 
 
+@pytest.mark.parametrize("n_regions", [1, 2])
+@pytest.mark.parametrize("heads", HEAD_COUNTS)
+def test_composed_state_equals_the_state_of_box_masked_queries_bit_for_bit(n_regions, heads):
+    # compose_hidden weights each branch's out-of-box rows by 0: the state and
+    # its latent gradient from every query equal, bit for bit, those from
+    # queries masked with each concept's box
+    z, layout, bundles, weights, n_heads, geometry = _small_setup(n_regions, n_heads=heads)
+    branches = cross_branches(layout, bundles, weights)
+    masks = Tensor(geometry.masks.reshape(n_regions, -1, 1))
+    states = []
+    for masked in (False, True):
+        z_flat = Tensor(z, requires_grad=True)
+        query, probs, _ = region_cross_maps(z_flat, weights, n_heads, geometry, branches)
+        if masked:
+            probs = ad.attention_probs(ad.mul(query, masks), branches.concept_k, n_heads)
+        state = region_cross_output(query, probs, weights, n_heads, geometry, branches)
+        states.append((probs.data, state.data, grad(ad.mean_all(state), z_flat).data))
+    (every, state, gradient), (masked, masked_state, masked_gradient) = states
+    assert not np.array_equal(every, masked)
+    assert state.tobytes() == masked_state.tobytes()
+    assert gradient.tobytes() == masked_gradient.tobytes()
+
+
 def test_region_cross_attention_neutral_single_full_region():
     z, layout, bundles, weights, n_heads, _ = _small_setup(0)
     vanilla, _ = _cross(z, layout, {}, weights, n_heads,
@@ -336,16 +364,6 @@ def test_region_cross_attention_neutral_single_full_region():
     composed, _ = _cross(z, neutral_layout, {"solo": bundle}, weights, n_heads,
                          RegionGeometry.build(neutral_layout, 4, 4))
     assert np.array_equal(composed.data, vanilla.data)
-
-
-def test_region_cross_attention_uniform_rows_outside_mask():
-    z, layout, bundles, weights, n_heads, geometry = _small_setup(1)
-    _, cross = _cross(z, layout, bundles, weights, n_heads, geometry)
-    # zeroed query rows give uniform token attention in the branch map
-    outside = geometry.masks[0] == 0
-    tokens = bundles["c0"].prompt_embed.shape[0]
-    assert outside.any()
-    assert np.max(np.abs(cross.data[0][outside] - 1.0 / tokens)) <= 1e-12
 
 
 def test_region_cross_attention_missing_bundle():

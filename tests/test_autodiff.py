@@ -115,6 +115,10 @@ def ones(*shape: int) -> Tensor:
     (lambda: ad.reshape(ones(2, 3), (4, 2)), "cannot reshape"),
     (lambda: ad.attention_probs(ones(3, 4), ones(5, 4), 3), "width 4 not divisible by 3 heads"),
     (lambda: ad.attention_probs(ones(3, 4), ones(5, 6), 2), "cannot attend"),
+    # a query with leading axes must match the keys'; only an (n, d) one is shared
+    (lambda: ad.attention_probs(ones(2, 3, 4), ones(3, 5, 4), 2), "cannot attend"),
+    (lambda: ad.attention_probs(ones(2, 3, 4), ones(5, 4), 2), "cannot attend"),
+    (lambda: ad.attention_probs(ones(3, 4), ones(4), 2), "cannot attend"),
     (lambda: ad.apply_heads(ones(2, 3, 5), ones(4, 4), ones(4, 4)), "cannot apply"),
     (lambda: ad.mean_heads(ones(3, 3)), "mean_heads expects"),
     (lambda: ad.layernorm_rows(ones(2, 2, 2)), "layernorm_rows expects a 2-D tensor"),
@@ -123,7 +127,8 @@ def ones(*shape: int) -> Tensor:
     (lambda: ad.upsample_nearest_2x(ones(5, 2), 2, 2), r"expected \(4, d\)"),
     (lambda: max_relative_error(np.ones(3), np.ones(4)), "cannot compare"),
 ], ids=["float_of_a_vector", "add", "mul", "transpose2d", "reshape", "heads_not_dividing",
-        "attention_probs", "apply_heads", "mean_heads", "layernorm_rows", "avg_pool_rows",
+        "attention_probs", "attention_probs_leading_axes", "attention_probs_shared_keys",
+        "attention_probs_vector_keys", "apply_heads", "mean_heads", "layernorm_rows", "avg_pool_rows",
         "avg_pool_odd_extent", "upsample_rows", "max_relative_error"])
 def test_kernels_reject_misshaped_operands(call, match):
     with pytest.raises(ShapeError, match=match):

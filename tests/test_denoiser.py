@@ -32,9 +32,10 @@ from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fract
 # terms back into chains of small kernels (127 nodes), the concept branches
 # and terms back into one kernel chain per concept (73 nodes) or the head
 # outputs, concept maps, compose and loss tail back into their kernel chains
-# (57 nodes) or averaging the loss layers' self-attention heads before the
-# region term (40 nodes) fails this
-FORWARD_PLUS_LOSS_NODES = 38
+# (57 nodes), averaging the loss layers' self-attention heads before the
+# region term (40 nodes) or masking each concept branch's queries with its
+# box (38 nodes) fails this
+FORWARD_PLUS_LOSS_NODES = 36
 
 
 def test_sinusoidal_embedding_shape_and_determinism():

@@ -154,6 +154,20 @@ def test_batched_attention_kernels_equal_per_head_chain_bit_for_bit(case):
         numeric = finite_difference_gradient(loss_of, Tensor(operands[wrt])).data
         assert np.abs(grads[1] - numeric).max() < 1e-6 * max(1.0, np.abs(numeric).max())
 
+    # one (n, d) query shared by every leading slice of the keys attends as its
+    # broadcast copy does, and its cotangent is the copies' summed in order
+    keys = Tensor(np.stack([k, v, -k]))
+    results = []
+    for query in (q, np.broadcast_to(q, (3,) + q.shape)):
+        traced = Tensor(query, requires_grad=True)
+        probs = ad.attention_probs(traced, keys, n_heads, blocked(allowed))
+        loss = ad.mean_all(probs * Tensor(np.broadcast_to(cot_map, probs.shape)))
+        results.append((probs.data, grad(loss, traced).data))
+    (shared, cotangent), (copied, copies) = results
+    assert shared.tobytes() == copied.tobytes()
+    assert cotangent.shape == q.shape
+    assert cotangent.tobytes() == copies.sum(axis=0).tobytes()
+
 
 def vjp_leaves_cotangent_alone(node: Tensor, cotangent: np.ndarray) -> tuple:
     """Handed a read-only g, the node's VJP leaves it alone and does not depend
@@ -653,7 +667,6 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert np.array_equal(table.rows[i], np.flatnonzero(mask.any(axis=1)))
             assert np.array_equal(table.cols[i], np.flatnonzero(mask.any(axis=0)))
             assert table.area[i] == flat.sum()
-            assert np.array_equal(table.query.data[i], flat[:, None])
             assert np.array_equal(table.weight.data[i], gaussian_weight(region.box, h, w))
             assert np.array_equal(table.weight.data[i] > 0, mask > 0)
             shares += table.share.data[i, :, 0]

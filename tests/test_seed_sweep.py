@@ -14,7 +14,7 @@ from loracanvas.cli import make_toy_assets
 from loracanvas.pipeline import RunConfig, sample
 
 SEEDS = range(10)
-MIN_PASSING = 2
+MIN_PASSING = 4
 
 
 def criterion_4(seed: int, tmp_path) -> bool:
