@@ -165,8 +165,8 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     n, concepts = len(maps), len(table.area)
     rows, cols = table.rows * n, table.cols * n
     sizes = np.array([ri.size + ci.size for ri, ci in zip(rows, cols)], dtype=np.intp)
-    # row l * concepts + c's box, gathered from layer l's map of concept c
-    boxes = [amap[np.ix_(ri, ci)] for m in maps
+    # row l * concepts + c's box, amap[np.ix_(ri, ci)] of layer l's map of concept c
+    boxes = [amap[ri[:, None], ci] for m in maps
              for amap, ri, ci in zip(m.data, table.rows, table.cols)]
     # each mean as a sum over the count, as ndarray.mean computes it
     terms = np.array([(1.0 - np.concatenate([b.max(axis=0), b.max(axis=1)])).sum() / size
