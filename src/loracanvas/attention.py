@@ -295,8 +295,8 @@ def region_cross_maps(
     """The first half of ``region_cross_attention``: everything its maps read.
 
     Projects the queries and runs every concept branch's attention at once,
-    the one (h*w, d) query shared by every branch. Returns the queries, the
-    (concepts, heads, h*w, tokens) branch attention and each branch's concept-token map, heads averaged, as
+    one (h*w, d) query for all. Returns it, the (concepts, heads, h*w, tokens)
+    branch attention and each branch's concept-token map, heads averaged, as
     (concepts, h, w). No hidden state is computed.
     """
     h, w = geometry.height, geometry.width

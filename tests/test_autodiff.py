@@ -127,9 +127,9 @@ def ones(*shape: int) -> Tensor:
     (lambda: ad.upsample_nearest_2x(ones(5, 2), 2, 2), r"expected \(4, d\)"),
     (lambda: max_relative_error(np.ones(3), np.ones(4)), "cannot compare"),
 ], ids=["float_of_a_vector", "add", "mul", "transpose2d", "reshape", "heads_not_dividing",
-        "attention_probs", "attention_probs_leading_axes", "attention_probs_shared_keys",
-        "attention_probs_vector_keys", "apply_heads", "mean_heads", "layernorm_rows", "avg_pool_rows",
-        "avg_pool_odd_extent", "upsample_rows", "max_relative_error"])
+        "attention_probs", "attention_probs_leading_axes", "attention_probs_unstacked_keys",
+        "attention_probs_vector_keys", "apply_heads", "mean_heads", "layernorm_rows",
+        "avg_pool_rows", "avg_pool_odd_extent", "upsample_rows", "max_relative_error"])
 def test_kernels_reject_misshaped_operands(call, match):
     with pytest.raises(ShapeError, match=match):
         call()
