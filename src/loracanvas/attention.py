@@ -182,15 +182,17 @@ class RegionGeometry:
         flat = self.masks.reshape(-1, h * w)
         count = flat.sum(axis=0)
         safe = np.maximum(count, 1.0)
-        return PixelTable(
+        table = PixelTable(
             inside=tuple(np.flatnonzero(f) for f in flat),
             outside=tuple(np.flatnonzero(f == 0) for f in flat),
             rows=tuple(np.flatnonzero(r) for r in self.masks.any(axis=2)),
             cols=tuple(np.flatnonzero(c) for c in self.masks.any(axis=1)),
-            area=flat.sum(axis=1).astype(np.intp), share=Tensor((flat / safe)[:, :, None]),
-            weight=Tensor(np.reshape([gaussian_weight(r.box, h, w) for r in self.regions],
-                                     (-1, h, w))),
-            background=Tensor((count == 0)[:, None]))
+            area=flat.sum(axis=1).astype(np.intp), share=(flat / safe)[:, :, None],
+            weight=np.reshape([gaussian_weight(r.box, h, w) for r in self.regions], (-1, h, w)),
+            background=(count == 0)[:, None].astype(np.float64))
+        for constant in (table.share, table.weight, table.background):
+            constant.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -202,25 +204,25 @@ class PixelTable:
     rows: tuple[np.ndarray, ...]      # rows each box covers
     cols: tuple[np.ndarray, ...]      # columns each box covers
     area: np.ndarray      # (concepts,) pixels each box covers
-    share: Tensor         # (concepts, h*w, 1) compose weight: mask / boxes covering the pixel
-    weight: Tensor        # (concepts, h, w) Gaussian weight, in-box maximum 1
-    background: Tensor    # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
+    share: np.ndarray     # (concepts, h*w, 1) compose weight: mask / boxes covering the pixel
+    weight: np.ndarray    # (concepts, h, w) Gaussian weight, in-box maximum 1
+    background: np.ndarray  # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
 
 
 def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Tensor:
     """Merge the concepts' (concepts, h*w, d) hidden states over the background one.
 
     Pixels covered by no box keep h0; pixels covered by k boxes take the
-    arithmetic mean of the k covering states. One node for the chain
-    ``mul(h0, background) + sum_leading(mul(hiddens, share))``, rounding as it
-    does: the shares are summed in layout order, then added to h0's part. The
-    masks are 0/1 and the shares at most 1, so only the sums can overflow, and
-    the output's finite check sees it.
+    arithmetic mean of the k covering states. One node for the chain that adds
+    each concept's ``mul(hiddens[c], share[c])`` with ``add`` in layout order,
+    then adds ``mul(h0, background)``, rounding as it does. The masks are 0/1
+    and the shares at most 1, so only the sums can overflow, and the output's
+    finite check sees it.
     """
     if hiddens.data.ndim != 3 or len(hiddens.data) != len(geometry.regions):
         raise ArgumentError(f"hidden states of shape {hiddens.shape} do not hold the "
                             f"geometry's {len(geometry.regions)} concepts")
-    background, share = geometry.pixels.background.data, geometry.pixels.share.data
+    background, share = geometry.pixels.background, geometry.pixels.share
     data = (hiddens.data * share).sum(axis=0)
     data += h0.data * background
     return Tensor.node(data, "compose_hidden", (h0, hiddens), lambda g: (

@@ -4,10 +4,10 @@ A generic engine: matrix products, row softmax (plain and key-masked),
 batched multi-head attention (probabilities, projected head outputs, head
 mean, over any leading axes), top-k values, picks and means, axis
 max-projections, row layer normalization, 2x2 average pooling,
-nearest-neighbour upsampling, gathers, concatenation and a sum over the
-leading axis. Kernels take and return ``Tensor``s: an array enters the tape
-only through ``Tensor(...)``, which copies it and checks that it is finite.
-A caller's own kernel builds its result with ``Tensor.node``. Each traced
+nearest-neighbour upsampling, gathers and concatenation. Kernels take and
+return ``Tensor``s: an array enters the tape only through ``Tensor(...)``,
+which copies it and checks that it is finite; ``+`` is the one operator. A
+caller's own kernel builds its result with ``Tensor.node``. Each traced
 tensor doubles as its own tape node: it remembers the kernel that produced
 it (``op``), its ``parents`` and a vector-Jacobian closure (VJP). A VJP maps
 the node's cotangent to one cotangent per parent, in ``parents`` order, and
@@ -157,12 +157,6 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div_scalar(self, other)
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -603,16 +597,6 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.size
     return Tensor.node(np.asarray(x.data.mean()), "mean_all", (x,),
                        lambda g: (np.full(shape, float(g) / n),))
-
-
-def sum_leading(x: Tensor) -> Tensor:
-    """Sum over the leading axis, rounding as the chain ``x[0] + x[1] + ...``
-    of ``add`` kernels would under the module's rule for sums; an empty axis
-    sums to zeros."""
-    if x.data.ndim < 1:
-        raise ShapeError("sum_leading needs a leading axis")
-    return Tensor.node(x.data.sum(axis=0), "sum_leading", (x,),
-                       lambda g: (np.broadcast_to(g, x.shape),))
 
 
 # -- spatial kernels ----------------------------------------------------------

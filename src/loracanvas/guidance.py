@@ -130,7 +130,7 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
     """
     maps = [layer.cross_maps for layer in record.loss_layers(geometry)]
     table = geometry.pixels
-    w = table.weight.data
+    w = table.weight
     n, concepts, size = len(maps), len(table.area), geometry.height * geometry.width
     flats = (np.array([m.data for m in maps]) * w).reshape(n * concepts, size)
     ks = np.concatenate([np.ceil(s_ratio * table.area).astype(np.intp)] * n)
@@ -210,15 +210,15 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     n, concepts = len(probs), len(table.area)
     ks = np.concatenate([np.ceil(p_ratio * (table.area * outside)).astype(np.intp)] * n)
     # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
-    subs = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
+    cells = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
 
     def submatrices():
         # each head gathered with 1-D indexing, faster than a gather over the head axis
         for p in probs:
-            for sub in subs:
-                mean = np.zeros(sub.size)
+            for cell in cells:
+                mean = np.zeros(cell.size)
                 for head in p.data:
-                    mean += head.reshape(-1)[sub]
+                    mean += head.reshape(-1)[cell]
                 yield mean / float(len(p.data))
 
     kths, tops = _top_k(submatrices(), ks)
@@ -231,7 +231,7 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
             # the layer's concepts share its map: a pick two concepts share
             # adds up in concept order
             rows = slice(layer * concepts, (layer + 1) * concepts)
-            at = _flat_picks([sub[idx] for sub, idx in zip(subs, picks[rows])], [0] * concepts)
+            at = _flat_picks([cell[idx] for cell, idx in zip(cells, picks[rows])], [0] * concepts)
             c = np.bincount(at, np.repeat(shares[rows], ks[rows]), minlength=size * size)
             c = c.astype(np.float64, copy=False)  # a bincount of no picks is int64
             c /= float(heads)
@@ -244,7 +244,7 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
 
 
 def _concept_sum(term: Tensor) -> np.float64:
-    """A (concepts,) term summed in concept order, as ``sum_leading`` adds it."""
+    """A (concepts,) term summed in concept order, as a chain of ``add`` kernels adds it."""
     return np.cumsum(term.data)[-1] if term.size else np.float64(0.0)
 
 
@@ -253,9 +253,9 @@ def composite_loss(record: AttnRecord, geometry: RegionGeometry,
     """Traced L = L_ce + alpha * L_fill + beta * L_region plus its float breakdown.
 
     L is one node for the chain that sums each term over the concepts with
-    ``sum_leading`` and weights and adds the sums with ``mul`` and ``add``,
-    rounding as it does. A non-finite sum makes L non-finite, so L's finite
-    check serves them all.
+    ``add`` in concept order and weights and adds the sums with ``mul`` and
+    ``add``, rounding as it does. A non-finite sum makes L non-finite, so L's
+    finite check serves them all.
     """
     ce = concept_enhancement_terms(record, geometry, config.s_ratio)
     fill = fill_terms(record, geometry)

@@ -145,12 +145,15 @@ class RunConfig:
             candidate = Path(p)
             return candidate if candidate.is_absolute() else base / candidate
 
-        raw = _json_typed("run config", raw, dict)
+        raw = _json_object("run config", raw, ("seed", "steps", "latent", "model", "guidance",
+                                               "global_prompt_embed", "regions", "output_dir",
+                                               "dump_attention", "reinit"))
         try:
-            latent = _json_typed("latent", raw.get("latent", {}), dict)
-            model = _json_typed("model", raw.get("model", {}), dict)
+            latent = _json_object("latent", raw.get("latent", {}), ("channels", "height", "width"))
+            model = _json_object("model", raw.get("model", {}), ("d_model", "heads"))
             regions = tuple(
-                (tuple(_json_number(f"region {i} box", v) for v in entry["box"]),
+                (tuple(_json_number(f"region {i} box", v)
+                       for v in _json_object(f"region {i}", entry, ("box", "bundle"))["box"]),
                  resolve(entry["bundle"]))
                 for i, entry in enumerate(raw.get("regions", ()))
             )
@@ -210,6 +213,14 @@ def _json_typed(key: str, value, kind: type):
     """A config value that must be a JSON integer, boolean or object (true is no integer)."""
     if type(value) is not kind:
         raise ConfigurationError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _json_object(key: str, value, names) -> dict:
+    """A config section that must be a JSON object holding only the keys ``names``."""
+    for name in _json_typed(key, value, dict):
+        if name not in names:
+            raise ConfigurationError(f"{key} has an unknown key {name!r}, not one of {names}")
     return value
 
 

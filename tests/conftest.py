@@ -7,7 +7,9 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from loracanvas import autodiff as ad
 from loracanvas.assets import (
     ModelDims,
     generate_base_weights,
@@ -15,6 +17,8 @@ from loracanvas.assets import (
     synth_bundle,
 )
 from loracanvas.attention import LayoutCondition, RegionSpec
+from loracanvas.autodiff import Tensor
+from loracanvas.cli import make_toy_assets
 from loracanvas.denoiser import DenoiserContext, build_context
 
 # When a @given test fails, hypothesis' pytest plugin imports its patch writer,
@@ -42,6 +46,15 @@ def run_fresh(*args: str, check: bool = False) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60, check=check)
+
+
+@pytest.fixture(scope="session")
+def asset_dir(tmp_path_factory) -> Path:
+    """``make-toy-assets --seed 42``'s files, made once for the session: a test
+    reads them and writes its runs elsewhere."""
+    out = tmp_path_factory.mktemp("assets")
+    make_toy_assets(out, seed=42)
+    return out
 
 
 SMALL_DIMS = ModelDims(channels=4, height=8, width=8, d_model=8, n_heads=2,
@@ -82,3 +95,22 @@ def empty_layout_context(seed: int = 42, dims: ModelDims = SMALL_DIMS,
 
 def map_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def leading_slices(x: Tensor) -> list[Tensor]:
+    """x[0], x[1], ... along the leading axis, each a node on x's tape."""
+    if not len(x.data):
+        return []
+    rows = ad.reshape(x, (x.shape[0], x.size // x.shape[0]))
+    every = np.arange(rows.shape[1])
+    return [ad.reshape(ad.take2d(rows, [i], every), x.shape[1:]) for i in range(len(x.data))]
+
+
+def add_chain(parts: list[Tensor]) -> Tensor:
+    """parts[0] + parts[1] + ... with add kernels, in order; no parts sum to 0.0."""
+    if not parts:
+        return Tensor(0.0)
+    total = parts[0]
+    for part in parts[1:]:
+        total = ad.add(total, part)
+    return total

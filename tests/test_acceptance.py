@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from loracanvas.assets import load_bundle, synth_bundle, write_bundle, gen_promp
 from loracanvas.attention import (
     AttnRecord, LayerRecord, LayoutCondition, RegionGeometry, RegionSpec)
 from loracanvas.autodiff import Tensor
-from loracanvas.cli import make_toy_assets, run_gradcheck
+from loracanvas.cli import run_gradcheck
 from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.guidance import GuidanceConfig, composite_loss, guided_update, step_size
 from loracanvas.pipeline import RunConfig, prepare, sample
@@ -34,15 +33,8 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def assets(tmp_path_factory) -> Path:
-    out = tmp_path_factory.mktemp("acceptance_assets")
-    make_toy_assets(out, seed=42)
-    return out
-
-
-@pytest.fixture(scope="module")
-def reference_config(assets) -> RunConfig:
-    return RunConfig.from_json(assets / "config.json")
+def reference_config(asset_dir) -> RunConfig:
+    return RunConfig.from_json(asset_dir / "config.json")
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +43,8 @@ def reference_result(reference_config, tmp_path_factory):
     return sample(dataclasses.replace(reference_config, output_dir=out))
 
 
-def test_criterion_1_gradient_fidelity(assets):
-    config = RunConfig.from_json(assets / "gradcheck.json")
+def test_criterion_1_gradient_fidelity(asset_dir):
+    config = RunConfig.from_json(asset_dir / "gradcheck.json")
     start = time.perf_counter()
     error = run_gradcheck(config, eps=1e-6)
     elapsed = time.perf_counter() - start
@@ -178,11 +170,11 @@ def test_criterion_7_loss_arithmetic():
              f"{breakdown.total!r}, |total - 2.05| = {err:.2e} <= 1e-12")
 
 
-def test_criterion_8_rank_bound(assets):
+def test_criterion_8_rank_bound(asset_dir):
     worst = 0.0
     for name in ("concept_a", "concept_b", "gradcheck_concept_a",
                  "gradcheck_concept_b"):
-        bundle = load_bundle(assets / f"{name}.lcb")
+        bundle = load_bundle(asset_dir / f"{name}.lcb")
         for delta in bundle.deltas.values():
             sv = np.linalg.svd(delta.merged(), compute_uv=False)
             worst = max(worst, float(sv[4] / sv[0]))
@@ -208,11 +200,11 @@ def test_criterion_9_schedule_and_stopping():
                     f"(stopped at index {stops_at})")
 
 
-def test_criterion_10_compose_determinism(assets, tmp_path):
+def test_criterion_10_compose_determinism(asset_dir, tmp_path):
     outputs = []
     for name in ("one", "two"):
         run_dir = tmp_path / name
-        run_fresh("-m", "loracanvas", "compose", "--config", str(assets / "config.json"),
+        run_fresh("-m", "loracanvas", "compose", "--config", str(asset_dir / "config.json"),
                   "--out", str(run_dir), check=True)
         outputs.append({f.name: f.read_bytes()
                         for f in sorted(run_dir.iterdir())})

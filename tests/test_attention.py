@@ -459,7 +459,7 @@ def test_gaussian_weights_are_computed_with_the_pixel_table(monkeypatch):
     for (h, w), geometry in ctx.geometries.items():
         for i, r in enumerate(ctx.layout.regions):
             assert np.array_equal(geometry.masks[i], rasterize_mask(r.box, h, w))
-            assert np.array_equal(geometry.pixels.weight.data[i], real(r.box, h, w))
+            assert np.array_equal(geometry.pixels.weight[i], real(r.box, h, w))
 
 
 def test_region_cross_attention_rejects_a_geometry_of_another_layout():

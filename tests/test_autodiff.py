@@ -46,7 +46,7 @@ from conftest import build_test_context
 
 def sum_of(x: Tensor) -> Tensor:
     """Traced sum of all entries; its gradient is exactly one everywhere."""
-    return ad.mean_all(x) * Tensor(float(x.size))
+    return ad.mul(ad.mean_all(x), Tensor(float(x.size)))
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -247,8 +247,8 @@ def test_leading_axes_give_each_slice_the_bits_of_its_2d_call():
 
     def loss(outputs, c=slice(None)):
         probs, columns, hidden = outputs
-        return (sum_of(probs) + sum_of(columns * Tensor(cot[c, :, 0]))
-                + sum_of(hidden * Tensor(cot[c])))
+        return (sum_of(probs) + sum_of(ad.mul(columns, Tensor(cot[c, :, 0])))
+                + sum_of(ad.mul(hidden, Tensor(cot[c]))))
 
     leaves = [Tensor(x, requires_grad=True) for x in (q, k, v)]
     stacked = stacked_attention(*leaves, wo)
@@ -272,21 +272,6 @@ def test_column_takes_one_index_per_leading_slice():
     for bad in ([1], [1, 4], [-1, 0], [0.0, 1.0]):
         with pytest.raises(ArgumentError):
             ad.column(x, bad)
-
-
-def test_sum_leading_adds_slices_in_order_like_add():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((4, 3, 2)) * 10.0 ** rng.integers(-8, 8, (4, 3, 2)),
-               requires_grad=True)
-    first, second, third, fourth = (Tensor(s) for s in x.data)
-    chain = ad.add(ad.add(ad.add(first, second), third), fourth)
-    total = ad.sum_leading(x)
-    assert total.data.tobytes() == chain.data.tobytes()
-    assert np.array_equal(grad(sum_of(total), x).data, np.ones((4, 3, 2)))
-    empty = ad.sum_leading(Tensor(np.zeros((0, 3))))
-    assert empty.shape == (3,) and not empty.data.any()
-    with pytest.raises(ShapeError):
-        ad.sum_leading(Tensor(1.0))
 
 
 def test_topk_mean_hand_value():
@@ -391,7 +376,7 @@ def test_take2d_rejects_bad_indices(rows, cols, reason):
 
 def test_grad_of_sum_of_squares():
     x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    y = sum_of(x * x)
+    y = sum_of(ad.mul(x, x))
     g = grad(y, x)
     assert np.array_equal(g.data, 2.0 * x.data)
 
@@ -413,20 +398,20 @@ def test_grad_untraced_wrt_is_lineage_error():
 def test_grad_non_scalar_root_rejected():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ArgumentError):
-        grad(x * x, x)
+        grad(ad.mul(x, x), x)
 
 
 def test_grad_diamond_graph_accumulates_once():
     # y = (x + x) * (x + x) -> dy/dx = 8x
     x = Tensor([1.5, -0.5], requires_grad=True)
     a = x + x
-    g = grad(sum_of(a * a), x)
+    g = grad(sum_of(ad.mul(a, a)), x)
     assert np.allclose(g.data, 8.0 * x.data, atol=1e-15)
 
 
 def test_backward_invokes_each_node_exactly_once():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    y = x * x
+    y = ad.mul(x, x)
     calls = {"n": 0}
     real_vjp = y._vjp
 
@@ -450,9 +435,9 @@ def test_grad_wrt_non_leaf_with_two_consumers_keeps_its_cotangent():
 
     def consumers(h: Tensor) -> Tensor:
         # h feeds a softmax and a matmul, so its cotangent sums two parts
-        return ad.mean_all(softmax_rows(h) * h) + sum_of(matmul(h, w))
+        return ad.mean_all(ad.mul(softmax_rows(h), h)) + sum_of(matmul(h, w))
 
-    h = softmax_rows(x * x)
+    h = softmax_rows(ad.mul(x, x))
     via_non_leaf = grad(consumers(h), h)
     leaf = Tensor(h.data, requires_grad=True)
     via_leaf = grad(consumers(leaf), leaf)
@@ -540,7 +525,8 @@ def test_a_vjp_hands_back_none_for_an_untraced_parent(kernel):
     reference = build(*everything)
     g = rng.standard_normal(reference.shape)
     g.flags.writeable = False  # a VJP may write into a writable cotangent
-    expected = [grad(ad.mean_all(reference * Tensor(g)), x).data.tobytes() for x in everything]
+    expected = [grad(ad.mean_all(ad.mul(reference, Tensor(g))), x).data.tobytes()
+                for x in everything]
     for untraced in range(len(values)):
         inputs = [Tensor(v, requires_grad=i != untraced) for i, v in enumerate(values)]
         out = build(*inputs)
@@ -552,7 +538,7 @@ def test_a_vjp_hands_back_none_for_an_untraced_parent(kernel):
                 == [None if c is None else c.tobytes() for c in cotangents])
         for x, want in zip(inputs, expected):
             if x.requires_grad:
-                assert grad(ad.mean_all(out * Tensor(g)), x).data.tobytes() == want
+                assert grad(ad.mean_all(ad.mul(out, Tensor(g))), x).data.tobytes() == want
 
 
 # ---------------------------------------------------------------- cotangent ownership
@@ -586,7 +572,6 @@ SINGLE_PARENT = {
     "slice_cols": (lambda x: ad.slice_cols(x, 1, 3), [(3, 4)]),
     "column": (lambda x: ad.column(x, np.array([2, 0])), [(2, 3, 4)]),
     "mean_all": (ad.mean_all, [(3, 4)]),
-    "sum_leading": (ad.sum_leading, [(2, 3, 4)]),
     "avg_pool_2x2": (lambda x: ad.avg_pool_2x2(x, 2, 4), [(8, 3)]),
     "upsample_nearest_2x": (lambda x: ad.upsample_nearest_2x(x, 2, 2), [(4, 3)]),
     "region_cross_maps": (cross_maps, [(64, 8)]),
@@ -678,13 +663,13 @@ def test_grad_adds_into_the_cotangents_it_owns_as_a_copying_grad_would(order):
         return Tensor(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape))
 
     x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    a = x * scaled((2, 3, 4))
+    a = ad.mul(x, scaled((2, 3, 4)))
     sm = softmax_rows(ad.reshape(a, (6, 4)))
-    terms = [a + x / 3.0, ad.mean_heads(a), a * scaled((2, 3, 4)), a + a,
-             ad.reshape(sm * scaled((6, 4)) + sm * scaled((6, 4)), (2, 3, 4))]
+    terms = [a + ad.div_scalar(x, 3.0), ad.mean_heads(a), ad.mul(a, scaled((2, 3, 4))), a + a,
+             ad.reshape(ad.mul(sm, scaled((6, 4))) + ad.mul(sm, scaled((6, 4))), (2, 3, 4))]
     total = None
     for i in order:
-        term = ad.mean_all(terms[i] * scaled(terms[i].shape))
+        term = ad.mean_all(ad.mul(terms[i], scaled(terms[i].shape)))
         total = term if total is None else total + term
     for wrt in (x, a, sm):
         assert grad(total, wrt).data.tobytes() == copying_grad(total, wrt).tobytes()
@@ -732,14 +717,14 @@ def test_keep_freed_heap_is_quiet_without_glibc(monkeypatch):
 
 
 def test_fd_sum_of_squares():
-    g = finite_difference_gradient(lambda t: sum_of(t * t), Tensor([1.0, 2.0]))
+    g = finite_difference_gradient(lambda t: sum_of(ad.mul(t, t)), Tensor([1.0, 2.0]))
     assert np.max(np.abs(g.data - np.array([2.0, 4.0]))) < 1e-8
 
 
 def test_fd_linear_is_near_exact():
     c = np.array([2.0, -3.0, 0.5])
     g = finite_difference_gradient(
-        lambda t: sum_of(t * Tensor(c)), Tensor([0.3, 0.1, -0.7]))
+        lambda t: sum_of(ad.mul(t, Tensor(c))), Tensor([0.3, 0.1, -0.7]))
     assert np.max(np.abs(g.data - c)) < 1e-9
 
 
@@ -783,8 +768,8 @@ def test_grad_matches_fd_on_random_kernel_compositions(seed):
         concatenated = ad.concat(
             [axis_max_project(a, "rows"), axis_max_project(a, "cols")])
         picked = ad.take(concatenated, [0, 2, 3])
-        return (topk_mean(a, 5) + ad.mean_all(concatenated) * Tensor(0.5)
-                + sum_of(picked) * Tensor(0.25)
+        return (topk_mean(a, 5) + ad.mul(ad.mean_all(concatenated), Tensor(0.5))
+                + ad.mul(sum_of(picked), Tensor(0.25))
                 + topk_mean(ad.take2d(a, [0, 2], [1, 3, 4]), 2))
 
     xt = Tensor(x0, requires_grad=True)
@@ -800,7 +785,7 @@ def test_grad_matches_fd_through_spatial_kernels():
     def loss(t: Tensor) -> Tensor:
         pooled = ad.avg_pool_2x2(t, 4, 4)
         up = ad.upsample_nearest_2x(pooled, 2, 2)
-        return sum_of(ad.layernorm_rows(up + t) * t) + ad.mean_all(pooled * pooled)
+        return sum_of(ad.mul(ad.layernorm_rows(up + t), t)) + ad.mean_all(ad.mul(pooled, pooled))
 
     xt = Tensor(x0, requires_grad=True)
     analytic = grad(loss(xt), xt)
@@ -841,7 +826,15 @@ def test_non_finite_input_rejected():
 
 
 def test_scalar_division():
-    t = Tensor([2.0, 4.0]) / 2.0
+    t = ad.div_scalar(Tensor([2.0, 4.0]), 2.0)
     assert np.array_equal(t.data, np.array([1.0, 2.0]))
     with pytest.raises(ArgumentError):
-        Tensor([1.0]) / 0.0
+        ad.div_scalar(Tensor([1.0]), 0.0)
+
+
+@pytest.mark.parametrize("apply", [lambda t: t * 2.0, lambda t: t / 2.0, lambda t: t * t],
+                         ids=["times_a_float", "over_a_float", "times_a_tensor"])
+def test_a_tensor_has_no_product_or_quotient_operator(apply):
+    # Python's own TypeError, not an AttributeError from inside a kernel
+    with pytest.raises(TypeError, match="unsupported operand"):
+        apply(Tensor([1.0]))

@@ -22,13 +22,6 @@ from loracanvas.errors import ArgumentError
 from conftest import run_fresh
 
 
-@pytest.fixture(scope="module")
-def asset_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("cli_assets")
-    make_toy_assets(out, seed=42)
-    return out
-
-
 def test_make_toy_assets_emits_expected_files(tmp_path, capsys):
     rc = make_toy_assets_main(["--seed", "5", "--out", str(tmp_path / "a")])
     assert rc == 0

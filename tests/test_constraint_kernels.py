@@ -22,7 +22,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import build_test_context
+from conftest import add_chain, build_test_context, leading_slices
 from loracanvas import autodiff as ad
 from loracanvas.attention import (
     AttnRecord,
@@ -59,10 +59,7 @@ weights = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
 
 
 def layer_mean(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.div_scalar(total, float(len(terms)))
+    return ad.div_scalar(add_chain(terms), float(len(terms)))
 
 
 def chain_shortfall(maps, weight, k) -> Tensor:
@@ -95,7 +92,7 @@ def top_p(geometry: RegionGeometry, c: int, p_ratio: float) -> int:
 def chain_terms(geometry, concept_maps, selfs, s_ratio, p_ratio):
     """Per concept, its three chained terms on its own list of layer maps."""
     table = geometry.pixels
-    return [(chain_shortfall(maps, Tensor(table.weight.data[c]), top_s(geometry, c, s_ratio)),
+    return [(chain_shortfall(maps, Tensor(table.weight[c]), top_s(geometry, c, s_ratio)),
              chain_fill(maps, table.rows[c], table.cols[c]),
              chain_submatrix(selfs, table.inside[c], table.outside[c],
                              top_p(geometry, c, p_ratio)))
@@ -180,13 +177,6 @@ def test_fused_terms_equal_their_chains_bit_for_bit(case):
 # ------------------------------------------------------------------ gradients
 
 
-def summed(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
-
-
 def fused_loss(case, geometry):
     """``composite_loss`` with the cross maps read by two terms, and its traced
     stacked cross maps and self maps."""
@@ -203,9 +193,10 @@ def chain_loss(case, geometry):
     concept_maps = [[Tensor(m[c], requires_grad=True) for m in case["cross"]]
                     for c in range(len(geometry.regions))]
     selfs = [Tensor(m, requires_grad=True) for m in case["selfs"]]
-    ce, fill, region = (summed(list(t)) for t in zip(*chain_terms(
+    ce, fill, region = (add_chain(list(t)) for t in zip(*chain_terms(
         geometry, concept_maps, selfs, config.s_ratio, config.p_ratio)))
-    return ce + fill * Tensor(config.alpha) + region * Tensor(config.beta), concept_maps, selfs
+    total = ce + ad.mul(fill, Tensor(config.alpha)) + ad.mul(region, Tensor(config.beta))
+    return total, concept_maps, selfs
 
 
 @PROPERTY
@@ -237,14 +228,14 @@ def test_region_term_on_two_heads_equals_its_head_mean_chain_bit_for_bit(case, s
     record = AttnRecord([LayerRecord((h, w), Tensor(c), p)
                          for c, p in zip(case["cross"], probs)])
     node = region_terms(record, geometry, p_ratio)
-    fused = ad.sum_leading(node)
+    fused = add_chain(leading_slices(node))
     chain_probs = [Tensor(p, requires_grad=True) for p in heads]
     means = [ad.mean_heads(p) for p in chain_probs]
     terms = [chain_submatrix(means, table.inside[c], table.outside[c],
                              top_p(geometry, c, p_ratio)) for c in range(len(case["rects"]))]
     for c, term in enumerate(terms):
         assert node.data[c].tobytes() == term.data.tobytes()
-    chained = summed(terms)
+    chained = add_chain(terms)
     assert fused.data.tobytes() == chained.data.tobytes()
     for mine, theirs in zip(probs, chain_probs):
         assert grad(fused, mine).data.tobytes() == grad(chained, theirs).data.tobytes()
@@ -279,7 +270,7 @@ def test_region_picks_shared_by_two_concepts_add_up():
     assert node.data.tolist() == [0.9, (0.9 + 0.4) / 2]
     expected = np.zeros((4, 4))
     expected[0, 2], expected[1, 2] = 1.0 + 0.5, 0.5
-    assert np.array_equal(grad(ad.sum_leading(node), traced).data, expected)
+    assert np.array_equal(grad(add_chain(leading_slices(node)), traced).data, expected)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -345,7 +336,7 @@ def term_and_chain(term, ratio):
     if term == "shortfall":
         k = top_s(BOX, 0, ratio)
         return (lambda m, s: concept_enhancement_terms(record_of([m], [s], 3, 4), BOX, ratio),
-                lambda m, s: chain_shortfall([Tensor(m.data[0])], Tensor(table.weight.data[0]), k))
+                lambda m, s: chain_shortfall([Tensor(m.data[0])], Tensor(table.weight[0]), k))
     if term == "fill":
         return (lambda m, s: fill_terms(record_of([m], [s], 3, 4), BOX),
                 lambda m, s: chain_fill([Tensor(m.data[0])], table.rows[0], table.cols[0]))

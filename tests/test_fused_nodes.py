@@ -4,7 +4,7 @@
 head outputs of ``apply_heads`` and the weighted sum at the end of
 ``composite_loss`` each build one node where a chain of small kernels was.
 Each oracle here runs that chain on the same inputs: values and gradients
-must agree bit for bit, with 0, 1, 2 and 4 concepts and on a layout whose
+must agree bit for bit, with 0, 1, 2, 4 and 9 concepts and on a layout whose
 two boxes overlap.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import FOUR_BOXES, TWO_BOXES, build_test_context
+from conftest import FOUR_BOXES, TWO_BOXES, add_chain, build_test_context, leading_slices
 from loracanvas import autodiff as ad
 from loracanvas.attention import compose_hidden, region_cross_maps
 from loracanvas.autodiff import Tensor, grad
@@ -33,6 +33,9 @@ LAYOUTS = {
     "four concepts": FOUR_BOXES,
     # the boxes share a 2 x 2 pixel block at 8 x 8
     "overlapping boxes": ((0.0, 0.0, 0.625, 0.625), (0.375, 0.375, 1.0, 1.0)),
+    # a 3 x 3 grid: numpy sums a 1-D array of 8 or more entries pairwise, not in order
+    "nine concepts": tuple((x / 3, y / 3, (x + 1) / 3, (y + 1) / 3)
+                           for y in range(3) for x in range(3)),
 }
 
 
@@ -46,8 +49,8 @@ def rng_for(ctx) -> np.random.Generator:
 
 
 def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
-    """sum(x * weights) as one scalar node; an empty x sums to 0."""
-    return ad.sum_leading(ad.reshape(ad.mul(x, Tensor(weights)), (x.size,)))
+    """x's dot product with weights as one (1, 1) node; an empty x gives 0."""
+    return ad.matmul(ad.reshape(x, (1, x.size)), Tensor(weights.reshape(-1, 1)))
 
 
 def assert_same_bits(mine: Tensor, theirs: Tensor) -> None:
@@ -65,7 +68,9 @@ def test_the_overlapping_layout_shares_pixels():
 
 def chain_compose(h0: Tensor, hiddens: Tensor, geometry) -> Tensor:
     table = geometry.pixels
-    return ad.add(ad.mul(h0, table.background), ad.sum_leading(ad.mul(hiddens, table.share)))
+    background = ad.mul(h0, Tensor(table.background))
+    weighted = leading_slices(ad.mul(hiddens, Tensor(table.share)))
+    return ad.add(background, add_chain(weighted)) if weighted else background
 
 
 def test_compose_hidden_equals_its_chain_bit_for_bit(ctx):
@@ -147,8 +152,9 @@ def chain_loss(record, geometry, config) -> Tensor:
     ce = concept_enhancement_terms(record, geometry, config.s_ratio)
     fill = fill_terms(record, geometry)
     region = region_terms(record, geometry, config.p_ratio)
-    return (ad.sum_leading(ce) + ad.sum_leading(fill) * Tensor(config.alpha)
-            + ad.sum_leading(region) * Tensor(config.beta))
+    ce, fill, region = (add_chain(leading_slices(term)) for term in (ce, fill, region))
+    return ad.add(ad.add(ce, ad.mul(fill, Tensor(config.alpha))),
+                  ad.mul(region, Tensor(config.beta)))
 
 
 def test_composite_loss_equals_its_chain_bit_for_bit(ctx):

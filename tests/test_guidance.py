@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import build_test_context
+from conftest import add_chain, build_test_context, leading_slices
 from loracanvas import autodiff as ad
 from loracanvas.attention import (
     AttnRecord,
@@ -109,7 +109,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
     record = record_from_maps({"a": amap}, uniform_self_map())
     # |M| = 4, s_ratio 0.5 -> S = 2
     loss = summed(concept_enhancement_terms(record, geo, s_ratio=0.5))
-    weighted = amap * geo.masks[0] * geo.pixels.weight.data[0]
+    weighted = amap * geo.masks[0] * geo.pixels.weight[0]
     top2 = np.sort(weighted.reshape(-1))[::-1][:2]
     assert abs(loss - (1.0 - top2.mean())) < 1e-12
 
@@ -157,7 +157,7 @@ def test_fill_projects_onto_the_box_axes_alone():
     record = AttnRecord([LayerRecord((H, W), maps, Tensor(uniform_self_map()[None]))])
     node = fill_terms(record, geo)
     assert node.data.tolist() == [0.75, 0.0]
-    cotangent = grad(ad.sum_leading(node), maps).data
+    cotangent = grad(add_chain(leading_slices(node)), maps).data
     assert not cotangent[geo.masks == 0].any()
     # each box column's first argmax is in row 0, each box row's in column 0
     assert np.flatnonzero(cotangent[0]).tolist() == [0, 1, W]
@@ -181,8 +181,8 @@ def test_fill_cotangents_stay_in_their_boxes_over_the_reference_run(tmp_path, mo
         h, w = geometry.height, geometry.width
         self_probs = Tensor(np.zeros((1, h * w, h * w)))
         leaves = [Tensor(m, requires_grad=True) for m in maps]
-        total = ad.sum_leading(real(AttnRecord([LayerRecord((h, w), leaf, self_probs)
-                                                for leaf in leaves]), geometry))
+        record = AttnRecord([LayerRecord((h, w), leaf, self_probs) for leaf in leaves])
+        total = add_chain(leading_slices(real(record, geometry)))
         for leaf in leaves:
             cotangent = grad(total, leaf).data
             assert cotangent.any() and not cotangent[geometry.masks == 0].any()
@@ -342,7 +342,7 @@ class MiniModel:
             amap = ad.softmax_rows(logits)
             maps.append(ad.reshape(ad.column(amap, 0), (1, H, W)))
         cross = ad.concat(maps) if maps else Tensor(np.zeros((0, H, W)))
-        self_map = ad.softmax_rows(ad.matmul(zt, ad.transpose2d(zt)) / self.channels)
+        self_map = ad.softmax_rows(ad.div_scalar(ad.matmul(zt, ad.transpose2d(zt)), self.channels))
         return AttnRecord(layers=[LayerRecord((H, W), cross, ad.reshape(self_map, (1, N, N)))])
 
 
@@ -425,7 +425,7 @@ def test_guided_update_numeric_error_carries_context():
     geo = geometry_two_concepts()
 
     def exploding(zt):
-        Tensor([1e308]) * Tensor([1e308])
+        ad.mul(Tensor([1e308]), Tensor([1e308]))
 
     # the overflow warning, made an error, must not pre-empt the NumericError
     with warnings.catch_warnings(), pytest.raises(NumericError, match="t=10"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import platform
+import re
 import resource
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ import pytest
 
 from loracanvas import autodiff as ad
 from loracanvas.autodiff import Tensor
-from loracanvas.cli import compose_main, make_toy_assets, run_gradcheck
+from loracanvas.cli import compose_main, run_gradcheck
 from loracanvas.attention import AttnRecord
 from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.errors import ArgumentError, ConfigurationError
@@ -31,13 +32,6 @@ from loracanvas.pipeline import (
 from loracanvas.reinit import reinitialize
 
 from conftest import run_fresh
-
-
-@pytest.fixture(scope="module")
-def asset_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("assets")
-    make_toy_assets(out, seed=42)
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +268,23 @@ def test_config_rejects_non_finite_guidance_knob(tmp_path, knob, literal):
     raw = json.loads(f'{{"seed": 1, "global_prompt_embed": "e.lcb", '
                      f'"guidance": {{"{knob}": {literal}}}}}')
     with pytest.raises(ConfigurationError, match=f"{knob} must be finite"):
+        RunConfig.from_dict(raw, tmp_path)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"stpes": 5}, "run config has an unknown key 'stpes'"),
+    ({"reinti": False}, "run config has an unknown key 'reinti'"),
+    ({"latent": {"heigth": 32}, "modle": {"heads": 4}}, "run config has an unknown key 'modle'"),
+    ({"latent": {"height": 16, "heigth": 32}}, "latent has an unknown key 'heigth'"),
+    ({"model": {"head": 4}}, "model has an unknown key 'head'"),
+    ({"regions": [{"box": [0, 0, 0.5, 1], "bundle": "a.lcb"},
+                  {"box": [0.5, 0, 1, 1], "bundle": "b.lcb", "bundel": "c.lcb"}]},
+     "region 1 has an unknown key 'bundel'"),
+])
+def test_config_rejects_an_unknown_key_naming_its_section(tmp_path, overrides, message):
+    # a misspelled key would otherwise load as its default
+    raw = {"seed": 1, "global_prompt_embed": "e.lcb", **overrides}
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
         RunConfig.from_dict(raw, tmp_path)
 
 
@@ -548,7 +559,7 @@ def test_sample_reports_an_overflowing_denoising_step_with_warnings_as_errors(
 
     def overflowing_at_one(z, t, ctx):
         if t == 1:
-            Tensor([1e308]) * Tensor([1e308])
+            ad.mul(Tensor([1e308]), Tensor([1e308]))
         return denoiser_forward(z, t, ctx)
 
     monkeypatch.setattr(pipeline_module, "denoiser_forward", overflowing_at_one)

@@ -56,7 +56,7 @@ def test_masked_softmax_all_true_is_softmax_bit_for_bit(case):
         xt = Tensor(x, requires_grad=True)
         y = kernel(xt)
         outputs.append(y.data.tobytes())
-        grads.append(grad(ad.mean_all(y * Tensor(cotangent)), xt).data.tobytes())
+        grads.append(grad(ad.mean_all(ad.mul(y, Tensor(cotangent))), xt).data.tobytes())
     assert outputs[0] == outputs[1]
     assert grads[0] == grads[1]
 
@@ -93,7 +93,7 @@ def per_head_chain(q, k, v, wo, n_heads, allowed):
         qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
         kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
         vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
-        logits = ad.matmul(qh, ad.transpose2d(kh)) / scale
+        logits = ad.div_scalar(ad.matmul(qh, ad.transpose2d(kh)), scale)
         if allowed is None:
             attn = ad.softmax_rows(logits)
         else:
@@ -104,7 +104,7 @@ def per_head_chain(q, k, v, wo, n_heads, allowed):
     for amap in maps[1:]:
         avg = avg + amap
     if n_heads > 1:
-        avg = avg / float(n_heads)
+        avg = ad.div_scalar(avg, float(n_heads))
     return maps, ad.matmul(ad.concat(outs, axis=1), wo), avg
 
 
@@ -119,8 +119,8 @@ def batched_kernels(q, k, v, wo, n_heads, allowed):
 
 def attention_loss(impl, q, k, v, wo, n_heads, allowed, cot_hidden, cot_map):
     _, hidden, avg = impl(q, k, v, wo, n_heads, allowed)
-    return (ad.mean_all(hidden * Tensor(cot_hidden))
-            + ad.mean_all(avg * Tensor(cot_map)))
+    return (ad.mean_all(ad.mul(hidden, Tensor(cot_hidden)))
+            + ad.mean_all(ad.mul(avg, Tensor(cot_map))))
 
 
 @PROPERTY
@@ -161,7 +161,7 @@ def test_batched_attention_kernels_equal_per_head_chain_bit_for_bit(case):
     for query in (q, np.broadcast_to(q, (3,) + q.shape)):
         traced = Tensor(query, requires_grad=True)
         probs = ad.attention_probs(traced, keys, n_heads, blocked(allowed))
-        loss = ad.mean_all(probs * Tensor(np.broadcast_to(cot_map, probs.shape)))
+        loss = ad.mean_all(ad.mul(probs, Tensor(np.broadcast_to(cot_map, probs.shape))))
         results.append((probs.data, grad(loss, traced).data))
     (shared, cotangent), (copied, copies) = results
     assert shared.tobytes() == copied.tobytes()
@@ -210,7 +210,7 @@ def test_softmax_kernel_vjps_leave_their_cotangent_alone(case, masked):
 
 # ------------------------------------------------------------------ sums
 #
-# The fused nodes (mean_heads, sum_leading, compose_hidden, the concept maps of
+# The fused nodes (mean_heads, compose_hidden, the concept maps of
 # region_cross_maps, the guidance terms' layer mean) sum with one numpy
 # reduction where their chains add slice after slice. These tests pin the
 # platform rule that makes the two equal (autodiff's module docstring), so a
@@ -385,7 +385,7 @@ def test_selection_kernels_gather_and_scatter_like_numpy(kind, data):
     y = kernel(xt)
     assert y.op == kind
     assert y.data.tobytes() == np.ascontiguousarray(x[index]).tobytes()
-    loss = ad.mean_all(y * Tensor(data.draw(arrays(np.float64, y.shape, elements=small))))
+    loss = ad.mean_all(ad.mul(y, Tensor(data.draw(arrays(np.float64, y.shape, elements=small)))))
     expected = np.zeros(x.shape)
     np.add.at(expected, index, grad(loss, y).data)
     # add.at lands a -0.0 cotangent as 0.0 + -0.0 = 0.0, assignment keeps
@@ -401,7 +401,7 @@ def test_selection_kernel_vjps_match_finite_differences(kind, data):
     cotangent = Tensor(data.draw(arrays(np.float64, kernel(Tensor(x)).shape, elements=small)))
 
     def loss_of(t):
-        return ad.mean_all(kernel(t) * cotangent)
+        return ad.mean_all(ad.mul(kernel(t), cotangent))
 
     xt = Tensor(x, requires_grad=True)
     analytic = grad(loss_of(xt), xt).data
@@ -468,7 +468,7 @@ def assert_vjp_matches_finite_differences(kernel, inputs, cotangent):
         def loss_of(t, i=i):
             args = [Tensor(a) for a in inputs]
             args[i] = t
-            return ad.mean_all(kernel(*args) * Tensor(cotangent))
+            return ad.mean_all(ad.mul(kernel(*args), Tensor(cotangent)))
 
         xt = Tensor(x, requires_grad=True)
         analytic = grad(loss_of(xt), xt).data
@@ -667,10 +667,14 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert np.array_equal(table.rows[i], np.flatnonzero(mask.any(axis=1)))
             assert np.array_equal(table.cols[i], np.flatnonzero(mask.any(axis=0)))
             assert table.area[i] == flat.sum()
-            assert np.array_equal(table.weight.data[i], gaussian_weight(region.box, h, w))
-            assert np.array_equal(table.weight.data[i] > 0, mask > 0)
-            shares += table.share.data[i, :, 0]
-        background = table.background.data[:, 0]
+            assert np.array_equal(table.weight[i], gaussian_weight(region.box, h, w))
+            assert np.array_equal(table.weight[i] > 0, mask > 0)
+            shares += table.share[i, :, 0]
+        for constant in (table.share, table.weight, table.background):
+            # no kernel takes one as a parent, so none is a Tensor
+            assert type(constant) is np.ndarray and constant.dtype == np.float64
+            assert not constant.flags.writeable
+        background = table.background[:, 0]
         assert np.max(np.abs(background + shares - 1.0)) <= 1e-15
         uncovered = sum((m.reshape(-1) for m in expected), np.zeros(h * w)) == 0
         assert np.array_equal(background == 1.0, uncovered)

@@ -6,12 +6,20 @@ definition; a name the tests alone call is dead weight the package ships.
 Files are parsed, not imported, as in ``test_module_privacy.py``. A name
 counts where it appears as an ``ast.Name``, as the attribute of an
 ``ast.Attribute`` or as an imported name, whatever it is bound to there.
+The kernels only the tests name are listed, and a run of the program with
+each of them patched to raise shows that none is called.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
+
+from loracanvas import autodiff as ad
+from loracanvas.cli import compose_main, run_gradcheck
+from loracanvas.pipeline import RunConfig, sample
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "loracanvas"
@@ -20,9 +28,10 @@ PERFBENCH = ROOT / "perfbench"
 # autodiff kernels that only the tests call, as the reference chains the fused
 # nodes are checked against; deleting them first moves the chains into the tests
 TEST_ONLY = {
-    "autodiff.axis_max_project", "autodiff.concat", "autodiff.masked_softmax_rows",
-    "autodiff.mean_all", "autodiff.slice_cols", "autodiff.softmax_rows",
-    "autodiff.sum_leading", "autodiff.take", "autodiff.take2d", "autodiff.topk_mean",
+    "autodiff.axis_max_project", "autodiff.concat", "autodiff.div_scalar",
+    "autodiff.masked_softmax_rows", "autodiff.mean_all", "autodiff.mul",
+    "autodiff.slice_cols", "autodiff.softmax_rows", "autodiff.sub", "autodiff.take",
+    "autodiff.take2d", "autodiff.topk_mean",
 }
 
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -63,6 +72,39 @@ def test_every_public_function_and_class_is_named_by_the_program():
     assert others
     # exact both ways: a kernel that gains a caller or goes leaves the list too
     assert unreached(modules, others) == TEST_ONLY
+
+
+def test_no_program_run_calls_a_test_only_kernel(asset_dir, tmp_path, monkeypatch):
+    # the name check above counts a local variable, such as perfbench's
+    # ``column``, as reach; these runs show the kernels are not called: a
+    # guided sample with re-init, a gradient check and compose with the
+    # attention dump
+    called = []
+
+    def forbidden(name):
+        def kernel(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"the program called autodiff.{name}")
+        return kernel
+
+    for name in {qualified.removeprefix("autodiff.") for qualified in TEST_ONLY} | {"column"}:
+        monkeypatch.setattr(ad, name, forbidden(name))
+    raw = json.loads((asset_dir / "gradcheck.json").read_text())
+    raw.update(steps=2, dump_attention=True, output_dir=str(tmp_path / "compose"),
+               global_prompt_embed=str(asset_dir / raw["global_prompt_embed"]))
+    for region in raw["regions"]:
+        region["bundle"] = str(asset_dir / region["bundle"])
+    config = RunConfig.from_dict(raw)
+    assert config.reinit and config.guidance.guidance_fraction > 0
+    result = sample(dataclasses.replace(config, dump_attention=False,
+                                        output_dir=tmp_path / "sample"))
+    assert len(result.trace) > 2  # re-init's row and guided iterations
+    run_gradcheck(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert compose_main(["--config", str(path)]) == 0
+    assert (tmp_path / "compose" / "attention.lcb").exists()
+    assert called == []
 
 
 def test_the_reach_check_sees_each_form_and_skips_self_reference():

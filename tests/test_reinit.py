@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_test_context, empty_layout_context
+from loracanvas import autodiff as ad
 from loracanvas import reinit as reinit_module
 from loracanvas.autodiff import Tensor, grad
 from loracanvas.denoiser import denoiser_forward, encode
@@ -235,7 +236,7 @@ def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
 
 def test_reinitialize_numeric_error_carries_context(monkeypatch):
     def exploding(zt, t, ctx):
-        return None, Tensor([1e308]) * Tensor([1e308])
+        return None, ad.mul(Tensor([1e308]), Tensor([1e308]))
 
     monkeypatch.setattr(reinit_module, "encode", exploding)
     with warnings.catch_warnings(), pytest.raises(NumericError,
