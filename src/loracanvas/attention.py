@@ -56,9 +56,9 @@ class LayoutCondition:
 class LayerRecord:
     """Attention maps captured by one composer block.
 
-    Self-attention is kept per head. Its head mean ``self_map`` is built on
-    first read, so a forward whose map nobody reads computes none, and a
-    traced reader puts the ``mean_heads`` node on the tape only then.
+    Self-attention is kept per head. Its head mean ``self_map``, which only the
+    attention dump reads, is built on first read, so a forward whose map nobody
+    reads computes none.
     """
 
     resolution: tuple[int, int]   # (height, width)
@@ -183,8 +183,8 @@ class RegionGeometry:
         count = flat.sum(axis=0)
         safe = np.maximum(count, 1.0)
         table = PixelTable(
-            inside=tuple(np.flatnonzero(f) for f in flat),
-            outside=tuple(np.flatnonzero(f == 0) for f in flat),
+            cells=tuple((np.flatnonzero(f)[:, None] * (h * w) + np.flatnonzero(f == 0)).reshape(-1)
+                        for f in flat),
             rows=tuple(np.flatnonzero(r) for r in self.masks.any(axis=2)),
             cols=tuple(np.flatnonzero(c) for c in self.masks.any(axis=1)),
             area=flat.sum(axis=1).astype(np.intp), share=(flat / safe)[:, :, None],
@@ -199,8 +199,9 @@ class RegionGeometry:
 class PixelTable:
     """A geometry's pixel constants, per concept in layout order, plus h0's weight."""
 
-    inside: tuple[np.ndarray, ...]    # flat indices of each box's pixels
-    outside: tuple[np.ndarray, ...]   # flat indices of every other pixel
+    # flat indices into an (h*w, h*w) map of each box's in-box rows by out-of-box
+    # columns, in the row-major order of map[np.ix_(inside, outside)]
+    cells: tuple[np.ndarray, ...]
     rows: tuple[np.ndarray, ...]      # rows each box covers
     cols: tuple[np.ndarray, ...]      # columns each box covers
     area: np.ndarray      # (concepts,) pixels each box covers

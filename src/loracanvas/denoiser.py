@@ -118,7 +118,7 @@ class Encoded:
     """``encode``'s output: block 1 stopped once its attention maps exist."""
 
     residual: Tensor   # (h*w, d_model) stream after block 1's self-attention
-    query: Tensor      # (h*w, d_model) block 1's unmasked cross-attention queries
+    query: Tensor      # (h*w, d_model) block 1's cross-attention queries, shared by every branch
     probs: Tensor      # (concepts, heads, h*w, tokens) block 1's concept-branch attention
 
 

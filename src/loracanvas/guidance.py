@@ -195,10 +195,11 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     Per concept c, ``topk_mean(self_map[inside[c]][:, outside[c]], k[c])`` with
     ``k = ceil(p_ratio * area * (h*w - area))`` (chain: mean_heads, take2d,
     topk_mean). Only the submatrix entries of the head mean are computed: each
-    head's are gathered and the heads added in order from +0.0 and divided by
-    their count, as ``mean_heads`` does. The self maps are shared by every
-    concept, so two concepts may pick one entry: the VJP sums each map's picks
-    into its shape, in concept order, and hands each head its share.
+    head's are gathered at the pixel table's ``cells[c]`` and the heads added in
+    order from +0.0 and divided by their count, as ``mean_heads`` does. The self
+    maps are shared by every concept, so two concepts may pick one entry: the
+    VJP sums each map's picks into its shape, in concept order, and hands each
+    head its share.
     """
     probs = [layer.self_probs for layer in record.loss_layers(geometry)]
     table = geometry.pixels
@@ -209,13 +210,11 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
         raise ArgumentError(f"concept {whole!r} covers the whole map")
     n, concepts = len(probs), len(table.area)
     ks = np.concatenate([np.ceil(p_ratio * (table.area * outside)).astype(np.intp)] * n)
-    # each submatrix as flat indices into a map, in the row-major order of map[np.ix_(r, c)]
-    cells = [(ri[:, None] * size + ci).reshape(-1) for ri, ci in zip(table.inside, table.outside)]
 
     def submatrices():
         # each head gathered with 1-D indexing, faster than a gather over the head axis
         for p in probs:
-            for cell in cells:
+            for cell in table.cells:
                 mean = np.zeros(cell.size)
                 for head in p.data:
                     mean += head.reshape(-1)[cell]
@@ -231,7 +230,8 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
             # the layer's concepts share its map: a pick two concepts share
             # adds up in concept order
             rows = slice(layer * concepts, (layer + 1) * concepts)
-            at = _flat_picks([cell[idx] for cell, idx in zip(cells, picks[rows])], [0] * concepts)
+            at = _flat_picks([cell[idx] for cell, idx in zip(table.cells, picks[rows])],
+                             [0] * concepts)
             c = np.bincount(at, np.repeat(shares[rows], ks[rows]), minlength=size * size)
             c = c.astype(np.float64, copy=False)  # a bincount of no picks is int64
             c /= float(heads)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import GENERATOR_VERSION, ModelDims
+from .attention import PixelTable
 from .autodiff import Tensor
 from .denoiser import DenoiserContext, encode
 from .errors import ArgumentError, DegenerateLatentError, NumericError
@@ -26,14 +27,11 @@ _INIT_STREAM = 21
 class CropResult:
     """Best-scoring window of one concept's attention map."""
 
-    concept_id: str
     origin: tuple[int, int]   # (row, column)
-    extent: tuple[int, int]   # (width, height)
     score: float
 
 
-def best_crop(a: np.ndarray, box_extent: tuple[int, int],
-              concept_id: str = "") -> CropResult:
+def best_crop(a: np.ndarray, box_extent: tuple[int, int]) -> CropResult:
     """Window of the given (width, height) maximizing the map sum.
 
     The scan uses a summed-area table, O(h*w) over all origins; ties go to
@@ -55,13 +53,11 @@ def best_crop(a: np.ndarray, box_extent: tuple[int, int],
     # re-sum the winning window directly so the score carries no
     # accumulated rounding from the table
     score = float(a[i:i + box_h, j:j + box_w].sum())
-    return CropResult(concept_id=concept_id, origin=(i, j),
-                      extent=(box_w, box_h), score=score)
+    return CropResult(origin=(i, j), score=score)
 
 
-def transplant(z: np.ndarray, crops: list[CropResult],
-               boxes: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """Copy each crop patch into its target box, all channels at once.
+def transplant(z: np.ndarray, crops: list[CropResult], table: PixelTable) -> np.ndarray:
+    """Copy crop c's patch into the pixel table's box c, all channels at once.
 
     Every patch is read from the input, which is never written, so crops
     may overlap previously written boxes without aliasing; later boxes
@@ -70,20 +66,17 @@ def transplant(z: np.ndarray, crops: list[CropResult],
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise ArgumentError("latent must be (channels, height, width)")
-    if len(crops) != len(boxes):
-        raise ArgumentError("crops and boxes must align")
+    if len(crops) != len(table.rows):
+        raise ArgumentError(f"crops and boxes must align: {len(crops)} for {len(table.rows)}")
     _, h, w = z.shape
     out = z.copy()
-    for crop, (bi, bj, box_h, box_w) in zip(crops, boxes):
-        crop_w, crop_h = crop.extent
-        if (crop_h, crop_w) != (box_h, box_w):
-            raise ArgumentError(
-                f"crop extent {crop_w}x{crop_h} does not match box "
-                f"{box_w}x{box_h} for {crop.concept_id!r}")
+    for crop, rows, cols in zip(crops, table.rows, table.cols):
         ci, cj = crop.origin
-        if ci + crop_h > h or cj + crop_w > w or bi + box_h > h or bj + box_w > w:
+        if ci < 0 or cj < 0:
+            raise ArgumentError(f"crop origin {crop.origin} is negative")
+        if max(ci + rows.size, rows[-1] + 1) > h or max(cj + cols.size, cols[-1] + 1) > w:
             raise ArgumentError("crop or box exceeds the latent extent")
-        out[:, bi:bi + box_h, bj:bj + box_w] = z[:, ci:ci + crop_h, cj:cj + crop_w]
+        out[:, rows[:, None], cols] = z[:, ci:ci + rows.size, cj:cj + cols.size]
     return out
 
 
@@ -134,11 +127,7 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     trace = [TraceRow.of(total_steps, 0, breakdown, phi, accepted=True)]
     _, record = encode(Tensor(z1), total_steps, ctx)
 
-    crops: list[CropResult] = []
-    boxes: list[tuple[int, int, int, int]] = []
     table = geometry.pixels
-    for cid, rows, cols, amap in zip(geometry.concept_ids, table.rows, table.cols,
-                                     record.averaged_cross_maps(geometry)):
-        crops.append(best_crop(amap, (cols.size, rows.size), concept_id=cid))
-        boxes.append((int(rows[0]), int(cols[0]), rows.size, cols.size))
-    return standardize(transplant(z1, crops, boxes)), trace
+    crops = [best_crop(amap, (cols.size, rows.size)) for rows, cols, amap
+             in zip(table.rows, table.cols, record.averaged_cross_maps(geometry))]
+    return standardize(transplant(z1, crops, table)), trace

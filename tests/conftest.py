@@ -16,7 +16,7 @@ from loracanvas.assets import (
     gen_prompt_embedding,
     synth_bundle,
 )
-from loracanvas.attention import LayoutCondition, RegionSpec
+from loracanvas.attention import LayoutCondition, RegionGeometry, RegionSpec
 from loracanvas.autodiff import Tensor
 from loracanvas.cli import make_toy_assets
 from loracanvas.denoiser import DenoiserContext, build_context
@@ -95,6 +95,13 @@ def empty_layout_context(seed: int = 42, dims: ModelDims = SMALL_DIMS,
 
 def map_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def geometry_of(rects, h: int, w: int) -> RegionGeometry:
+    """Concept c covers pixel rows [r0, r1) and columns [c0, c1) of an h x w map."""
+    regions = tuple(RegionSpec((c0 / w, r0 / h, c1 / w, r1 / h), f"c{i}")
+                    for i, (r0, c0, r1, c1) in enumerate(rects))
+    return RegionGeometry.build(LayoutCondition(regions, np.zeros((1, 1))), h, w)
 
 
 def leading_slices(x: Tensor) -> list[Tensor]:

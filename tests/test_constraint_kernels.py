@@ -22,15 +22,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import add_chain, build_test_context, leading_slices
+from conftest import add_chain, build_test_context, geometry_of, leading_slices
 from loracanvas import autodiff as ad
-from loracanvas.attention import (
-    AttnRecord,
-    LayerRecord,
-    LayoutCondition,
-    RegionGeometry,
-    RegionSpec,
-)
+from loracanvas.attention import AttnRecord, LayerRecord, RegionGeometry
 from loracanvas.autodiff import Tensor, grad
 from loracanvas.denoiser import encode
 from loracanvas.errors import ArgumentError, NumericError, ShapeError
@@ -76,7 +70,10 @@ def chain_fill(maps, rows, cols) -> Tensor:
     return layer_mean(terms)
 
 
-def chain_submatrix(maps, rows, cols, k) -> Tensor:
+def chain_submatrix(maps, mask, k) -> Tensor:
+    """The leakage chain over a 0/1 mask's in-box rows and out-of-box columns."""
+    flat = mask.reshape(-1)
+    rows, cols = np.flatnonzero(flat), np.flatnonzero(flat == 0)
     return layer_mean([ad.topk_mean(ad.take2d(m, rows, cols), k) for m in maps])
 
 
@@ -94,19 +91,11 @@ def chain_terms(geometry, concept_maps, selfs, s_ratio, p_ratio):
     table = geometry.pixels
     return [(chain_shortfall(maps, Tensor(table.weight[c]), top_s(geometry, c, s_ratio)),
              chain_fill(maps, table.rows[c], table.cols[c]),
-             chain_submatrix(selfs, table.inside[c], table.outside[c],
-                             top_p(geometry, c, p_ratio)))
+             chain_submatrix(selfs, geometry.masks[c], top_p(geometry, c, p_ratio)))
             for c, maps in enumerate(concept_maps)]
 
 
 # ------------------------------------------------------------------ cases
-
-
-def geometry_of(rects, h: int, w: int) -> RegionGeometry:
-    """Concept c covers pixel rows [r0, r1) and columns [c0, c1) of an h x w map."""
-    regions = tuple(RegionSpec((c0 / w, r0 / h, c1 / w, r1 / h), f"c{i}")
-                    for i, (r0, c0, r1, c1) in enumerate(rects))
-    return RegionGeometry.build(LayoutCondition(regions, np.zeros((1, 1))), h, w)
 
 
 def record_of(cross, selfs, h: int, w: int) -> AttnRecord:
@@ -221,7 +210,6 @@ def test_region_term_on_two_heads_equals_its_head_mean_chain_bit_for_bit(case, s
     # it must round as the chain that averages the whole map's heads first
     h, w, p_ratio = case["h"], case["w"], case["config"].p_ratio
     geometry = geometry_of(case["rects"], h, w)
-    table = geometry.pixels
     rng = np.random.default_rng(seed)
     heads = [np.stack([m, rng.random(m.shape)]) for m in case["selfs"]]
     probs = [Tensor(p, requires_grad=True) for p in heads]
@@ -231,8 +219,8 @@ def test_region_term_on_two_heads_equals_its_head_mean_chain_bit_for_bit(case, s
     fused = add_chain(leading_slices(node))
     chain_probs = [Tensor(p, requires_grad=True) for p in heads]
     means = [ad.mean_heads(p) for p in chain_probs]
-    terms = [chain_submatrix(means, table.inside[c], table.outside[c],
-                             top_p(geometry, c, p_ratio)) for c in range(len(case["rects"]))]
+    terms = [chain_submatrix(means, geometry.masks[c], top_p(geometry, c, p_ratio))
+             for c in range(len(case["rects"]))]
     for c, term in enumerate(terms):
         assert node.data[c].tobytes() == term.data.tobytes()
     chained = add_chain(terms)
@@ -342,7 +330,7 @@ def term_and_chain(term, ratio):
                 lambda m, s: chain_fill([Tensor(m.data[0])], table.rows[0], table.cols[0]))
     k = top_p(BOX, 0, ratio)
     return (lambda m, s: region_terms(record_of([m], [s], 3, 4), BOX, ratio),
-            lambda m, s: chain_submatrix([s], table.inside[0], table.outside[0], k))
+            lambda m, s: chain_submatrix([s], BOX.masks[0], k))
 
 
 ERROR_CASES = {

@@ -476,7 +476,7 @@ def test_a_guided_sample_peaks_under_its_heap_ratchet(asset_dir, tmp_path):
     # the backward through the self-attention loss layers sets the heap's
     # high-water mark; with grad adding into the cotangents it owns and the
     # softmax VJP writing into its own, one seed-42 reference sample peaks at
-    # about 6.67 MB (7.55 MB before)
+    # about 6.46 MB
     config = RunConfig.from_json(asset_dir / "config.json")
     sample(dataclasses.replace(config, output_dir=tmp_path / "warm-up"))
     tracemalloc.start()
@@ -485,7 +485,7 @@ def test_a_guided_sample_peaks_under_its_heap_ratchet(asset_dir, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.8e6, f"heap peak {peak / 1e6:.2f} MB"
+    assert peak <= 6.6e6, f"heap peak {peak / 1e6:.2f} MB"
 
 
 def test_sample_guidance_window_boundaries(small_config, tmp_path):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import build_test_context, empty_layout_context
+from conftest import build_test_context, empty_layout_context, geometry_of
 from loracanvas import autodiff as ad
 from loracanvas import reinit as reinit_module
 from loracanvas.autodiff import Tensor, grad
@@ -13,6 +13,7 @@ from loracanvas.denoiser import denoiser_forward, encode
 from loracanvas.errors import ArgumentError, DegenerateLatentError, NumericError
 from loracanvas.guidance import GuidanceConfig, composite_loss, inbox_mass_fractions, step_size
 from loracanvas.reinit import (
+    CropResult,
     best_crop,
     initial_latent,
     reinitialize,
@@ -75,50 +76,40 @@ def test_best_crop_extent_validation():
 # ------------------------------------------------------------------ transplant
 
 
+def crop_at(i: int, j: int) -> CropResult:
+    return CropResult(origin=(i, j), score=0.0)
+
+
 def test_transplant_self_copy_is_identity():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 6, 6))
     crop = best_crop(np.ones((6, 6)), (2, 2))
-    out = transplant(z, [crop], [(0, 0, 2, 2)])
+    out = transplant(z, [crop], geometry_of([(0, 0, 2, 2)], 6, 6).pixels)
     assert np.array_equal(out, z)
 
 
 def test_transplant_copies_patch_into_box():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((2, 5, 5))
-    from loracanvas.reinit import CropResult
-
-    crop = CropResult(concept_id="a", origin=(3, 3), extent=(2, 2), score=0.0)
-    out = transplant(z, [crop], [(0, 0, 2, 2)])
-    assert np.array_equal(out[:, 0:2, 0:2], z[:, 3:5, 3:5])
+    # a 2-row, 3-column box at rows 1-2, columns 2-4
+    out = transplant(z, [crop_at(3, 0)], geometry_of([(1, 2, 3, 5)], 5, 5).pixels)
+    assert np.array_equal(out[:, 1:3, 2:5], z[:, 3:5, 0:3])
     untouched = np.ones((5, 5), dtype=bool)
-    untouched[0:2, 0:2] = False
+    untouched[1:3, 2:5] = False
     assert np.array_equal(out[:, untouched], z[:, untouched])
 
 
 def test_transplant_overlapping_reads_come_from_snapshot():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((1, 4, 4))
-    from loracanvas.reinit import CropResult
-
     # concept 1 reads from the area concept 0 writes into, and vice versa
-    crops = [CropResult("a", origin=(2, 2), extent=(2, 2), score=0.0),
-             CropResult("b", origin=(0, 0), extent=(2, 2), score=0.0)]
-    boxes = [(0, 0, 2, 2), (2, 2, 2, 2)]
-    out = transplant(z, crops, boxes)
+    table = geometry_of([(0, 0, 2, 2), (2, 2, 4, 4)], 4, 4).pixels
+    out = transplant(z, [crop_at(2, 2), crop_at(0, 0)], table)
     # two-pass oracle: all reads against the original
     expected = z.copy()
     expected[:, 0:2, 0:2] = z[:, 2:4, 2:4]
     expected[:, 2:4, 2:4] = z[:, 0:2, 0:2]
     assert np.array_equal(out, expected)
-
-
-def test_transplant_extent_mismatch():
-    from loracanvas.reinit import CropResult
-
-    crop = CropResult("a", origin=(0, 0), extent=(2, 2), score=0.0)
-    with pytest.raises(ArgumentError):
-        transplant(np.zeros((1, 4, 4)), [crop], [(0, 0, 3, 2)])
 
 
 # ------------------------------------------------------------------ standardize
@@ -147,18 +138,28 @@ def test_standardize_rejects_constant_channel():
         standardize(z)
 
 
+# one 2x2 box in the corner of a 4x4 latent
+CORNER = geometry_of([(0, 0, 2, 2)], 4, 4)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: best_crop(np.ones(4), (1, 1)), "expects a 2-D map"),
-    (lambda: transplant(np.zeros((4, 4)), [], []), "latent must be"),
-    (lambda: transplant(np.zeros((1, 4, 4)), [best_crop(np.ones((4, 4)), (2, 2))], []),
-     "must align"),
+    (lambda: transplant(np.zeros((4, 4)), [], CORNER.pixels), "latent must be"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(0, 0)] * 2, CORNER.pixels), "must align"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [], CORNER.pixels), "must align"),
     # the patch at (3, 3) would run past the 4x4 latent
-    (lambda: transplant(np.zeros((1, 4, 4)),
-                        [reinit_module.CropResult("a", origin=(3, 3), extent=(2, 2), score=0.0)],
-                        [(0, 0, 2, 2)]), "exceeds the latent extent"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(3, 3)], CORNER.pixels),
+     "exceeds the latent extent"),
+    # an 8x8 table's box at rows and columns 4-5 lies past the 4x4 latent
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(0, 0)],
+                        geometry_of([(4, 4, 6, 6)], 8, 8).pixels), "exceeds the latent extent"),
+    # numpy would read rows and columns 1-2, counting from the end
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(-3, -3)], CORNER.pixels), "negative"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(-1, 0)], CORNER.pixels), "negative"),
     (lambda: standardize(np.arange(16.0).reshape(4, 4)), "latent must be"),
 ], ids=["best_crop_of_a_vector", "transplant_into_a_2d_latent", "transplant_misaligned",
-        "transplant_past_the_edge", "standardize_a_2d_latent"])
+        "transplant_one_crop_too_few", "transplant_past_the_edge", "transplant_box_past_the_edge",
+        "transplant_negative_origin", "transplant_negative_row", "standardize_a_2d_latent"])
 def test_reinit_steps_reject_misshaped_inputs(call, match):
     with pytest.raises(ArgumentError, match=match):
         call()
@@ -218,9 +219,9 @@ def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
     total_steps = 10
     seen: list[np.ndarray] = []
 
-    def recording_transplant(z, crops, boxes):
+    def recording_transplant(z, crops, table):
         seen.append(np.array(z, copy=True))
-        return transplant(z, crops, boxes)
+        return transplant(z, crops, table)
 
     monkeypatch.setattr(reinit_module, "transplant", recording_transplant)
     reinitialize(3, ctx, cfg, total_steps)
