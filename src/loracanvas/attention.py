@@ -56,9 +56,8 @@ class LayoutCondition:
 class LayerRecord:
     """Attention maps captured by one composer block.
 
-    Self-attention is kept per head. Its head mean ``self_map``, which only the
-    attention dump reads, is built on first read, so a forward whose map nobody
-    reads computes none.
+    Self-attention is kept per head. Its head mean ``self_map`` is built on first
+    read, so a forward whose map nobody reads computes none.
     """
 
     resolution: tuple[int, int]   # (height, width)
@@ -174,17 +173,21 @@ class RegionGeometry:
         return ad.checked_block(foreground[:, None] & foreground[None, :] & ~shared)
 
     @cached_property
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Per concept, flat indices of its in-box rows by out-of-box columns in an (h*w, h*w)
+        map, row-major. Apart from ``pixels``, which every forward reads: they grow as (h*w)**2."""
+        return tuple((np.flatnonzero(f)[:, None] * f.size + np.flatnonzero(f == 0)).reshape(-1)
+                     for f in self.masks.reshape(-1, self.height * self.width))
+
+    @cached_property
     def pixels(self) -> PixelTable:
-        """Every concept's pixel constants, its Gaussian weight included, computed
-        on first use: building them in ``build`` would add to the cost of
-        ``prepare``'s two geometries."""
+        """Every concept's pixel constants, its Gaussian weight included, computed on first use:
+        building them in ``build`` would add to the cost of ``prepare``'s two geometries."""
         h, w = self.height, self.width
         flat = self.masks.reshape(-1, h * w)
         count = flat.sum(axis=0)
         safe = np.maximum(count, 1.0)
         table = PixelTable(
-            cells=tuple((np.flatnonzero(f)[:, None] * (h * w) + np.flatnonzero(f == 0)).reshape(-1)
-                        for f in flat),
             rows=tuple(np.flatnonzero(r) for r in self.masks.any(axis=2)),
             cols=tuple(np.flatnonzero(c) for c in self.masks.any(axis=1)),
             area=flat.sum(axis=1).astype(np.intp), share=(flat / safe)[:, :, None],
@@ -199,9 +202,6 @@ class RegionGeometry:
 class PixelTable:
     """A geometry's pixel constants, per concept in layout order, plus h0's weight."""
 
-    # flat indices into an (h*w, h*w) map of each box's in-box rows by out-of-box
-    # columns, in the row-major order of map[np.ix_(inside, outside)]
-    cells: tuple[np.ndarray, ...]
     rows: tuple[np.ndarray, ...]      # rows each box covers
     cols: tuple[np.ndarray, ...]      # columns each box covers
     area: np.ndarray      # (concepts,) pixels each box covers

@@ -195,7 +195,7 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     Per concept c, ``topk_mean(self_map[inside[c]][:, outside[c]], k[c])`` with
     ``k = ceil(p_ratio * area * (h*w - area))`` (chain: mean_heads, take2d,
     topk_mean). Only the submatrix entries of the head mean are computed: each
-    head's are gathered at the pixel table's ``cells[c]`` and the heads added in
+    head's are gathered at the geometry's ``cells[c]`` and the heads added in
     order from +0.0 and divided by their count, as ``mean_heads`` does. The self
     maps are shared by every concept, so two concepts may pick one entry: the
     VJP sums each map's picks into its shape, in concept order, and hands each
@@ -214,7 +214,7 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
     def submatrices():
         # each head gathered with 1-D indexing, faster than a gather over the head axis
         for p in probs:
-            for cell in table.cells:
+            for cell in geometry.cells:
                 mean = np.zeros(cell.size)
                 for head in p.data:
                     mean += head.reshape(-1)[cell]
@@ -230,7 +230,7 @@ def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -
             # the layer's concepts share its map: a pick two concepts share
             # adds up in concept order
             rows = slice(layer * concepts, (layer + 1) * concepts)
-            at = _flat_picks([cell[idx] for cell, idx in zip(table.cells, picks[rows])],
+            at = _flat_picks([cell[idx] for cell, idx in zip(geometry.cells, picks[rows])],
                              [0] * concepts)
             c = np.bincount(at, np.repeat(shares[rows], ks[rows]), minlength=size * size)
             c = c.astype(np.float64, copy=False)  # a bincount of no picks is int64

@@ -663,7 +663,7 @@ def test_geometry_masks_equal_rasterized_boxes(case):
         for i, (region, mask) in enumerate(zip(layout.regions, expected)):
             flat = mask.reshape(-1)
             # in-box rows by out-of-box columns of an (h*w, h*w) map, row-major
-            assert np.array_equal(table.cells[i], np.flatnonzero(np.outer(flat, flat == 0)))
+            assert np.array_equal(geometry.cells[i], np.flatnonzero(np.outer(flat, flat == 0)))
             assert np.array_equal(table.rows[i], np.flatnonzero(mask.any(axis=1)))
             assert np.array_equal(table.cols[i], np.flatnonzero(mask.any(axis=0)))
             assert table.area[i] == flat.sum()
