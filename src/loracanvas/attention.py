@@ -54,20 +54,11 @@ class LayoutCondition:
 
 @dataclass
 class LayerRecord:
-    """Attention maps captured by one composer block.
-
-    Self-attention is kept per head. Its head mean ``self_map`` is built on first
-    read, so a forward whose map nobody reads computes none.
-    """
+    """Attention maps captured by one composer block."""
 
     resolution: tuple[int, int]   # (height, width)
     cross_maps: Tensor            # (concepts, h, w) in layout order, heads averaged
     self_probs: Tensor            # (heads, h*w, h*w) per-head self-attention
-
-    @cached_property
-    def self_map(self) -> Tensor:
-        """(h*w, h*w) self-attention, heads averaged."""
-        return ad.mean_heads(self.self_probs)
 
 
 @dataclass
@@ -138,7 +129,8 @@ def gaussian_weight(box: Box, height: int, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionGeometry:
-    """Layout rasterized at one resolution, shared across timesteps."""
+    """Layout rasterized at one resolution, shared across timesteps. Each constant derived
+    from the masks is per concept in layout order and built by its own first reader."""
 
     height: int
     width: int
@@ -175,39 +167,47 @@ class RegionGeometry:
     @cached_property
     def cells(self) -> tuple[np.ndarray, ...]:
         """Per concept, flat indices of its in-box rows by out-of-box columns in an (h*w, h*w)
-        map, row-major. Apart from ``pixels``, which every forward reads: they grow as (h*w)**2."""
+        map, row-major. Only the region term reads them: they grow as (h*w)**2."""
         return tuple((np.flatnonzero(f)[:, None] * f.size + np.flatnonzero(f == 0)).reshape(-1)
                      for f in self.masks.reshape(-1, self.height * self.width))
 
     @cached_property
-    def pixels(self) -> PixelTable:
-        """Every concept's pixel constants, its Gaussian weight included, computed on first use:
-        building them in ``build`` would add to the cost of ``prepare``'s two geometries."""
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """Rows each box covers."""
+        return tuple(np.flatnonzero(r) for r in self.masks.any(axis=2))
+
+    @cached_property
+    def cols(self) -> tuple[np.ndarray, ...]:
+        """Columns each box covers."""
+        return tuple(np.flatnonzero(c) for c in self.masks.any(axis=1))
+
+    @cached_property
+    def area(self) -> np.ndarray:
+        """(concepts,) pixels each box covers."""
+        return self.masks.reshape(-1, self.height * self.width).sum(axis=1).astype(np.intp)
+
+    @cached_property
+    def share(self) -> np.ndarray:
+        """(concepts, h*w, 1) read-only compose weight: mask / boxes covering the pixel."""
+        flat = self.masks.reshape(-1, self.height * self.width)  # -1: no concepts is (0, h*w)
+        return _read_only((flat / np.maximum(flat.sum(axis=0), 1.0))[:, :, None])
+
+    @cached_property
+    def background(self) -> np.ndarray:
+        """(h*w, 1) read-only compose weight of h0: 1 where no box covers the pixel."""
+        return _read_only((self.masks.sum(axis=0) == 0).reshape(-1, 1).astype(np.float64))
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """(concepts, h, w) read-only Gaussian weight, in-box maximum 1."""
         h, w = self.height, self.width
-        flat = self.masks.reshape(-1, h * w)
-        count = flat.sum(axis=0)
-        safe = np.maximum(count, 1.0)
-        table = PixelTable(
-            rows=tuple(np.flatnonzero(r) for r in self.masks.any(axis=2)),
-            cols=tuple(np.flatnonzero(c) for c in self.masks.any(axis=1)),
-            area=flat.sum(axis=1).astype(np.intp), share=(flat / safe)[:, :, None],
-            weight=np.reshape([gaussian_weight(r.box, h, w) for r in self.regions], (-1, h, w)),
-            background=(count == 0)[:, None].astype(np.float64))
-        for constant in (table.share, table.weight, table.background):
-            constant.flags.writeable = False
-        return table
+        return _read_only(np.reshape([gaussian_weight(r.box, h, w) for r in self.regions],
+                                     (-1, h, w)))
 
 
-@dataclass(frozen=True)
-class PixelTable:
-    """A geometry's pixel constants, per concept in layout order, plus h0's weight."""
-
-    rows: tuple[np.ndarray, ...]      # rows each box covers
-    cols: tuple[np.ndarray, ...]      # columns each box covers
-    area: np.ndarray      # (concepts,) pixels each box covers
-    share: np.ndarray     # (concepts, h*w, 1) compose weight: mask / boxes covering the pixel
-    weight: np.ndarray    # (concepts, h, w) Gaussian weight, in-box maximum 1
-    background: np.ndarray  # (h*w, 1) compose weight of h0: 1 where no box covers the pixel
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Tensor:
@@ -223,7 +223,7 @@ def compose_hidden(h0: Tensor, hiddens: Tensor, geometry: RegionGeometry) -> Ten
     if hiddens.data.ndim != 3 or len(hiddens.data) != len(geometry.regions):
         raise ArgumentError(f"hidden states of shape {hiddens.shape} do not hold the "
                             f"geometry's {len(geometry.regions)} concepts")
-    background, share = geometry.pixels.background, geometry.pixels.share
+    background, share = geometry.background, geometry.share
     data = (hiddens.data * share).sum(axis=0)
     data += h0.data * background
     return Tensor.node(data, "compose_hidden", (h0, hiddens), lambda g: (

@@ -129,11 +129,10 @@ def concept_enhancement_terms(record: AttnRecord, geometry: RegionGeometry,
     flows to it, and a finite map times it stays finite.
     """
     maps = [layer.cross_maps for layer in record.loss_layers(geometry)]
-    table = geometry.pixels
-    w = table.weight
-    n, concepts, size = len(maps), len(table.area), geometry.height * geometry.width
+    w = geometry.weight
+    n, concepts, size = len(maps), len(geometry.regions), geometry.height * geometry.width
     flats = (np.array([m.data for m in maps]) * w).reshape(n * concepts, size)
-    ks = np.concatenate([np.ceil(s_ratio * table.area).astype(np.intp)] * n)
+    ks = np.concatenate([np.ceil(s_ratio * geometry.area).astype(np.intp)] * n)
     kths, tops = _top_k(flats, ks)
 
     def vjp(g):
@@ -160,14 +159,13 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
     reassociate that sum.
     """
     maps = [layer.cross_maps for layer in record.loss_layers(geometry)]
-    table = geometry.pixels
     height, width = geometry.height, geometry.width
-    n, concepts = len(maps), len(table.area)
-    rows, cols = table.rows * n, table.cols * n
+    n, concepts = len(maps), len(geometry.regions)
+    rows, cols = geometry.rows * n, geometry.cols * n
     sizes = np.array([ri.size + ci.size for ri, ci in zip(rows, cols)], dtype=np.intp)
     # row l * concepts + c's box, amap[np.ix_(ri, ci)] of layer l's map of concept c
     boxes = [amap[ri[:, None], ci] for m in maps
-             for amap, ri, ci in zip(m.data, table.rows, table.cols)]
+             for amap, ri, ci in zip(m.data, geometry.rows, geometry.cols)]
     # each mean as a sum over the count, as ndarray.mean computes it
     terms = np.array([(1.0 - np.concatenate([b.max(axis=0), b.max(axis=1)])).sum() / size
                       for b, size in zip(boxes, sizes)])
@@ -192,24 +190,23 @@ def fill_terms(record: AttnRecord, geometry: RegionGeometry) -> Tensor:
 def region_terms(record: AttnRecord, geometry: RegionGeometry, p_ratio: float) -> Tensor:
     """Every concept's foreground-to-complement leakage term: (concepts,).
 
-    Per concept c, ``topk_mean(self_map[inside[c]][:, outside[c]], k[c])`` with
-    ``k = ceil(p_ratio * area * (h*w - area))`` (chain: mean_heads, take2d,
-    topk_mean). Only the submatrix entries of the head mean are computed: each
-    head's are gathered at the geometry's ``cells[c]`` and the heads added in
-    order from +0.0 and divided by their count, as ``mean_heads`` does. The self
-    maps are shared by every concept, so two concepts may pick one entry: the
-    VJP sums each map's picks into its shape, in concept order, and hands each
-    head its share.
+    Per concept c, ``topk_mean(take2d(mean_heads(self_probs), in_box, out_of_box),
+    k[c])``, where ``in_box`` and ``out_of_box`` are the flat pixels ``masks[c]``
+    covers and leaves out, with ``k = ceil(p_ratio * area * (h*w - area))``. Only
+    the submatrix entries of the head mean are computed: each head's are gathered
+    at the geometry's ``cells[c]`` and the heads added in order from +0.0 and
+    divided by their count, as ``mean_heads`` does. The self maps are shared by
+    every concept, so two concepts may pick one entry: the VJP sums each map's
+    picks into its shape, in concept order, and hands each head its share.
     """
     probs = [layer.self_probs for layer in record.loss_layers(geometry)]
-    table = geometry.pixels
     size = geometry.height * geometry.width
-    outside = size - table.area
+    outside = size - geometry.area
     if not outside.all():
         whole = geometry.concept_ids[int(np.argmin(outside))]
         raise ArgumentError(f"concept {whole!r} covers the whole map")
-    n, concepts = len(probs), len(table.area)
-    ks = np.concatenate([np.ceil(p_ratio * (table.area * outside)).astype(np.intp)] * n)
+    n, concepts = len(probs), len(geometry.regions)
+    ks = np.concatenate([np.ceil(p_ratio * (geometry.area * outside)).astype(np.intp)] * n)
 
     def submatrices():
         # each head gathered with 1-D indexing, faster than a gather over the head axis

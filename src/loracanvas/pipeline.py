@@ -16,7 +16,7 @@ import numpy as np
 from . import tensorio
 from .assets import ModelDims, generate_base_weights, load_bundle
 from .attention import LayoutCondition, RegionSpec
-from .autodiff import Tensor
+from .autodiff import Tensor, mean_heads
 from .denoiser import DenoiserContext, build_context, denoiser_forward, encode
 from .errors import ArgumentError, ConfigurationError, NumericError
 from .guidance import (
@@ -141,8 +141,8 @@ class RunConfig:
     def from_dict(cls, raw: dict, base_dir: str | Path = ".") -> "RunConfig":
         base = Path(base_dir)
 
-        def resolve(p: str) -> Path:
-            candidate = Path(p)
+        def resolve(key: str, value) -> Path:
+            candidate = Path(_json_typed(key, value, str))
             return candidate if candidate.is_absolute() else base / candidate
 
         raw = _json_object("run config", raw, ("seed", "steps", "latent", "model", "guidance",
@@ -151,12 +151,12 @@ class RunConfig:
         try:
             latent = _json_object("latent", raw.get("latent", {}), ("channels", "height", "width"))
             model = _json_object("model", raw.get("model", {}), ("d_model", "heads"))
-            regions = tuple(
-                (tuple(_json_number(f"region {i} box", v)
-                       for v in _json_object(f"region {i}", entry, ("box", "bundle"))["box"]),
-                 resolve(entry["bundle"]))
-                for i, entry in enumerate(raw.get("regions", ()))
-            )
+            regions = []
+            for i, entry in enumerate(_json_typed("regions", raw.get("regions", []), list)):
+                entry = _json_object(f"region {i}", entry, ("box", "bundle"))
+                box = _json_typed(f"region {i} box", entry["box"], list)
+                regions.append((tuple(_json_number(f"region {i} box", v) for v in box),
+                                resolve(f"region {i} bundle", entry["bundle"])))
             config = cls(
                 seed=_json_typed("seed", raw["seed"], int),
                 steps=_json_typed("steps", raw.get("steps", 25), int),
@@ -165,11 +165,11 @@ class RunConfig:
                 width=_json_typed("latent.width", latent.get("width", 16), int),
                 d_model=_json_typed("model.d_model", model.get("d_model", 16), int),
                 n_heads=_json_typed("model.heads", model.get("heads", 2), int),
-                guidance=GuidanceConfig(
-                    **_json_typed("guidance", raw.get("guidance", {}), dict)),
-                global_prompt_embed=resolve(raw["global_prompt_embed"]),
-                regions=regions,
-                output_dir=resolve(raw.get("output_dir", "out")),
+                guidance=GuidanceConfig(**_json_object("guidance", raw.get("guidance", {}), tuple(
+                    f.name for f in fields(GuidanceConfig)))),
+                global_prompt_embed=resolve("global_prompt_embed", raw["global_prompt_embed"]),
+                regions=tuple(regions),
+                output_dir=resolve("output_dir", raw.get("output_dir", "out")),
                 dump_attention=_json_typed("dump_attention",
                                            raw.get("dump_attention", False), bool),
                 reinit=_json_typed("reinit", raw.get("reinit", True), bool),
@@ -210,7 +210,7 @@ class RunConfig:
 
 
 def _json_typed(key: str, value, kind: type):
-    """A config value that must be a JSON integer, boolean or object (true is no integer)."""
+    """A config value that must have the JSON type ``kind`` (true is no integer)."""
     if type(value) is not kind:
         raise ConfigurationError(f"{key} must be of type {kind.__name__}, got {value!r}")
     return value
@@ -344,7 +344,7 @@ def sample(config: RunConfig) -> SampleResult:
         dump = {f"cross.{cid}": amap
                 for cid, amap in zip(geometry.concept_ids, record.averaged_cross_maps(geometry))}
         for i, layer in enumerate(record.loss_layers(geometry)):
-            dump[f"self.layer{i}"] = layer.self_map.data
+            dump[f"self.layer{i}"] = mean_heads(layer.self_probs).data
         outputs["attention"] = out_dir / "attention.lcb"
         tensorio.write_container(outputs["attention"], dump)
 

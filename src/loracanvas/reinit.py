@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import GENERATOR_VERSION, ModelDims
-from .attention import PixelTable
+from .attention import RegionGeometry
 from .autodiff import Tensor
 from .denoiser import DenoiserContext, encode
 from .errors import ArgumentError, DegenerateLatentError, NumericError
@@ -56,8 +56,8 @@ def best_crop(a: np.ndarray, box_extent: tuple[int, int]) -> CropResult:
     return CropResult(origin=(i, j), score=score)
 
 
-def transplant(z: np.ndarray, crops: list[CropResult], table: PixelTable) -> np.ndarray:
-    """Copy crop c's patch into the pixel table's box c, all channels at once.
+def transplant(z: np.ndarray, crops: list[CropResult], geometry: RegionGeometry) -> np.ndarray:
+    """Copy crop c's patch into the geometry's box c, all channels at once.
 
     Every patch is read from the input, which is never written, so crops
     may overlap previously written boxes without aliasing; later boxes
@@ -66,11 +66,11 @@ def transplant(z: np.ndarray, crops: list[CropResult], table: PixelTable) -> np.
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise ArgumentError("latent must be (channels, height, width)")
-    if len(crops) != len(table.rows):
-        raise ArgumentError(f"crops and boxes must align: {len(crops)} for {len(table.rows)}")
+    if len(crops) != len(geometry.rows):
+        raise ArgumentError(f"crops and boxes must align: {len(crops)} for {len(geometry.rows)}")
     _, h, w = z.shape
     out = z.copy()
-    for crop, rows, cols in zip(crops, table.rows, table.cols):
+    for crop, rows, cols in zip(crops, geometry.rows, geometry.cols):
         ci, cj = crop.origin
         if ci < 0 or cj < 0:
             raise ArgumentError(f"crop origin {crop.origin} is negative")
@@ -127,7 +127,6 @@ def reinitialize(seed: int, ctx: DenoiserContext, config: GuidanceConfig,
     trace = [TraceRow.of(total_steps, 0, breakdown, phi, accepted=True)]
     _, record = encode(Tensor(z1), total_steps, ctx)
 
-    table = geometry.pixels
     crops = [best_crop(amap, (cols.size, rows.size)) for rows, cols, amap
-             in zip(table.rows, table.cols, record.averaged_cross_maps(geometry))]
-    return standardize(transplant(z1, crops, table)), trace
+             in zip(geometry.rows, geometry.cols, record.averaged_cross_maps(geometry))]
+    return standardize(transplant(z1, crops, geometry)), trace

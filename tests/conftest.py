@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from loracanvas import autodiff as ad
 from loracanvas.assets import (
@@ -33,6 +34,13 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # without libcst the plugin writes no patch
         pass
+
+# Every property test runs derandomized, so each run checks the same examples, and
+# without the shrink phase: a failing example is reported as drawn, in seconds, where
+# shrinking one over the tests' arrays took minutes.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
+                          phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("tier1")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

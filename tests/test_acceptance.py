@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from loracanvas import autodiff as ad
 from loracanvas import tensorio
 from loracanvas.assets import load_bundle, synth_bundle, write_bundle, gen_prompt_embedding
 from loracanvas.attention import (
@@ -64,8 +65,9 @@ def test_criterion_2_hard_isolation():
         for layer in record.layers:
             geo = masks[layer.resolution]
             a, b = geo.masks.reshape(2, -1) > 0
-            block_ab = np.abs(layer.self_map.data[np.ix_(a, b)]).max()
-            block_ba = np.abs(layer.self_map.data[np.ix_(b, a)]).max()
+            self_map = ad.mean_heads(layer.self_probs).data
+            block_ab = np.abs(self_map[np.ix_(a, b)]).max()
+            block_ba = np.abs(self_map[np.ix_(b, a)]).max()
             worst = max(worst, block_ab, block_ba)
     _verdict(2, worst == 0.0,
              f"cross-region self-attention over 100 seeded forwards: "

@@ -34,6 +34,7 @@ from loracanvas.attention import (
 from loracanvas.autodiff import Tensor, grad
 from loracanvas.denoiser import denoiser_forward
 from loracanvas.errors import ArgumentError, ConfigurationError, EmptyMaskError, ShapeError
+from loracanvas.guidance import GuidanceConfig, composite_loss
 
 # every oracle check runs at each head count: one head, two, and d_h = 1
 HEAD_COUNTS = (1, 2, 4)
@@ -216,27 +217,6 @@ def test_attn_record_loss_layers_pick_highest_resolution():
     # a geometry at a lower recorded resolution does not pick that resolution's layers
     with pytest.raises(ArgumentError, match="does not match loss resolution"):
         rec.loss_layers(RegionGeometry.build(empty, 2, 2))
-
-
-def test_layer_record_builds_its_head_mean_once_on_read(monkeypatch):
-    ctx = build_test_context()
-    _, record = denoiser_forward(Tensor(np.random.default_rng(0).standard_normal((4, 8, 8))),
-                                 5, ctx)
-    real, calls = ad.mean_heads, []
-
-    def counted(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(ad, "mean_heads", counted)
-    for layer in record.layers:
-        n = layer.resolution[0] * layer.resolution[1]
-        assert layer.self_probs.shape == (ctx.dims.n_heads, n, n)
-        first = layer.self_map
-        assert layer.self_map is first
-        assert calls[-1] is layer.self_probs
-        assert first.data.tobytes() == real(layer.self_probs).data.tobytes()
-    assert len(calls) == len(record.layers)
 
 
 # ------------------------------------------------------------------ compose
@@ -428,17 +408,7 @@ def test_build_context_computes_no_kv(monkeypatch):
     assert len(calls) == len(ctx.weights.blocks) * 2 * 3
 
 
-def test_build_context_computes_no_pixel_table():
-    ctx = build_test_context()
-    lazy = ("pixels", "blocked_self")
-    assert all(n not in g.__dict__ for g in ctx.geometries.values() for n in lazy)
-    z = np.random.default_rng(0).standard_normal(
-        (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
-    denoiser_forward(Tensor(z), 5, ctx)
-    assert all(n in g.__dict__ for g in ctx.geometries.values() for n in lazy)
-
-
-def test_gaussian_weights_are_computed_with_the_pixel_table(monkeypatch):
+def test_each_geometry_constant_is_built_by_its_first_reader(monkeypatch):
     calls = []
     real = attention_module.gaussian_weight
 
@@ -448,18 +418,28 @@ def test_gaussian_weights_are_computed_with_the_pixel_table(monkeypatch):
 
     monkeypatch.setattr(attention_module, "gaussian_weight", counting)
     ctx = build_test_context()
-    assert calls == []
+    fields = {f.name for f in dataclasses.fields(RegionGeometry)}
+
+    def built():
+        return {res: set(g.__dict__) - fields for res, g in ctx.geometries.items()}
+
+    assert all(not names for names in built().values())
     z = np.random.default_rng(0).standard_normal(
         (ctx.dims.channels, ctx.dims.height, ctx.dims.width))
     for _ in range(2):
-        denoiser_forward(Tensor(z), 5, ctx)
-    # once per concept per geometry, however many forwards read the table
-    assert sorted(calls) == sorted((r.box, h, w) for h, w in ctx.geometries
-                                   for r in ctx.layout.regions)
-    for (h, w), geometry in ctx.geometries.items():
-        for i, r in enumerate(ctx.layout.regions):
-            assert np.array_equal(geometry.masks[i], rasterize_mask(r.box, h, w))
-            assert np.array_equal(geometry.pixels.weight[i], real(r.box, h, w))
+        _, record = denoiser_forward(Tensor(z), 5, ctx)
+    # a forward reads the compose weights and the isolation mask, and nothing else
+    forward_only = {"share", "background", "blocked_self"}
+    assert all(names == forward_only for names in built().values())
+    assert calls == []
+    for _ in range(2):
+        composite_loss(record, ctx.loss_geometry, GuidanceConfig())
+    # once per concept, on the loss geometry alone, however many losses read it
+    loss_res = (ctx.dims.height, ctx.dims.width)
+    assert calls == [(r.box, *loss_res) for r in ctx.layout.regions]
+    for res, names in built().items():
+        assert names == forward_only | ({"rows", "cols", "area", "weight", "cells"}
+                                        if res == loss_res else set())
 
 
 def test_region_cross_attention_rejects_a_geometry_of_another_layout():

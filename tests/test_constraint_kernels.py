@@ -4,7 +4,7 @@ Each of ``concept_enhancement_terms``, ``fill_terms`` and ``region_terms``
 is every concept's constraint term over a record's loss layers, one entry
 per concept. The oracle builds each concept's term from the public kernels
 (mul, topk_mean, sub, take2d, axis_max_project, concat, mean_all) on
-that concept's own maps, with the pixel table's rows, columns, index lists,
+that concept's own maps, with the geometry's rows, columns, index lists,
 Gaussian weight and top-k count, averages the layers with add and div_scalar
 and sums the concepts with add, as the losses did before the concept axis.
 Values and gradients must agree bit for bit, slice by slice, and a failing
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,10 +36,7 @@ from loracanvas.guidance import (
     region_terms,
 )
 
-# no shrink phase: a failing example is reported as drawn, in seconds, where
-# shrinking one over these arrays took minutes
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80,
-                    phases=[p for p in Phase if p is not Phase.shrink])
+PROPERTY = settings(max_examples=80)
 
 # a coarse grid makes ties (the top-k tie rule, first argmax) common
 tied = st.integers(0, 8).map(lambda n: n / 8.0)
@@ -78,19 +75,18 @@ def chain_submatrix(maps, mask, k) -> Tensor:
 
 
 def top_s(geometry: RegionGeometry, c: int, s_ratio: float) -> int:
-    return math.ceil(s_ratio * int(geometry.pixels.area[c]))
+    return math.ceil(s_ratio * int(geometry.area[c]))
 
 
 def top_p(geometry: RegionGeometry, c: int, p_ratio: float) -> int:
-    area = int(geometry.pixels.area[c])
+    area = int(geometry.area[c])
     return math.ceil(p_ratio * (area * (geometry.height * geometry.width - area)))
 
 
 def chain_terms(geometry, concept_maps, selfs, s_ratio, p_ratio):
     """Per concept, its three chained terms on its own list of layer maps."""
-    table = geometry.pixels
-    return [(chain_shortfall(maps, Tensor(table.weight[c]), top_s(geometry, c, s_ratio)),
-             chain_fill(maps, table.rows[c], table.cols[c]),
+    return [(chain_shortfall(maps, Tensor(geometry.weight[c]), top_s(geometry, c, s_ratio)),
+             chain_fill(maps, geometry.rows[c], geometry.cols[c]),
              chain_submatrix(selfs, geometry.masks[c], top_p(geometry, c, p_ratio)))
             for c, maps in enumerate(concept_maps)]
 
@@ -146,10 +142,9 @@ def terms_of(record, geometry, config):
 def test_fused_terms_equal_their_chains_bit_for_bit(case):
     h, w, config = case["h"], case["w"], case["config"]
     geometry = geometry_of(case["rects"], h, w)
-    table = geometry.pixels
     for c, (r0, c0, r1, c1) in enumerate(case["rects"]):
-        assert table.rows[c].tolist() == list(range(r0, r1))
-        assert table.cols[c].tolist() == list(range(c0, c1))
+        assert geometry.rows[c].tolist() == list(range(r0, r1))
+        assert geometry.cols[c].tolist() == list(range(c0, c1))
     cross = [Tensor(m) for m in case["cross"]]
     selfs = [Tensor(m) for m in case["selfs"]]
     nodes = terms_of(record_of(cross, selfs, h, w), geometry, config)
@@ -320,14 +315,13 @@ HUGE = 1e308
 def term_and_chain(term, ratio):
     """The term on BOX's one concept and its chain, both as functions of the
     (cross maps, self map) of one layer."""
-    table = BOX.pixels
     if term == "shortfall":
         k = top_s(BOX, 0, ratio)
         return (lambda m, s: concept_enhancement_terms(record_of([m], [s], 3, 4), BOX, ratio),
-                lambda m, s: chain_shortfall([Tensor(m.data[0])], Tensor(table.weight[0]), k))
+                lambda m, s: chain_shortfall([Tensor(m.data[0])], Tensor(BOX.weight[0]), k))
     if term == "fill":
         return (lambda m, s: fill_terms(record_of([m], [s], 3, 4), BOX),
-                lambda m, s: chain_fill([Tensor(m.data[0])], table.rows[0], table.cols[0]))
+                lambda m, s: chain_fill([Tensor(m.data[0])], BOX.rows[0], BOX.cols[0]))
     k = top_p(BOX, 0, ratio)
     return (lambda m, s: region_terms(record_of([m], [s], 3, 4), BOX, ratio),
             lambda m, s: chain_submatrix([s], BOX.masks[0], k))

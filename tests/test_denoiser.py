@@ -58,7 +58,7 @@ def test_denoiser_records_three_layers_two_resolutions():
     for layer in record.layers:
         assert layer.cross_maps.shape == (2, *layer.resolution)
         n = layer.resolution[0] * layer.resolution[1]
-        assert layer.self_map.shape == (n, n)
+        assert ad.mean_heads(layer.self_probs).shape == (n, n)
 
 
 def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
@@ -72,7 +72,7 @@ def test_encode_records_the_first_two_layers_of_the_full_forward_bit_for_bit():
     assert len(record.layers) == 2
     for mine, theirs in zip(record.layers, full.layers[:2]):
         assert mine.resolution == theirs.resolution
-        assert mine.self_map.data.tobytes() == theirs.self_map.data.tobytes()
+        assert mine.self_probs.data.tobytes() == theirs.self_probs.data.tobytes()
         assert mine.cross_maps.shape == theirs.cross_maps.shape
         assert mine.cross_maps.data.tobytes() == theirs.cross_maps.data.tobytes()
 

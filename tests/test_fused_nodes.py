@@ -67,9 +67,8 @@ def test_the_overlapping_layout_shares_pixels():
 
 
 def chain_compose(h0: Tensor, hiddens: Tensor, geometry) -> Tensor:
-    table = geometry.pixels
-    background = ad.mul(h0, Tensor(table.background))
-    weighted = leading_slices(ad.mul(hiddens, Tensor(table.share)))
+    background = ad.mul(h0, Tensor(geometry.background))
+    weighted = leading_slices(ad.mul(hiddens, Tensor(geometry.share)))
     return ad.add(background, add_chain(weighted)) if weighted else background
 
 

@@ -61,12 +61,11 @@ class LossProbe:
         geometry = self.ctx.loss_geometry
         _, record = encode(z, self.t, self.ctx)
         total, _ = composite_loss(record, geometry, self.config.guidance)
-        table = geometry.pixels
         fill = []
         for layer in record.loss_layers(geometry):
             m = layer.cross_maps.data
-            fill += [a[ci] for a, ci in zip(m.argmax(axis=1), table.cols)]
-            fill += [a[ri] for a, ri in zip(m.argmax(axis=2), table.rows)]
+            fill += [a[ci] for a, ci in zip(m.argmax(axis=1), geometry.cols)]
+            fill += [a[ri] for a, ri in zip(m.argmax(axis=2), geometry.rows)]
         return total, {"top_k": self.picks, "fill": fill}
 
     def along(self, v: np.ndarray, step: float) -> tuple[float, dict[str, list[np.ndarray]]]:

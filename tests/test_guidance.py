@@ -109,7 +109,7 @@ def test_ce_loss_matches_manual_sort_mask_multiply():
     record = record_from_maps({"a": amap}, uniform_self_map())
     # |M| = 4, s_ratio 0.5 -> S = 2
     loss = summed(concept_enhancement_terms(record, geo, s_ratio=0.5))
-    weighted = amap * geo.masks[0] * geo.pixels.weight[0]
+    weighted = amap * geo.masks[0] * geo.weight[0]
     top2 = np.sort(weighted.reshape(-1))[::-1][:2]
     assert abs(loss - (1.0 - top2.mean())) < 1e-12
 
@@ -453,7 +453,7 @@ def test_guided_update_releases_each_iteration_before_the_next():
         # the last iteration's record, loss and tape are gone by now
         assert all(ref() is None for ref in previous)
         record = model(zt)
-        previous.append(weakref.ref(record.layers[0].self_map.data))
+        previous.append(weakref.ref(record.layers[0].self_probs.data))
         return record
 
     _, rows = guided_update(np.random.default_rng(3).standard_normal((N, 3)),

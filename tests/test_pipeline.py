@@ -246,6 +246,11 @@ def test_compose_names_the_key_of_a_value_the_model_rejects(asset_dir, tmp_path,
     ({"model": "x"}, "model must be of type dict"),
     ({"model": None}, "model must be of type dict"),
     ({"guidance": [0.25]}, "guidance must be of type dict"),
+    ({"global_prompt_embed": 5}, "global_prompt_embed must be of type str"),
+    ({"output_dir": 7}, "output_dir must be of type str"),
+    ({"regions": [{"box": [0, 0, 0.5, 1], "bundle": 3}]}, "region 0 bundle must be of type str"),
+    ({"regions": {"box": [0, 0, 0.5, 1], "bundle": "a.lcb"}}, "regions must be of type list"),
+    ({"regions": [{"box": "0011", "bundle": "a.lcb"}]}, "region 0 box must be of type list"),
 ])
 def test_config_rejects_value_of_wrong_type(tmp_path, overrides, key):
     raw = {"seed": 1, "global_prompt_embed": "e.lcb", **overrides}
@@ -280,6 +285,7 @@ def test_config_rejects_non_finite_guidance_knob(tmp_path, knob, literal):
     ({"regions": [{"box": [0, 0, 0.5, 1], "bundle": "a.lcb"},
                   {"box": [0.5, 0, 1, 1], "bundle": "b.lcb", "bundel": "c.lcb"}]},
      "region 1 has an unknown key 'bundel'"),
+    ({"guidance": {"alpah": 0.3}}, "guidance has an unknown key 'alpah'"),
 ])
 def test_config_rejects_an_unknown_key_naming_its_section(tmp_path, overrides, message):
     # a misspelled key would otherwise load as its default
@@ -400,7 +406,7 @@ def test_sample_writes_all_artifacts(small_config, tmp_path, monkeypatch):
             np.float64).tobytes()
     for i, layer in enumerate(layers):
         assert np.array_equal(dumped[f"self.layer{i}"],
-                              layer.self_map.data.astype(np.float32))
+                              ad.mean_heads(layer.self_probs).data.astype(np.float32))
 
 
 def test_sample_drops_each_denoising_record_before_the_next_timestep(small_config, tmp_path,

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,10 +28,7 @@ from loracanvas.autodiff import Tensor, finite_difference_gradient, grad
 from loracanvas.errors import DataError, EmptyMaskError, FormatError
 from loracanvas.guidance import GuidanceConfig, composite_loss
 
-# no shrink phase: a failing example is reported as drawn, in seconds, where
-# shrinking one over these arrays took minutes
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60,
-                    phases=[p for p in Phase if p is not Phase.shrink])
+PROPERTY = settings(max_examples=60)
 
 finite = st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
 
@@ -262,7 +259,7 @@ def summed_stacks(draw):
     return negative_zero_positions(rng, x, axis), axis
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(summed_stacks())
 def test_numpy_sums_slices_in_order_bit_for_bit(case):
     assert_sum_is_the_ordered_chain(*case)
@@ -295,7 +292,7 @@ def topk_cases(draw):
     return x, k
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(topk_cases())
 @example((np.array([0.0, -0.0, 0.0, -0.0, -0.0]), 3))
 @example((np.array([[-0.0, -0.0], [-0.0, -0.0]]), 4))
@@ -321,7 +318,7 @@ def pre_split_top_k(flat: np.ndarray, k: int) -> tuple[np.ndarray, np.float64]:
     return idx, np.ascontiguousarray(np.sort(flat[idx])[::-1]).mean()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(topk_cases())
 @example((np.array([0.0, -0.0, 0.0, -0.0, -0.0]), 3))
 @example((np.array([-0.0, -1.0, 0.0, -0.0] * 5), 7))
@@ -579,7 +576,7 @@ def test_truncated_container_raises_only_named_errors(container):
             read_raw(directory, raw[:cut])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@settings(max_examples=500)
 @given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
                       min_size=1, max_size=4))
 def test_corrupted_container_reads_or_raises_only_named_errors(container, edits):
@@ -658,23 +655,28 @@ def test_geometry_masks_equal_rasterized_boxes(case):
             assert np.array_equal(masks[i], mask)
         if not layout.regions:
             assert geometry.blocked_self is None
-        table = geometry.pixels
+        # every per-concept constant holds one entry per region, none without regions
+        for constant in (geometry.rows, geometry.cols, geometry.area, geometry.cells,
+                         geometry.share, geometry.weight):
+            assert len(constant) == len(layout.regions)
         shares = np.zeros(h * w)
         for i, (region, mask) in enumerate(zip(layout.regions, expected)):
             flat = mask.reshape(-1)
             # in-box rows by out-of-box columns of an (h*w, h*w) map, row-major
             assert np.array_equal(geometry.cells[i], np.flatnonzero(np.outer(flat, flat == 0)))
-            assert np.array_equal(table.rows[i], np.flatnonzero(mask.any(axis=1)))
-            assert np.array_equal(table.cols[i], np.flatnonzero(mask.any(axis=0)))
-            assert table.area[i] == flat.sum()
-            assert np.array_equal(table.weight[i], gaussian_weight(region.box, h, w))
-            assert np.array_equal(table.weight[i] > 0, mask > 0)
-            shares += table.share[i, :, 0]
-        for constant in (table.share, table.weight, table.background):
+            assert np.array_equal(geometry.rows[i], np.flatnonzero(mask.any(axis=1)))
+            assert np.array_equal(geometry.cols[i], np.flatnonzero(mask.any(axis=0)))
+            assert geometry.area[i] == flat.sum()
+            assert np.array_equal(geometry.weight[i], gaussian_weight(region.box, h, w))
+            assert np.array_equal(geometry.weight[i] > 0, mask > 0)
+            shares += geometry.share[i, :, 0]
+        for constant in (geometry.share, geometry.weight, geometry.background):
             # no kernel takes one as a parent, so none is a Tensor
             assert type(constant) is np.ndarray and constant.dtype == np.float64
             assert not constant.flags.writeable
-        background = table.background[:, 0]
+        assert geometry.share.shape == (len(layout.regions), h * w, 1)
+        assert geometry.weight.shape == (len(layout.regions), h, w)
+        background = geometry.background[:, 0]
         assert np.max(np.abs(background + shares - 1.0)) <= 1e-15
         uncovered = sum((m.reshape(-1) for m in expected), np.zeros(h * w)) == 0
         assert np.array_equal(background == 1.0, uncovered)

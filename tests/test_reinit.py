@@ -84,7 +84,7 @@ def test_transplant_self_copy_is_identity():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 6, 6))
     crop = best_crop(np.ones((6, 6)), (2, 2))
-    out = transplant(z, [crop], geometry_of([(0, 0, 2, 2)], 6, 6).pixels)
+    out = transplant(z, [crop], geometry_of([(0, 0, 2, 2)], 6, 6))
     assert np.array_equal(out, z)
 
 
@@ -92,7 +92,7 @@ def test_transplant_copies_patch_into_box():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((2, 5, 5))
     # a 2-row, 3-column box at rows 1-2, columns 2-4
-    out = transplant(z, [crop_at(3, 0)], geometry_of([(1, 2, 3, 5)], 5, 5).pixels)
+    out = transplant(z, [crop_at(3, 0)], geometry_of([(1, 2, 3, 5)], 5, 5))
     assert np.array_equal(out[:, 1:3, 2:5], z[:, 3:5, 0:3])
     untouched = np.ones((5, 5), dtype=bool)
     untouched[1:3, 2:5] = False
@@ -103,8 +103,8 @@ def test_transplant_overlapping_reads_come_from_snapshot():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((1, 4, 4))
     # concept 1 reads from the area concept 0 writes into, and vice versa
-    table = geometry_of([(0, 0, 2, 2), (2, 2, 4, 4)], 4, 4).pixels
-    out = transplant(z, [crop_at(2, 2), crop_at(0, 0)], table)
+    geometry = geometry_of([(0, 0, 2, 2), (2, 2, 4, 4)], 4, 4)
+    out = transplant(z, [crop_at(2, 2), crop_at(0, 0)], geometry)
     # two-pass oracle: all reads against the original
     expected = z.copy()
     expected[:, 0:2, 0:2] = z[:, 2:4, 2:4]
@@ -144,18 +144,18 @@ CORNER = geometry_of([(0, 0, 2, 2)], 4, 4)
 
 @pytest.mark.parametrize("call, match", [
     (lambda: best_crop(np.ones(4), (1, 1)), "expects a 2-D map"),
-    (lambda: transplant(np.zeros((4, 4)), [], CORNER.pixels), "latent must be"),
-    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(0, 0)] * 2, CORNER.pixels), "must align"),
-    (lambda: transplant(np.zeros((1, 4, 4)), [], CORNER.pixels), "must align"),
+    (lambda: transplant(np.zeros((4, 4)), [], CORNER), "latent must be"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(0, 0)] * 2, CORNER), "must align"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [], CORNER), "must align"),
     # the patch at (3, 3) would run past the 4x4 latent
-    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(3, 3)], CORNER.pixels),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(3, 3)], CORNER),
      "exceeds the latent extent"),
-    # an 8x8 table's box at rows and columns 4-5 lies past the 4x4 latent
+    # an 8x8 geometry's box at rows and columns 4-5 lies past the 4x4 latent
     (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(0, 0)],
-                        geometry_of([(4, 4, 6, 6)], 8, 8).pixels), "exceeds the latent extent"),
+                        geometry_of([(4, 4, 6, 6)], 8, 8)), "exceeds the latent extent"),
     # numpy would read rows and columns 1-2, counting from the end
-    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(-3, -3)], CORNER.pixels), "negative"),
-    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(-1, 0)], CORNER.pixels), "negative"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(-3, -3)], CORNER), "negative"),
+    (lambda: transplant(np.zeros((1, 4, 4)), [crop_at(-1, 0)], CORNER), "negative"),
     (lambda: standardize(np.arange(16.0).reshape(4, 4)), "latent must be"),
 ], ids=["best_crop_of_a_vector", "transplant_into_a_2d_latent", "transplant_misaligned",
         "transplant_one_crop_too_few", "transplant_past_the_edge", "transplant_box_past_the_edge",
@@ -219,9 +219,9 @@ def test_reinitialize_crops_one_guided_step_from_the_draw(monkeypatch):
     total_steps = 10
     seen: list[np.ndarray] = []
 
-    def recording_transplant(z, crops, table):
+    def recording_transplant(z, crops, geometry):
         seen.append(np.array(z, copy=True))
-        return transplant(z, crops, table)
+        return transplant(z, crops, geometry)
 
     monkeypatch.setattr(reinit_module, "transplant", recording_transplant)
     reinitialize(3, ctx, cfg, total_steps)
